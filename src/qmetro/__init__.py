@@ -15,19 +15,18 @@ process following a tunable phase rotation) and provides:
 - the flagged two-qubit dilation of the isotropic channel (``circuits``)
 """
 from .channels import (ChannelError, GeneratorH, KrausChannel,
-                       PhaseChannelFamily, amplitude_damping, apply,
-                       choi_matrix, collective, depolarizing,
-                       extend_with_ancilla, general_pauli, kraus_from_choi,
-                       phase_unitary, random_channel, rotate_kraus)
+                       PhaseChannelFamily, amplitude_damping, choi_matrix,
+                       collective, depolarizing, extend_with_ancilla,
+                       general_pauli, kraus_from_choi, phase_unitary,
+                       random_channel, rotate_kraus)
 from .circuits import (CircuitError, FlaggedOutputReport, VarianceReport,
                        build_flagged_channel, conjugation_residual,
                        flagged_variance, variance_consistency_check,
                        verify_flagged_output)
 from .estimation import (SCHEMES, EstimationError, MeasurementModel,
                          TrialEnsemble, ErrorReport, classical_fisher,
-                         error_curve, error_curve_csv, estimate_phase,
-                         model_for, probabilities, run_experiment,
-                         sample_counts)
+                         error_curve, estimate_phase, model_for,
+                         probabilities, run_experiment, sample_counts)
 from .optics import (ModeSpace, OpticalElement, OpticalNetwork, OpticsError,
                      apply_network, build_ad_network, build_pauli_network,
                      extract_channel, jones_hwp, jones_qwp, network_unitary,

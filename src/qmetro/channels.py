@@ -103,10 +103,6 @@ def depolarizing(p):
     return KrausChannel(ch.kraus, label=f"depol({p:g})")
 
 
-def apply(ch, rho):
-    return ch.apply(rho)
-
-
 def extend_with_ancilla(ch):
     """Channel acting on probe while an equal-dimension ancilla idles."""
     eye = np.eye(ch.dim)

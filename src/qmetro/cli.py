@@ -42,25 +42,22 @@ class ConfigError(ValueError):
 def parse_grid(text):
     """Accept 'start:stop:step', a comma list, or a single value."""
     try:
-        if ":" in text:
-            start, stop, step = (float(t) for t in text.split(":"))
-            if step <= 0:
-                raise ConfigError(f"grid step must be positive, got {step}")
-            if stop < start:
-                raise ConfigError("grid stop lies before start")
-            n = int(np.floor((stop - start) / step + 1e-9)) + 1
-            values = start + step * np.arange(n)
-        elif "," in text:
-            values = np.array([float(t) for t in text.split(",")])
-        else:
-            values = np.array([float(text)])
-    except ConfigError:
-        raise
+        numbers = np.array([float(t) for t in text.split(":" if ":" in text else ",")])
     except ValueError as exc:
         raise ConfigError(f"cannot parse grid {text!r}") from exc
-    if values.size == 0:
-        raise ConfigError("empty grid")
-    return values
+    if not np.isfinite(numbers).all():
+        raise ConfigError(f"grid {text!r} has a non-finite value")
+    if ":" not in text:
+        return numbers
+    if numbers.size != 3:
+        raise ConfigError(f"cannot parse grid {text!r}")
+    start, stop, step = numbers
+    if step <= 0:
+        raise ConfigError(f"grid step must be positive, got {step}")
+    if stop < start:
+        raise ConfigError("grid stop lies before start")
+    n = int(np.floor((stop - start) / step + 1e-9)) + 1
+    return start + step * np.arange(n)
 
 
 def _check_noise_range(values):
@@ -127,6 +124,8 @@ def cmd_error_curve(args):
         raise ConfigError("repetitions must be at least 2")
     if args.events is not None and args.events < 1:
         raise ConfigError("events must be at least 1")
+    if not np.isfinite(args.phi):
+        raise ConfigError(f"phi must be finite, got {args.phi}")
     rows = error_curve(args.scheme, grid, visibility=args.visibility,
                        events=args.events, repetitions=args.reps,
                        seed=args.seed, phi_true=args.phi)

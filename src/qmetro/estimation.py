@@ -202,8 +202,6 @@ def _contrast(model):
     eta = model.noise_param
     if model.scheme in ("ad_single_assisted", "ad_single_bare"):
         k = np.sqrt(1 - eta)
-    elif model.scheme in ("depol_single_assisted", "depol_single_bare"):
-        k = 1 - eta
     else:
         k = 1 - eta
     return model.visibility * k
@@ -301,12 +299,3 @@ def error_curve(scheme, noise_grid, visibility=None, events=None, repetitions=10
             "shot_noise": report.shot_noise,
         })
     return rows
-
-
-def error_curve_csv(rows):
-    lines = ["noise,sqrt_nu_dphi,bootstrap_std,cr_bound,shot_noise"]
-    for row in rows:
-        lines.append(",".join(f"{row[k]:.6g}" for k in
-                              ("noise", "sqrt_nu_dphi", "bootstrap_std",
-                               "cr_bound", "shot_noise")))
-    return "\n".join(lines) + "\n"

@@ -3,14 +3,16 @@ over equivalent Kraus representations, closed forms, and matrix-element
 shortcuts, with cross-validation hooks.
 """
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import minimize
 
 from .channels import GeneratorH, PhaseChannelFamily, amplitude_damping
-from .linalg import herm_from_params
+from .linalg import PAULIS, herm_from_params
 
 SUPPORT_CUTOFF = 1e-10
+DUALITY_GAP_TOL = 1e-6
 
 
 class QfiError(ValueError):
@@ -18,7 +20,8 @@ class QfiError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """Simplex descent failed to settle within its evaluation budget."""
+    """The supremum's spectral bound exceeds its primal value by more than
+    DUALITY_GAP_TOL."""
 
 
 @dataclass(frozen=True)
@@ -142,38 +145,37 @@ def two_probe_sld_oracle(eta, phi):
     return result.value
 
 
+@lru_cache(maxsize=None)
+def _rotation_basis(m):
+    """i times each of the m*m Hermitian matrices that herm_from_params weighs
+    by its parameters."""
+    basis = 1j * np.stack([herm_from_params(e, m) for e in np.eye(m * m)])
+    basis.flags.writeable = False
+    return basis
+
+
 def _rotation_lstsq(ks, dks, s):
     """Exact minimization over Hermitian h of sum_i ||(dK_i - i h_ij K_j) S||_F^2.
 
     The objective is a convex quadratic in h's real parameters, so the optimum
-    is a linear least-squares problem. Returns (4 * minimum, optimal params).
+    is a linear least-squares problem. ks and dks are stacked (m, d, d) arrays.
+    Returns (4 * minimum, optimal params).
     """
     m = len(ks)
-    blocks_d = [(dk @ s).ravel() for dk in dks]
-    blocks_k = [(k @ s).ravel() for k in ks]
-    nb = blocks_d[0].size
-    b = np.concatenate(blocks_d)
-    cols = []
-    for i in range(m):
-        col = np.zeros(m * nb, dtype=complex)
-        col[i * nb:(i + 1) * nb] = 1j * blocks_k[i]
-        cols.append(col)
-    for a in range(m):
-        for c in range(a + 1, m):
-            col = np.zeros(m * nb, dtype=complex)
-            col[a * nb:(a + 1) * nb] = 1j * blocks_k[c]
-            col[c * nb:(c + 1) * nb] = 1j * blocks_k[a]
-            cols.append(col)
-            col = np.zeros(m * nb, dtype=complex)
-            col[a * nb:(a + 1) * nb] = -blocks_k[c]
-            col[c * nb:(c + 1) * nb] = blocks_k[a]
-            cols.append(col)
-    amat = np.stack(cols, axis=1)
+    b = (dks @ s).ravel()
+    # column p holds i * sum_j E_p[i, j] K_j S in block i, E_p the p-th basis matrix
+    amat = np.einsum('pij,jn->inp', _rotation_basis(m),
+                     (ks @ s).reshape(m, -1)).reshape(b.size, m * m)
     areal = np.vstack([amat.real, amat.imag])
     breal = np.concatenate([b.real, b.imag])
-    x, res, _, _ = np.linalg.lstsq(areal, breal, rcond=None)
+    # unit columns, so that near-zero Kraus operators keep their directions
+    # above the rank cutoff instead of driving h to huge, cancelling values
+    norms = np.linalg.norm(areal, axis=0)
+    norms[norms == 0] = 1.0
+    areal /= norms
+    x, _, _, _ = np.linalg.lstsq(areal, breal, rcond=None)
     r = breal - areal @ x
-    return 4 * float(r @ r), x
+    return 4 * float(r @ r), x / norms
 
 
 def _bloch_ket(theta, beta):
@@ -195,8 +197,8 @@ def channel_qfi_minimax(fam, extended=True, phi0=0.0, grid=64):
     inputs of the inner representation minimum (coarse Bloch grid, then
     simplex refinement).
     """
-    ks = fam.kraus_at(phi0)
-    dks = fam.dkraus_at(phi0)
+    ks = np.stack(fam.kraus_at(phi0))
+    dks = np.stack(fam.dkraus_at(phi0))
     m = len(ks)
     if extended:
         s = np.eye(2) / np.sqrt(2)
@@ -231,61 +233,50 @@ def channel_qfi_minimax(fam, extended=True, phi0=0.0, grid=64):
                      optimal_h=GeneratorH(herm_from_params(x, m)))
 
 
-def channel_qfi_supremum(fam, phi0=0.0, seed=0, budget=20000):
-    """Worst-representation spectral bound: min over Hermitian h of
-    4 * lambda_max(sum_i dtK_i^dag dtK_i), by multi-start simplex descent.
+def _ball_state(v):
+    """Qubit state whose Bloch vector is v pulled radially into the unit ball."""
+    r = v / max(1.0, np.linalg.norm(v))
+    return (PAULIS[0] + np.tensordot(r, PAULIS[1:], axes=1)) / 2
 
-    This is the channel QFI maximized over all (arbitrarily entangled)
-    inputs; for some channels it exceeds the balanced-probe value that
-    channel_qfi_minimax returns.
+
+def channel_qfi_supremum(fam, phi0=0.0):
+    """Channel QFI maximized over all (arbitrarily entangled) probe-ancilla inputs.
+
+    tr(rho alpha(h)), with alpha(h) = sum_i dtK_i^dag dtK_i and
+    dtK_i = dK_i - i sum_j h_ij K_j, is convex in h and linear in the probe's
+    reduced state rho. By Sion's minimax theorem the worst-representation
+    spectral bound min_h 4 lambda_max(alpha(h)) therefore equals the maximum
+    over the Bloch ball of the least-squares inner minimum with S = sqrt(rho),
+    the same solve that channel_qfi_minimax makes at rho = I/2 (extended) and
+    on the Bloch sphere (bare). That maximum is concave in rho, so a single
+    simplex ascent from I/2 finds it.
+
+    The spectral bound at the returned h is the dual value; a duality gap
+    above DUALITY_GAP_TOL raises ConvergenceError. That also happens when the
+    maximizing rho is pure, where the least-squares h need not be the minimax
+    one. optimal_input is the maximizing reduced state; any purification of it
+    with the ancilla attains the value.
     """
-    ks = [np.asarray(k) for k in fam.kraus_at(phi0)]
-    dks = [np.asarray(k) for k in fam.dkraus_at(phi0)]
+    ks = np.stack(fam.kraus_at(phi0))
+    dks = np.stack(fam.dkraus_at(phi0))
     m = len(ks)
-    n = m * m
-    karr = np.stack(ks)
-    dkarr = np.stack(dks)
-    evals = 0
-    trace = []
 
-    def f(x):
-        nonlocal evals
-        evals += 1
-        h = herm_from_params(x, m)
-        rot = dkarr - 1j * np.einsum('ij,jkl->ikl', h, karr)
-        c = np.einsum('ilk,ilm->km', rot.conj(), rot)
-        val = 4 * np.linalg.eigvalsh(c)[-1]
-        trace.append(min(val, trace[-1]) if trace else val)
-        return val
+    def inner(v):
+        w, u = np.linalg.eigh(_ball_state(v))
+        return _rotation_lstsq(ks, dks, (u * np.sqrt(np.clip(w, 0, None))) @ u.conj().T)
 
-    def descend(x0, scale, maxfev):
-        simplex = np.vstack([x0, x0 + scale * np.eye(n)])
-        res = minimize(f, x0, method="Nelder-Mead",
-                       options={"initial_simplex": simplex, "adaptive": n > 4,
-                                "maxfev": maxfev, "xatol": 1e-12, "fatol": 1e-14})
-        return res.x, res.fun
-
-    rng = np.random.default_rng(seed)
-    starts = [np.zeros(n)] + [rng.standard_normal(n) * 0.5 for _ in range(8)]
-    best_x, best_val = None, np.inf
-    share = budget // (2 * len(starts))
-    for x0 in starts:
-        x, val = descend(x0, 0.5, share)
-        if val < best_val:
-            best_x, best_val = x, val
-    scale = 0.1
-    while evals < budget:
-        x, val = descend(best_x, scale, min(2000, budget - evals))
-        if val < best_val:
-            best_x, best_val = x, val
-        scale = max(scale * 0.3, 1e-7)
-        if len(trace) > 50 and trace[-51] - trace[-1] < 1e-10:
-            break
-    if len(trace) > 50 and trace[-51] - trace[-1] > 1e-8:
+    ascent = minimize(lambda v: -inner(v)[0], x0=np.zeros(3), method="Nelder-Mead",
+                      options={"xatol": 1e-10, "fatol": 1e-14})
+    value, x = inner(ascent.x)
+    h = herm_from_params(x, m)
+    rot = dks - 1j * np.einsum('ij,jkl->ikl', h, ks)
+    dual = 4 * np.linalg.eigvalsh(np.einsum('ilk,ilm->km', rot.conj(), rot))[-1]
+    if dual - value > DUALITY_GAP_TOL:
         raise ConvergenceError(
-            f"objective still moving by {trace[-51] - trace[-1]:.2e} after {evals} evaluations")
-    return QfiResult(value=float(best_val), method="minimax",
-                     optimal_h=GeneratorH(herm_from_params(best_x, m)))
+            f"duality gap {dual - value:.2e} exceeds {DUALITY_GAP_TOL:g}")
+    return QfiResult(value=value, method="minimax",
+                     optimal_input=_ball_state(ascent.x),
+                     optimal_h=GeneratorH(h))
 
 
 _MATRIX_ELEMENT_TERMS = {

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
-from .linalg import herm_from_params, pauli_basis, projector
+from .linalg import herm_from_params, nearest_psd, pauli_basis, projector
 
 # preparation kets; the measurement settings project onto the same set
 INPUT_KETS = (
@@ -190,20 +190,23 @@ def reconstruct_from_probabilities(probs, states, projs):
     """Linear inversion, then clip to positive semidefinite and rescale the trace."""
     lu, nb = _design(states, projs)
     x = lu_solve(lu, np.asarray(probs, dtype=float).ravel())
-    chi = herm_from_params(x, nb)
-    w, v = np.linalg.eigh(chi)
-    chi = (v * np.clip(w, 0, None)) @ v.conj().T
+    chi = nearest_psd(herm_from_params(x, nb))
     tr = np.trace(chi).real
     if tr <= 0:
         raise TomographyError("reconstructed chi has nonpositive trace")
     return ChiMatrix(nb, chi / tr)
 
 
+def _frequencies(counts):
+    """Outcome-0 frequency per setting; 0.5 where a setting drew no counts."""
+    totals = counts.sum(axis=2)
+    return np.where(totals > 0, counts[:, :, 0], 0.5) / np.where(totals > 0, totals, 1)
+
+
 def reconstruct_chi(data):
     """Reconstruct chi from a counted dataset using per-setting frequencies."""
-    totals = data.counts.sum(axis=2)
-    freqs = np.where(totals > 0, data.counts[:, :, 0], 0.5) / np.where(totals > 0, totals, 1)
-    return reconstruct_from_probabilities(freqs, data.input_states, data.measurement_bases)
+    return reconstruct_from_probabilities(_frequencies(data.counts), data.input_states,
+                                          data.measurement_bases)
 
 
 @dataclass(frozen=True)
@@ -237,9 +240,7 @@ def poisson_uncertainty(data, chi_ref=None, resamples=50, seed=0):
     fids = np.empty(resamples)
     for r in range(resamples):
         rng = np.random.default_rng([seed, r])
-        resampled = rng.poisson(data.counts)
-        totals = resampled.sum(axis=2)
-        freqs = np.where(totals > 0, resampled[:, :, 0], 0.5) / np.where(totals > 0, totals, 1)
-        chi = reconstruct_from_probabilities(freqs, data.input_states, data.measurement_bases)
+        chi = reconstruct_from_probabilities(_frequencies(rng.poisson(data.counts)),
+                                             data.input_states, data.measurement_bases)
         fids[r] = process_fidelity(chi, chi_ref).value
     return float(np.std(fids))

@@ -4,7 +4,7 @@ from scipy.linalg import expm
 
 from conftest import bell_state, rand_herm, rand_rho
 from qmetro.channels import (ChannelError, GeneratorH, KrausChannel,
-                             PhaseChannelFamily, amplitude_damping, apply,
+                             PhaseChannelFamily, amplitude_damping,
                              choi_matrix, collective, depolarizing,
                              extend_with_ancilla, general_pauli,
                              kraus_from_choi, phase_unitary, random_channel,
@@ -95,7 +95,7 @@ def test_apply_preserves_trace_and_hermiticity():
     for ch in all_test_channels():
         for _ in range(1000):
             rho = rand_rho(rng, 2)
-            out = apply(ch, rho)
+            out = ch.apply(rho)
             assert abs(np.trace(out).real - 1) < 1e-10
             assert np.abs(out - out.conj().T).max() < 1e-12
 

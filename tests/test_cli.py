@@ -25,7 +25,8 @@ def test_parse_grid_forms():
 
 
 def test_parse_grid_errors():
-    for bad in ("0.9:0.1:0.1", "0:1:-0.1", "0:1:0", "abc", "0.1,,0.2", ""):
+    for bad in ("0.9:0.1:0.1", "0:1:-0.1", "0:1:0", "abc", "0.1,,0.2", "",
+                "nan", "inf", "0.1,-inf", "0:nan:0.1", "0:1:inf"):
         with pytest.raises(ConfigError):
             parse_grid(bad)
 
@@ -73,6 +74,7 @@ def test_qfi_curve_json_format(tmp_path):
 def test_qfi_curve_rejects_bad_noise():
     assert main(["qfi-curve", "--channel", "ad", "--grid", "0.5,1.5"]) == EXIT_CONFIG
     assert main(["qfi-curve", "--channel", "ad", "--grid", "nope"]) == EXIT_CONFIG
+    assert main(["qfi-curve", "--channel", "ad", "--grid", "nan"]) == EXIT_CONFIG
 
 
 def test_unknown_channel_is_usage_error():
@@ -115,6 +117,8 @@ def test_error_curve_validation():
     assert main(base + ["--reps", "1"]) == EXIT_CONFIG
     assert main(base + ["--events", "0"]) == EXIT_CONFIG
     assert main(base + ["--visibility", "1.4"]) == EXIT_CONFIG
+    for phi in ("nan", "inf", "-inf"):
+        assert main(base + [f"--phi={phi}"]) == EXIT_CONFIG
 
 
 # ----------------------------------------------------------------------- qpt
@@ -222,6 +226,7 @@ def test_supplement_verify(tmp_path):
 
 def test_supplement_verify_rejects_unit_noise():
     assert main(["supplement-verify", "--grid", "0.5,1.0"]) == EXIT_CONFIG
+    assert main(["supplement-verify", "--grid", "nan"]) == EXIT_CONFIG
 
 
 def test_supplement_verify_numeric_failure(monkeypatch, capsys):

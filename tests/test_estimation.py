@@ -3,10 +3,11 @@ import pytest
 
 from qmetro.estimation import (DEFAULT_VISIBILITY, SCHEMES, EstimationError,
                                classical_fisher, default_events,
-                               error_curve, error_curve_csv, estimate_phase,
+                               error_curve, estimate_phase,
                                is_two_probe, model_for, probabilities,
                                probability_derivatives, run_experiment,
                                sample_counts)
+from qmetro.cli import format_csv
 from qmetro.qfi import closed_form_qfi, two_probe_collective_ad_qfi
 
 QUOTED_CFI = {
@@ -279,7 +280,8 @@ def test_error_curve_assisted_beats_bare():
 def test_error_curve_csv_format():
     rows = error_curve("depol_single_bare", [0.0, 0.4], visibility=1.0,
                        events=500, repetitions=20, seed=0, phi_true=0.0)
-    text = error_curve_csv(rows)
+    text = format_csv(["noise", "sqrt_nu_dphi", "bootstrap_std", "cr_bound",
+                       "shot_noise"], rows)
     lines = text.split("\n")
     assert lines[0] == "noise,sqrt_nu_dphi,bootstrap_std,cr_bound,shot_noise"
     assert text.endswith("\n") and "\r" not in text
