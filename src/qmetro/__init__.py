@@ -14,9 +14,9 @@ process following a tunable phase rotation) and provides:
   (``estimation``)
 - the flagged two-qubit dilation of the isotropic channel (``circuits``)
 """
-from .channels import (ChannelError, GeneratorH, KrausChannel,
+from .channels import (NOISE, ChannelError, GeneratorH, KrausChannel,
                        PhaseChannelFamily, amplitude_damping, choi_matrix,
-                       collective, depolarizing, extend_with_ancilla,
+                       depolarizing, evolve, extend_with_ancilla,
                        general_pauli, kraus_from_choi, phase_unitary,
                        random_channel, rotate_kraus)
 from .circuits import (CircuitError, FlaggedOutputReport, VarianceReport,
@@ -33,14 +33,12 @@ from .optics import (ModeSpace, OpticalElement, OpticalNetwork, OpticsError,
                      pauli_angle_residuals, solve_pauli_angles)
 from .qfi import (ConvergenceError, QfiError, QfiResult, SldOperator,
                   channel_qfi_minimax, channel_qfi_supremum, closed_form_qfi,
-                  cramer_rao, output_state, qfi_from_matrix_elements, sld_qfi,
-                  state_derivative, two_probe_collective_ad_qfi,
-                  two_probe_sld_oracle)
+                  cramer_rao, qfi_from_matrix_elements, sld_qfi,
+                  two_probe_collective_ad_qfi, two_probe_sld_oracle)
 from .tomography import (ChiMatrix, FidelityReport, QptDataset,
                          TomographyError, born_probabilities, chi_apply,
-                         chi_theory, input_states, measurement_projectors,
-                         poisson_uncertainty, process_fidelity,
-                         reconstruct_chi, reconstruct_from_probabilities,
-                         simulate_qpt)
+                         chi_theory, poisson_uncertainty, process_fidelity,
+                         product_states, reconstruct_chi,
+                         reconstruct_from_probabilities, simulate_qpt)
 
 __version__ = "0.1.0"

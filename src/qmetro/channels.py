@@ -1,8 +1,9 @@
 """Kraus channels for a phase-then-noise qubit map, with ancilla extension and
-two-probe (parallel) composition.
+n-probe (parallel) composition.
 
 The phase is imprinted first, diag(1, e^{i phi}), and the noise map acts after
-it. All channels are immutable once built.
+it. All channels are immutable once built. evolve is the one place a Kraus map
+acts on a state, and _tensor the one place Kraus operators are tensored.
 """
 from dataclasses import dataclass
 
@@ -15,6 +16,37 @@ COMPLETENESS_TOL = 1e-10
 
 class ChannelError(ValueError):
     pass
+
+
+def evolve(rho, ks, dks=None):
+    """sum_i K_i rho K_i^dag for stacked (m, d, d) Kraus operators ks.
+
+    Given their derivatives dks, returns (rho_out, drho_out) with the product
+    rule sum_i dK_i rho K_i^dag + K_i rho dK_i^dag.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    d = ks.shape[-1]
+    if rho.shape != (d, d):
+        raise ChannelError(f"state dimension {rho.shape} != channel dimension {d}")
+    kh = ks.conj().transpose(0, 2, 1)
+    out = (ks @ rho @ kh).sum(axis=0)
+    if dks is None:
+        return out
+    return out, (dks @ rho @ kh + ks @ rho @ dks.conj().transpose(0, 2, 1)).sum(axis=0)
+
+
+def _tensor(a, b):
+    """Stacked Kronecker products of every pair of operators from the stacks a
+    and b, a's index outer."""
+    (m, d, _), (n, e, _) = a.shape, b.shape
+    # out[(x, y), (i, k), (j, l)] = a[x, i, j] * b[y, k, l], the products np.kron forms
+    return (a[:, None, :, None, :, None] * b[None, :, None, :, None, :]).reshape(
+        m * n, d * e, d * e)
+
+
+def _with_ancilla(ks):
+    """The operators ks acting on a probe while an equal-dimension ancilla idles."""
+    return _tensor(ks, np.eye(ks.shape[-1])[None])
 
 
 @dataclass(frozen=True)
@@ -46,13 +78,7 @@ class KrausChannel:
         return np.abs(s - np.eye(self.dim)).max()
 
     def apply(self, rho):
-        rho = np.asarray(rho, dtype=complex)
-        if rho.shape != (self.dim, self.dim):
-            raise ChannelError(f"state dimension {rho.shape} != channel dimension {self.dim}")
-        out = np.zeros_like(rho)
-        for k in self.kraus:
-            out += k @ rho @ k.conj().T
-        return out
+        return evolve(rho, np.stack(self.kraus))
 
     def to_json(self):
         return {
@@ -105,21 +131,11 @@ def depolarizing(p):
 
 def extend_with_ancilla(ch):
     """Channel acting on probe while an equal-dimension ancilla idles."""
-    eye = np.eye(ch.dim)
-    ops = tuple(np.kron(k, eye) for k in ch.kraus)
-    return KrausChannel(ops, label=ch.label + "+ancilla")
+    return KrausChannel(tuple(_with_ancilla(np.stack(ch.kraus))),
+                        label=ch.label + "+ancilla")
 
 
-def collective(ch, n):
-    """n independent copies of the channel in parallel (n-fold tensor products)."""
-    if n < 1:
-        raise ChannelError("n must be at least 1")
-    if n == 1:
-        return ch
-    ops = list(ch.kraus)
-    for _ in range(n - 1):
-        ops = [np.kron(a, b) for a in ops for b in ch.kraus]
-    return KrausChannel(tuple(ops), label=f"{ch.label}^x{n}")
+NOISE = {"ad": amplitude_damping, "depol": depolarizing}
 
 
 # derivative of the phase unitary factors as U_phi times this fixed generator
@@ -144,6 +160,20 @@ class PhaseChannelFamily:
     def dkraus_at(self, phi):
         du = phase_unitary(phi) @ _PHASE_GEN
         return [k @ du for k in self.noise.kraus]
+
+    def composite(self, phi, n_probes=1, ancilla=False):
+        """Stacked Kraus operators and their phase derivatives on the joint
+        space: n_probes probes in parallel, then, with ancilla, an idle
+        ancilla of the probes' joint dimension."""
+        if n_probes < 1:
+            raise ChannelError("n_probes must be at least 1")
+        ks1, dks1 = np.stack(self.kraus_at(phi)), np.stack(self.dkraus_at(phi))
+        ks, dks = ks1, dks1
+        for _ in range(n_probes - 1):
+            ks, dks = _tensor(ks, ks1), _tensor(dks, ks1) + _tensor(ks, dks1)
+        if ancilla:
+            return _with_ancilla(ks), _with_ancilla(dks)
+        return ks, dks
 
     def channel_at(self, phi):
         return KrausChannel(tuple(self.kraus_at(phi)),
@@ -174,14 +204,14 @@ class GeneratorH:
 
 
 def rotate_kraus(fam, h, phi0=0.0):
-    """First-order rotated Kraus derivatives dK_i - i sum_j h_ij K_j at phi0."""
+    """First-order rotated Kraus derivatives dK_i - i sum_j h_ij K_j at phi0,
+    stacked (m, d, d)."""
     hmat = h.h if isinstance(h, GeneratorH) else np.asarray(h, dtype=complex)
-    ks = fam.kraus_at(phi0)
-    dks = fam.dkraus_at(phi0)
+    ks, dks = fam.composite(phi0)
     m = len(ks)
     if hmat.shape != (m, m):
         raise ChannelError(f"h must be {m}x{m} for this family")
-    return [dks[i] - 1j * sum(hmat[i, j] * ks[j] for j in range(m)) for i in range(m)]
+    return dks - 1j * np.einsum('ij,jkl->ikl', hmat, ks)
 
 
 def choi_matrix(ch):

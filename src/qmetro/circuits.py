@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import (KrausChannel, PhaseChannelFamily, choi_matrix,
-                       depolarizing, phase_unitary)
+                       depolarizing, extend_with_ancilla, phase_unitary)
 from .linalg import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, projector
 from .qfi import channel_qfi_minimax, closed_form_qfi
 
@@ -42,9 +42,8 @@ def conjugation_residual(p):
     """Max Choi-matrix deviation between the flagged channel and the same noise
     conjugated by probe-controlled NOTs acting on a fresh ancilla."""
     flagged = build_flagged_channel(p)
-    noise = depolarizing(p)
     conjugated = KrausChannel(
-        tuple(CNOT @ np.kron(k, PAULI_I) @ CNOT for k in noise.kraus),
+        tuple(CNOT @ k @ CNOT for k in extend_with_ancilla(depolarizing(p)).kraus),
         label="conjugated")
     diff = choi_matrix(flagged) - choi_matrix(conjugated)
     return float(np.abs(diff).max())

@@ -15,8 +15,8 @@ import sys
 
 import numpy as np
 
-from .channels import (ChannelError, PhaseChannelFamily, amplitude_damping,
-                       depolarizing, extend_with_ancilla, general_pauli)
+from .channels import (NOISE, ChannelError, PhaseChannelFamily,
+                       amplitude_damping, extend_with_ancilla, general_pauli)
 from .circuits import (CircuitError, conjugation_residual, flagged_variance,
                        variance_consistency_check, verify_flagged_output)
 from .estimation import (SCHEMES, EstimationError, classical_fisher,
@@ -25,14 +25,17 @@ from .optics import (OpticsError, build_ad_network, build_pauli_network,
                      extract_channel, pauli_angle_residuals, solve_pauli_angles)
 from .qfi import ConvergenceError, QfiError, channel_qfi_minimax, closed_form_qfi
 from .tomography import (TomographyError, born_probabilities, chi_theory,
-                         input_states, measurement_projectors,
-                         poisson_uncertainty, process_fidelity,
+                         poisson_uncertainty, process_fidelity, product_states,
                          reconstruct_chi, reconstruct_from_probabilities,
                          simulate_qpt)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
+
+# a longer range is rejected before np.arange allocates it; the default grids
+# have 10 and 20 points
+MAX_GRID_POINTS = 10_000
 
 
 class ConfigError(ValueError):
@@ -51,13 +54,16 @@ def parse_grid(text):
         return numbers
     if numbers.size != 3:
         raise ConfigError(f"cannot parse grid {text!r}")
-    start, stop, step = numbers
+    # python floats, so that an overflowing quotient is inf without a warning
+    start, stop, step = numbers.tolist()
     if step <= 0:
         raise ConfigError(f"grid step must be positive, got {step}")
     if stop < start:
         raise ConfigError("grid stop lies before start")
-    n = int(np.floor((stop - start) / step + 1e-9)) + 1
-    return start + step * np.arange(n)
+    span = np.floor((stop - start) / step + 1e-9)
+    if span >= MAX_GRID_POINTS:
+        raise ConfigError(f"grid {text!r} has more than {MAX_GRID_POINTS} points")
+    return start + step * np.arange(int(span) + 1)
 
 
 def _check_noise_range(values):
@@ -87,12 +93,6 @@ def _emit_rows(header, rows, args):
         _emit(format_csv(header, rows), args.out)
 
 
-def _family(channel, noise):
-    if channel == "ad":
-        return PhaseChannelFamily(amplitude_damping(noise))
-    return PhaseChannelFamily(depolarizing(noise))
-
-
 # ------------------------------------------------------------------ commands
 
 def cmd_qfi_curve(args):
@@ -109,7 +109,7 @@ def cmd_qfi_curve(args):
             "qfi_bare_closed": closed_form_qfi(args.channel, noise, assisted=False),
         }
         if args.minimax:
-            fam = _family(args.channel, noise)
+            fam = PhaseChannelFamily(NOISE[args.channel](noise))
             row["qfi_assisted_minimax"] = channel_qfi_minimax(fam, extended=True).value
             row["qfi_bare_minimax"] = channel_qfi_minimax(fam, extended=False).value
         rows.append(row)
@@ -143,11 +143,6 @@ def cmd_error_curve(args):
     return EXIT_OK
 
 
-def _qpt_channel(args, noise):
-    base = amplitude_damping(noise) if args.channel == "ad" else depolarizing(noise)
-    return base if args.single else extend_with_ancilla(base)
-
-
 def cmd_qpt(args):
     grid = parse_grid(args.grid)
     _check_noise_range(grid)
@@ -157,12 +152,14 @@ def cmd_qpt(args):
     stem = args.out[:-4] if args.out.endswith(".csv") else args.out
     rows = []
     for noise in grid:
-        ch = _qpt_channel(args, noise)
+        ch = NOISE[args.channel](noise)
+        if extended:
+            ch = extend_with_ancilla(ch)
         chi_th = chi_theory(ch)
         if args.exact:
             probs = born_probabilities(ch, extended)
-            chi_exp = reconstruct_from_probabilities(
-                probs, input_states(extended), measurement_projectors(extended))
+            states = product_states(extended)
+            chi_exp = reconstruct_from_probabilities(probs, states, states)
             std = 0.0
         else:
             data = simulate_qpt(ch, extended=extended, shots=args.shots,

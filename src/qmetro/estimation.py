@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import PhaseChannelFamily, amplitude_damping, depolarizing
+from .channels import NOISE, PhaseChannelFamily, evolve
 from .linalg import projector
 
 SCHEMES = (
@@ -82,63 +82,29 @@ def model_for(scheme, noise_param, visibility=None):
 
 # ---------------------------------------------------------------- bare probes
 
-_KET_PLUS = np.array([1, 1], dtype=complex) / np.sqrt(2)
-# Y-basis projectors for the single bare probe
-_BARE_SINGLE_PROJS = (projector(np.array([1, 1j]) / np.sqrt(2)),
-                      projector(np.array([1, -1j]) / np.sqrt(2)))
+def _bare_setups():
+    """(input state, readout projectors) of the bare schemes, by probe count."""
+    e = np.eye(4, dtype=complex)
+    # Y-basis readout for the single bare probe
+    single = (projector(np.array([1, 1j]) / np.sqrt(2)),
+              projector(np.array([1, -1j]) / np.sqrt(2)))
+    two = (projector((e[0] - 1j * e[3]) / np.sqrt(2)),
+           projector((e[0] + 1j * e[3]) / np.sqrt(2)),
+           projector(e[1]), projector(e[2]))
+    return {1: (projector(np.array([1, 1]) / np.sqrt(2)), single),
+            2: (projector((e[0] + e[3]) / np.sqrt(2)), two)}
 
 
-def _bare_single_family(model):
-    if model.scheme.startswith("ad"):
-        return PhaseChannelFamily(amplitude_damping(model.noise_param))
-    return PhaseChannelFamily(depolarizing(model.noise_param))
+_BARE_SETUPS = _bare_setups()
 
 
-def _bare_single_probs(model, phi, derivative=False):
-    fam = _bare_single_family(model)
-    rho_in = projector(_KET_PLUS)
-    ks = fam.kraus_at(phi)
-    if derivative:
-        dks = fam.dkraus_at(phi)
-        out = sum(dk @ rho_in @ k.conj().T + k @ rho_in @ dk.conj().T
-                  for k, dk in zip(ks, dks))
-    else:
-        out = sum(k @ rho_in @ k.conj().T for k in ks)
-    return np.array([np.trace(pj @ out).real for pj in _BARE_SINGLE_PROJS])
-
-
-def _two_probe_projs():
-    k00 = np.zeros(4, dtype=complex)
-    k00[0] = 1
-    k11 = np.zeros(4, dtype=complex)
-    k11[3] = 1
-    return (projector((k00 - 1j * k11) / np.sqrt(2)),
-            projector((k00 + 1j * k11) / np.sqrt(2)),
-            projector(np.array([0, 1, 0, 0], dtype=complex)),
-            projector(np.array([0, 0, 1, 0], dtype=complex)))
-
-
-_TWO_PROBE_PROJS = _two_probe_projs()
-
-
-def _bare_two_probe_probs(model, phi, derivative=False):
-    fam = PhaseChannelFamily(amplitude_damping(model.noise_param))
-    ks = fam.kraus_at(phi)
-    dks = fam.dkraus_at(phi)
-    psi = np.zeros(4, dtype=complex)
-    psi[0] = psi[3] = 1 / np.sqrt(2)
-    rho_in = np.outer(psi, psi.conj())
-    ops = [np.kron(a, b) for a in ks for b in ks]
-    out = np.zeros((4, 4), dtype=complex)
-    if derivative:
-        dops = [np.kron(da, b) + np.kron(a, db)
-                for a, da in zip(ks, dks) for b, db in zip(ks, dks)]
-        for op, dop in zip(ops, dops):
-            out += dop @ rho_in @ op.conj().T + op @ rho_in @ dop.conj().T
-    else:
-        for op in ops:
-            out += op @ rho_in @ op.conj().T
-    return np.array([np.trace(pj @ out).real for pj in _TWO_PROBE_PROJS])
+def _bare_probs(model, phi, derivative=False):
+    n_probes = 2 if is_two_probe(model.scheme) else 1
+    rho_in, projs = _BARE_SETUPS[n_probes]
+    fam = PhaseChannelFamily(NOISE[model.scheme.split("_")[0]](model.noise_param))
+    ks, dks = fam.composite(phi, n_probes)
+    out = evolve(rho_in, ks, dks)[1] if derivative else evolve(rho_in, ks)
+    return np.array([np.trace(pj @ out).real for pj in projs])
 
 
 def _ideal_probs(model, phi, derivative=False):
@@ -162,9 +128,7 @@ def _ideal_probs(model, phi, derivative=False):
             return np.array([-ds / 4, ds / 4, 0.0, 0.0, 0.0])
         return np.array([(base - s) / 4, (base + s) / 4, eta ** 2 / 2,
                          eta * (1 - eta) / 2, eta * (1 - eta) / 2])
-    if scheme in ("ad_single_bare", "depol_single_bare"):
-        return _bare_single_probs(model, phi, derivative)
-    return _bare_two_probe_probs(model, phi, derivative)
+    return _bare_probs(model, phi, derivative)
 
 
 def probabilities(model, phi):

@@ -8,7 +8,8 @@ from functools import lru_cache
 import numpy as np
 from scipy.optimize import minimize
 
-from .channels import GeneratorH, PhaseChannelFamily, amplitude_damping
+from .channels import (GeneratorH, PhaseChannelFamily, amplitude_damping, evolve,
+                       rotate_kraus)
 from .linalg import PAULIS, herm_from_params
 
 SUPPORT_CUTOFF = 1e-10
@@ -37,36 +38,6 @@ class SldOperator:
     mat: np.ndarray
     support_cutoff: float
     residual: float
-
-
-def output_state(fam, rho_in, phi, extended=False):
-    ks = fam.kraus_at(phi)
-    if extended:
-        eye = np.eye(2)
-        ks = [np.kron(k, eye) for k in ks]
-    rho_in = np.asarray(rho_in, dtype=complex)
-    d = ks[0].shape[0]
-    if rho_in.shape != (d, d):
-        raise QfiError(f"state dimension {rho_in.shape} does not match flag extended={extended}")
-    return sum(k @ rho_in @ k.conj().T for k in ks)
-
-
-def state_derivative(fam, rho_in, phi, extended=False):
-    """Analytic d rho_out / d phi for the phase family."""
-    ks = fam.kraus_at(phi)
-    dks = fam.dkraus_at(phi)
-    if extended:
-        eye = np.eye(2)
-        ks = [np.kron(k, eye) for k in ks]
-        dks = [np.kron(k, eye) for k in dks]
-    rho_in = np.asarray(rho_in, dtype=complex)
-    d = ks[0].shape[0]
-    if rho_in.shape != (d, d):
-        raise QfiError(f"state dimension {rho_in.shape} does not match flag extended={extended}")
-    out = np.zeros((d, d), dtype=complex)
-    for k, dk in zip(ks, dks):
-        out += dk @ rho_in @ k.conj().T + k @ rho_in @ dk.conj().T
-    return out
 
 
 def sld_qfi(rho, drho, cutoff=SUPPORT_CUTOFF):
@@ -114,33 +85,15 @@ def two_probe_collective_ad_qfi(eta, phi):
     return num / (b + 2) ** 3
 
 
-def _embed(op, pos, n):
-    out = np.array([[1.0 + 0j]])
-    for q in range(n):
-        out = np.kron(out, op if q == pos else np.eye(2))
-    return out
-
-
 def two_probe_sld_oracle(eta, phi):
     """Independent check of the two-probe curve: SLD QFI of the four-qubit
-    probe-ancilla state with phase plus decay on both probes."""
+    probe-ancilla GHZ state with phase plus decay on both probes."""
     fam = PhaseChannelFamily(amplitude_damping(eta))
-    ks = fam.kraus_at(phi)
-    dks = fam.dkraus_at(phi)
     psi = np.zeros(16, dtype=complex)
     psi[0] = psi[15] = 1 / np.sqrt(2)
-    rho0 = np.outer(psi, psi.conj())
-    # probes sit at qubit positions 0 and 2
-    ops, dops = [], []
-    for i, (k1, dk1) in enumerate(zip(ks, dks)):
-        a1, da1 = _embed(k1, 0, 4), _embed(dk1, 0, 4)
-        for j, (k2, dk2) in enumerate(zip(ks, dks)):
-            a2, da2 = _embed(k2, 2, 4), _embed(dk2, 2, 4)
-            ops.append(a1 @ a2)
-            dops.append(da1 @ a2 + a1 @ da2)
-    rho = sum(a @ rho0 @ a.conj().T for a in ops)
-    drho = sum(da @ rho0 @ a.conj().T + a @ rho0 @ da.conj().T
-               for a, da in zip(ops, dops))
+    # the GHZ input is symmetric under qubit permutation, so the probes may
+    # come first and the ancilla pair last
+    rho, drho = evolve(np.outer(psi, psi.conj()), *fam.composite(phi, 2, ancilla=True))
     result, _ = sld_qfi(rho, drho)
     return result.value
 
@@ -197,8 +150,7 @@ def channel_qfi_minimax(fam, extended=True, phi0=0.0, grid=64):
     inputs of the inner representation minimum (coarse Bloch grid, then
     simplex refinement).
     """
-    ks = np.stack(fam.kraus_at(phi0))
-    dks = np.stack(fam.dkraus_at(phi0))
+    ks, dks = fam.composite(phi0)
     m = len(ks)
     if extended:
         s = np.eye(2) / np.sqrt(2)
@@ -257,8 +209,7 @@ def channel_qfi_supremum(fam, phi0=0.0):
     one. optimal_input is the maximizing reduced state; any purification of it
     with the ancilla attains the value.
     """
-    ks = np.stack(fam.kraus_at(phi0))
-    dks = np.stack(fam.dkraus_at(phi0))
+    ks, dks = fam.composite(phi0)
     m = len(ks)
 
     def inner(v):
@@ -269,7 +220,7 @@ def channel_qfi_supremum(fam, phi0=0.0):
                       options={"xatol": 1e-10, "fatol": 1e-14})
     value, x = inner(ascent.x)
     h = herm_from_params(x, m)
-    rot = dks - 1j * np.einsum('ij,jkl->ikl', h, ks)
+    rot = rotate_kraus(fam, h, phi0)
     dual = 4 * np.linalg.eigvalsh(np.einsum('ilk,ilm->km', rot.conj(), rot))[-1]
     if dual - value > DUALITY_GAP_TOL:
         raise ConvergenceError(

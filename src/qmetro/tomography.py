@@ -23,21 +23,14 @@ class TomographyError(ValueError):
     pass
 
 
-def _product_states(extended):
+def product_states(extended=True):
+    """Pure product states, 16 for probe+ancilla or 4 for one qubit: both the
+    preparations and the first member of each two-outcome projector pair (the
+    complement is implied)."""
     single = [projector(k) for k in INPUT_KETS]
     if not extended:
         return np.stack(single)
     return np.stack([np.kron(a, b) for a in single for b in single])
-
-
-def input_states(extended=True):
-    """Pure preparation states, 16 products for probe+ancilla or 4 for one qubit."""
-    return _product_states(extended)
-
-
-def measurement_projectors(extended=True):
-    """First member of each two-outcome projector pair; the complement is implied."""
-    return _product_states(extended)
 
 
 @dataclass(frozen=True)
@@ -128,12 +121,11 @@ class QptDataset:
 
 def born_probabilities(ch, extended=True):
     """Exact outcome-0 probabilities, shape (n_inputs, n_bases)."""
-    rhos = input_states(extended)
-    projs = measurement_projectors(extended)
-    if rhos.shape[1] != ch.dim:
+    states = product_states(extended)
+    if states.shape[1] != ch.dim:
         raise TomographyError(f"channel dimension {ch.dim} does not match extended={extended}")
-    outs = np.stack([ch.apply(r) for r in rhos])
-    p = np.einsum('mij,lji->lm', projs, outs).real
+    outs = np.stack([ch.apply(r) for r in states])
+    p = np.einsum('mij,lji->lm', states, outs).real
     return np.clip(p, 0.0, 1.0)
 
 
@@ -153,8 +145,8 @@ def simulate_qpt(ch, extended=True, shots=20000, seed=0):
             rng = np.random.default_rng([seed, l, m])
             n0 = rng.binomial(shots, p[l, m])
             counts[l, m] = (n0, shots - n0)
-    return QptDataset(input_states(extended), measurement_projectors(extended),
-                      counts, shots)
+    states = product_states(extended)
+    return QptDataset(states, states, counts, shots)
 
 
 _design_cache = {}

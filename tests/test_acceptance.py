@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from qmetro.channels import (PhaseChannelFamily, amplitude_damping,
-                             depolarizing, extend_with_ancilla, general_pauli)
+                             depolarizing, evolve, extend_with_ancilla,
+                             general_pauli)
 from qmetro.circuits import (conjugation_residual, flagged_variance,
                              variance_consistency_check, verify_flagged_output)
 from qmetro.cli import main
@@ -19,13 +20,12 @@ from qmetro.estimation import classical_fisher, error_curve, model_for, run_expe
 from qmetro.optics import (build_ad_network, build_pauli_network,
                            extract_channel, pauli_angle_residuals,
                            solve_pauli_angles)
-from qmetro.qfi import (channel_qfi_minimax, closed_form_qfi, output_state,
-                        qfi_from_matrix_elements, sld_qfi, state_derivative,
+from qmetro.qfi import (channel_qfi_minimax, closed_form_qfi,
+                        qfi_from_matrix_elements, sld_qfi,
                         two_probe_collective_ad_qfi, two_probe_sld_oracle)
-from qmetro.tomography import (born_probabilities, chi_theory, input_states,
-                               measurement_projectors, process_fidelity,
-                               reconstruct_chi, reconstruct_from_probabilities,
-                               simulate_qpt)
+from qmetro.tomography import (born_probabilities, chi_theory, process_fidelity,
+                               product_states, reconstruct_chi,
+                               reconstruct_from_probabilities, simulate_qpt)
 
 GRID = np.arange(0, 0.951, 0.05)
 BELL = np.zeros((4, 4))
@@ -68,7 +68,7 @@ def test_criterion_02_orthogonal_noise():
     extended = channel_qfi_minimax(fam, extended=True).value
     # the protocol-level no-ancilla reading: phase information in the
     # single-probe interference term at the working point
-    rho = output_state(fam, np.full((2, 2), 0.5), 0.0)
+    rho = evolve(np.full((2, 2), 0.5), fam.composite(0.0)[0])
     protocol_bare = qfi_from_matrix_elements(rho, "ad_single")
     # the channel-optimal no-ancilla value stays 1; surfaced, not hidden
     channel_bare = channel_qfi_minimax(fam, extended=False).value
@@ -106,13 +106,11 @@ def test_criterion_03_information_curve_csv(tmp_path):
             closed_b = closed_form_qfi(kind, x, assisted=False)
             mm_a = channel_qfi_minimax(fam, extended=True).value
             mm_b = channel_qfi_minimax(fam, extended=False).value
-            rho_a = output_state(fam, BELL, 0.0, extended=True)
-            drho_a = state_derivative(fam, BELL, 0.0, extended=True)
+            rho_a, drho_a = evolve(BELL, *fam.composite(0.0, ancilla=True))
             sld_a = sld_qfi(rho_a, drho_a)[0].value
             me_a = qfi_from_matrix_elements(rho_a, f"{tag}_assisted")
             plus = np.full((2, 2), 0.5)
-            rho_b = output_state(fam, plus, 0.0)
-            drho_b = state_derivative(fam, plus, 0.0)
+            rho_b, drho_b = evolve(plus, *fam.composite(0.0))
             sld_b = sld_qfi(rho_b, drho_b)[0].value
             me_b = qfi_from_matrix_elements(rho_b, f"{tag}_single")
             for group in ((closed_a, mm_a, sld_a, me_a),
@@ -193,7 +191,7 @@ def test_criterion_06_tomography_pipeline():
         chi_th = chi_theory(ch)
         probs = born_probabilities(ch)
         chi_exact = reconstruct_from_probabilities(
-            probs, input_states(True), measurement_projectors(True))
+            probs, product_states(True), product_states(True))
         worst_exact = max(worst_exact,
                           1 - process_fidelity(chi_exact, chi_th).value)
         good = 0

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from conftest import bell_state, rand_herm, rand_rho
 from qmetro.channels import (ChannelError, GeneratorH, KrausChannel,
                              PhaseChannelFamily, amplitude_damping,
-                             choi_matrix, collective, depolarizing,
+                             choi_matrix, depolarizing, evolve,
                              extend_with_ancilla, general_pauli,
                              kraus_from_choi, phase_unitary, random_channel,
                              rotate_kraus)
@@ -111,22 +113,100 @@ def test_extend_with_ancilla():
     rng = np.random.default_rng(4)
     rho4 = rand_rho(rng, 4)
     assert np.abs(ident.apply(rho4) - rho4).max() < 1e-12
+    # the family's ancilla layout is the same tensor
+    fam = PhaseChannelFamily(amplitude_damping(eta))
+    assert np.array_equal(np.stack(ext.kraus), fam.composite(0.0, ancilla=True)[0])
 
 
-def test_collective():
+def test_composite_two_probes():
     ch = amplitude_damping(0.3)
-    assert collective(ch, 1) is ch
-    two = collective(ch, 2)
-    assert len(two.kraus) == 4
-    assert two.completeness_residual() < 1e-10
+    fam = PhaseChannelFamily(ch)
+    ks, dks = fam.composite(0.0)
+    assert np.array_equal(ks, np.stack(ch.kraus))
+    assert np.array_equal(dks, np.stack(fam.dkraus_at(0.0)))
+    two = fam.composite(0.0, 2)[0]
+    assert len(two) == 4
+    assert np.abs(np.einsum('kji,kjl->il', two.conj(), two) - np.eye(4)).max() < 1e-10
     rng = np.random.default_rng(5)
     rho, sig = rand_rho(rng, 2), rand_rho(rng, 2)
-    assert np.abs(two.apply(np.kron(rho, sig))
+    assert np.abs(evolve(np.kron(rho, sig), two)
                   - np.kron(ch.apply(rho), ch.apply(sig))).max() < 1e-12
-    dead = collective(amplitude_damping(1), 2).apply(bell_state())
+    dead = evolve(bell_state(), PhaseChannelFamily(amplitude_damping(1)).composite(0.0, 2)[0])
     assert np.abs(dead - np.diag([1, 0, 0, 0])).max() < 1e-12
     with pytest.raises(ChannelError):
-        collective(ch, 0)
+        fam.composite(0.0, 0)
+
+
+def test_evolve_matches_kraus_loop():
+    fam = PhaseChannelFamily(depolarizing(0.4))
+    rho = rand_rho(np.random.default_rng(8), 2)
+    ks, dks = fam.composite(0.7)
+    out, dout = evolve(rho, ks, dks)
+    assert np.abs(out - sum(k @ rho @ k.conj().T for k in ks)).max() < 1e-15
+    assert np.abs(dout - sum(dk @ rho @ k.conj().T + k @ rho @ dk.conj().T
+                             for k, dk in zip(ks, dks))).max() < 1e-15
+    assert np.array_equal(evolve(rho, ks), out)
+    with pytest.raises(ChannelError):
+        evolve(np.eye(3) / 3, ks)
+
+
+# random phase families: (seed, number of Kraus operators, phase)
+FAMILIES = st.tuples(st.integers(0, 2 ** 32 - 1), st.integers(1, 4),
+                     st.floats(-np.pi, np.pi))
+KERNEL_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True,
+                           database=None)
+
+
+def draw(case):
+    seed, n, phi = case
+    rng = np.random.default_rng(seed)
+    return PhaseChannelFamily(random_channel(2, n, rng)), phi, rng
+
+
+@KERNEL_SETTINGS
+@given(FAMILIES, st.integers(1, 2), st.booleans())
+def test_evolve_output_is_a_state(case, n_probes, ancilla):
+    fam, phi, rng = draw(case)
+    ks, _ = fam.composite(phi, n_probes, ancilla)
+    out = evolve(rand_rho(rng, ks.shape[-1]), ks)
+    assert abs(np.trace(out) - 1) < 1e-12
+    assert np.abs(out - out.conj().T).max() < 1e-14
+    assert np.linalg.eigvalsh(out).min() > -1e-12
+
+
+@KERNEL_SETTINGS
+@given(FAMILIES, st.integers(1, 2), st.booleans())
+def test_evolve_derivative_matches_finite_difference(case, n_probes, ancilla):
+    fam, phi, rng = draw(case)
+    step = 1e-5
+    ks, dks = fam.composite(phi, n_probes, ancilla)
+    rho = rand_rho(rng, ks.shape[-1])
+    fd = (evolve(rho, fam.composite(phi + step, n_probes, ancilla)[0])
+          - evolve(rho, fam.composite(phi - step, n_probes, ancilla)[0])) / (2 * step)
+    assert np.abs(evolve(rho, ks, dks)[1] - fd).max() < 1e-8
+
+
+@KERNEL_SETTINGS
+@given(FAMILIES)
+def test_composite_acts_on_each_probe(case):
+    fam, phi, rng = draw(case)
+    ks, dks = fam.composite(phi)
+    two, dtwo = fam.composite(phi, 2)
+    rho, sig = rand_rho(rng, 2), rand_rho(rng, 2)
+    (a, da), (b, db) = evolve(rho, ks, dks), evolve(sig, ks, dks)
+    out, dout = evolve(np.kron(rho, sig), two, dtwo)
+    assert np.abs(out - np.kron(a, b)).max() < 1e-12
+    assert np.abs(dout - np.kron(da, b) - np.kron(a, db)).max() < 1e-12
+
+
+@KERNEL_SETTINGS
+@given(FAMILIES, st.integers(1, 2))
+def test_idle_ancilla_stays_maximally_mixed(case, n_probes):
+    fam, phi, _ = draw(case)
+    d = 2 ** n_probes
+    psi = np.eye(d).ravel() / np.sqrt(d)
+    out = evolve(np.outer(psi, psi), fam.composite(phi, n_probes, ancilla=True)[0])
+    assert np.abs(partial_trace(out, [d, d], [1]) - np.eye(d) / d).max() < 1e-12
 
 
 def test_phase_family_derivative_matches_finite_difference():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -26,9 +27,25 @@ def test_parse_grid_forms():
 
 def test_parse_grid_errors():
     for bad in ("0.9:0.1:0.1", "0:1:-0.1", "0:1:0", "abc", "0.1,,0.2", "",
-                "nan", "inf", "0.1,-inf", "0:nan:0.1", "0:1:inf"):
+                "nan", "inf", "0.1,-inf", "0:nan:0.1", "0:1:inf",
+                # more points than MAX_GRID_POINTS, down to a step whose
+                # quotient overflows to inf
+                "0:1:1e-7", "0:1:1e-300", "0:1:5e-324"):
         with pytest.raises(ConfigError):
             parse_grid(bad)
+
+
+def test_parse_grid_length_cap():
+    top = (cli.MAX_GRID_POINTS - 1) / 1000
+    assert len(parse_grid(f"0:{top}:0.001")) == cli.MAX_GRID_POINTS
+    with pytest.raises(ConfigError):
+        parse_grid(f"0:{top + 0.001}:0.001")
+
+
+def test_oversized_grid_is_config_error(capsys):
+    for grid in ("0:1:1e-300", "0:1:5e-324"):
+        assert main(["qfi-curve", "--channel", "ad", "--grid", grid]) == EXIT_CONFIG
+    assert "more than 10000 points" in capsys.readouterr().err
 
 
 def test_format_csv_six_significant_digits():
@@ -235,3 +252,33 @@ def test_supplement_verify_numeric_failure(monkeypatch, capsys):
     code = main(["supplement-verify", "--grid", "0.2"])
     capsys.readouterr()
     assert code == EXIT_NUMERIC
+
+
+# ------------------------------------------------------------- golden output
+
+# sha256 of the CSV each command writes, recorded before the Kraus-evolution
+# kernel was shared between channels, qfi and estimation; a refactor that
+# changes a printed digit changes the digest
+GOLDEN_CSV = {
+    ("error-curve", "--scheme", "ad_single_bare"):
+        "168beb2d3cd87dcb04e6af6ffb2f2d7fb07b787b23cc7fb1d626b5dacdacca2d",
+    ("error-curve", "--scheme", "depol_single_bare"):
+        "8b0713c6eb823010b23bf624a93bbb81110119c64ba14adc6c24b9c68cdf52f7",
+    ("error-curve", "--scheme", "ad_two_probe_bare"):
+        "bda32c5dc3f516b9bf1c5d7f618517e3a69dd01baecb114dd951030d2d1951ee",
+    ("qpt", "--channel", "ad", "--grid", "0.3,0.6"):
+        "274db5ef0219676dbc7f2e2bc2055531ce805f585846f625a7ff28c9ea8d1491",
+    ("qpt", "--channel", "depol", "--grid", "0.3,0.6"):
+        "3c5bb4bacd3d54264cbbfdc422ffb1d6b9c7f86c2cb7b56c33ad6fc6db56d439",
+    ("qpt", "--channel", "ad", "--grid", "0.3,0.6", "--exact"):
+        "aef89670b52106e4a97294e9f0ac4cca4b7c6d6352e2699ad895185cb8ec0887",
+    ("qpt", "--channel", "depol", "--grid", "0.3,0.6", "--exact"):
+        "aef89670b52106e4a97294e9f0ac4cca4b7c6d6352e2699ad895185cb8ec0887",
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_CSV), ids=" ".join)
+def test_csv_matches_recorded_digest(argv, tmp_path):
+    out = tmp_path / "out.csv"
+    assert main(list(argv) + ["--out", str(out)]) == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_CSV[argv]

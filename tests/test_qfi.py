@@ -5,22 +5,21 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from conftest import bell_state, rand_herm
-from qmetro.channels import (PhaseChannelFamily, amplitude_damping,
-                             depolarizing, general_pauli, rotate_kraus)
+from qmetro.channels import (ChannelError, PhaseChannelFamily,
+                             amplitude_damping, depolarizing, evolve,
+                             general_pauli, rotate_kraus)
 from qmetro.linalg import projector
 from qmetro.qfi import (QfiError, channel_qfi_minimax, channel_qfi_supremum,
-                        closed_form_qfi, cramer_rao, output_state,
-                        qfi_from_matrix_elements, sld_qfi, state_derivative,
-                        two_probe_collective_ad_qfi, two_probe_sld_oracle)
+                        closed_form_qfi, cramer_rao, qfi_from_matrix_elements,
+                        sld_qfi, two_probe_collective_ad_qfi,
+                        two_probe_sld_oracle)
 
 PLUS = projector(np.array([1, 1]) / np.sqrt(2))
 NOISELESS = PhaseChannelFamily(general_pauli([1, 0, 0, 0]))
 
 
 def assisted_bell_output(fam, phi):
-    rho = output_state(fam, bell_state(), phi, extended=True)
-    drho = state_derivative(fam, bell_state(), phi, extended=True)
-    return rho, drho
+    return evolve(bell_state(), *fam.composite(phi, ancilla=True))
 
 
 # ------------------------------------------------------------- closed forms
@@ -39,13 +38,13 @@ def test_closed_form_values():
 # ------------------------------------------------- output states and SLD QFI
 
 def test_state_derivative_noiseless_plus():
-    drho = state_derivative(NOISELESS, PLUS, 0.0)
+    _, drho = evolve(PLUS, *NOISELESS.composite(0.0))
     expected = np.array([[0, -0.5j], [0.5j, 0]])
     assert np.abs(drho - expected).max() < 1e-12
 
 
 def test_state_derivative_invisible_on_mixed():
-    drho = state_derivative(NOISELESS, np.eye(2) / 2, 0.0)
+    _, drho = evolve(np.eye(2) / 2, *NOISELESS.composite(0.0))
     assert np.abs(drho).max() < 1e-14
 
 
@@ -54,29 +53,20 @@ def test_state_derivative_invisible_on_mixed():
 def test_state_derivative_matches_finite_difference(fam):
     step = 1e-5
     for phi in (0.0, 0.9, 2.4):
-        fd = (output_state(fam, PLUS, phi + step) -
-              output_state(fam, PLUS, phi - step)) / (2 * step)
-        assert np.abs(state_derivative(fam, PLUS, phi) - fd).max() < 1e-8
+        fd = (evolve(PLUS, fam.composite(phi + step)[0]) -
+              evolve(PLUS, fam.composite(phi - step)[0])) / (2 * step)
+        assert np.abs(evolve(PLUS, *fam.composite(phi))[1] - fd).max() < 1e-8
 
 
 def test_sld_qfi_pure_noiseless():
-    rho = output_state(NOISELESS, PLUS, 0.0)
-    drho = state_derivative(NOISELESS, PLUS, 0.0)
-    result, sld = sld_qfi(rho, drho)
+    result, sld = sld_qfi(*evolve(PLUS, *NOISELESS.composite(0.0)))
     assert abs(result.value - 1.0) < 1e-10
     assert sld.residual < 1e-8
 
 
 def test_sld_qfi_two_probe_heisenberg():
     # collective noiseless phase on the two-probe entangled state
-    u = NOISELESS.kraus_at(0.0)[0]
-    du = NOISELESS.dkraus_at(0.0)[0]
-    op = np.kron(u, u)
-    dop = np.kron(du, u) + np.kron(u, du)
-    rho0 = bell_state()
-    rho = op @ rho0 @ op.conj().T
-    drho = dop @ rho0 @ op.conj().T + op @ rho0 @ dop.conj().T
-    result, _ = sld_qfi(rho, drho)
+    result, _ = sld_qfi(*evolve(bell_state(), *NOISELESS.composite(0.0, 2)))
     assert abs(result.value - 4.0) < 1e-10
 
 
@@ -117,8 +107,10 @@ def test_sld_rejects_non_hermitian():
 
 def test_output_state_dimension_check():
     fam = PhaseChannelFamily(amplitude_damping(0.3))
-    with pytest.raises(QfiError):
-        output_state(fam, np.eye(4) / 4, 0.0, extended=False)
+    with pytest.raises(ChannelError):
+        evolve(np.eye(4) / 4, *fam.composite(0.0))
+    with pytest.raises(ChannelError):
+        evolve(np.eye(2) / 2, *fam.composite(0.0, ancilla=True))
 
 
 # ------------------------------------------------------------------ minimax
@@ -186,7 +178,7 @@ def test_orthogonal_noise_channel():
     # value the matrix-element shortcut reports at phi=0 is exactly zero
     bare = channel_qfi_minimax(fam, extended=False).value
     assert abs(bare - 1.0) < 1e-6
-    rho = output_state(fam, PLUS, 0.0)
+    rho = evolve(PLUS, fam.composite(0.0)[0])
     assert qfi_from_matrix_elements(rho, "ad_single") <= 1e-6
 
 
@@ -218,8 +210,7 @@ def test_supremum_certificate():
         w, v = np.linalg.eigh(res.optimal_input)
         psi = sum(np.sqrt(max(w[k], 0)) * np.kron(v[:, k], np.eye(2)[k]) for k in range(2))
         rho0 = np.outer(psi, psi.conj())
-        sld, _ = sld_qfi(output_state(fam, rho0, 0.0, extended=True),
-                         state_derivative(fam, rho0, 0.0, extended=True))
+        sld, _ = sld_qfi(*evolve(rho0, *fam.composite(0.0, ancilla=True)))
         assert abs(sld.value - res.value) < 1e-8, ch.label
 
 
@@ -292,24 +283,24 @@ def test_two_probe_printed_oscillates_while_oracle_does_not():
 def test_matrix_element_assisted_ad():
     for eta in (0.0, 0.3, 0.6, 0.9):
         fam = PhaseChannelFamily(amplitude_damping(eta))
-        rho = output_state(fam, bell_state(), 0.2, extended=True)
+        rho = evolve(bell_state(), fam.composite(0.2, ancilla=True)[0])
         val = qfi_from_matrix_elements(rho, "ad_assisted")
         assert abs(val - closed_form_qfi("ad", eta, assisted=True)) < 1e-10
 
 
 def test_matrix_element_assisted_depol():
     fam = PhaseChannelFamily(depolarizing(0.4))
-    rho = output_state(fam, bell_state(), 0.0, extended=True)
+    rho = evolve(bell_state(), fam.composite(0.0, ancilla=True)[0])
     assert abs(qfi_from_matrix_elements(rho, "depol_assisted") - 0.45) < 1e-10
 
 
 def test_matrix_element_single_probe():
     for eta in (0.0, 0.3, 0.7):
         fam = PhaseChannelFamily(amplitude_damping(eta))
-        rho = output_state(fam, PLUS, 0.5)
+        rho = evolve(PLUS, fam.composite(0.5)[0])
         assert abs(qfi_from_matrix_elements(rho, "ad_single") - (1 - eta)) < 1e-10
     fam = PhaseChannelFamily(depolarizing(0.4))
-    rho = output_state(fam, PLUS, 0.0)
+    rho = evolve(PLUS, fam.composite(0.0)[0])
     assert abs(qfi_from_matrix_elements(rho, "depol_single") - 0.36) < 1e-10
 
 

@@ -7,10 +7,10 @@ from qmetro.channels import (KrausChannel, amplitude_damping, depolarizing,
                              extend_with_ancilla, general_pauli,
                              random_channel)
 from qmetro.tomography import (ChiMatrix, TomographyError, born_probabilities,
-                               chi_apply, chi_theory, input_states,
-                               measurement_projectors, poisson_uncertainty,
-                               process_fidelity, reconstruct_chi,
-                               reconstruct_from_probabilities, simulate_qpt)
+                               chi_apply, chi_theory, poisson_uncertainty,
+                               process_fidelity, product_states,
+                               reconstruct_chi, reconstruct_from_probabilities,
+                               simulate_qpt)
 
 AD_HALF = extend_with_ancilla(amplitude_damping(0.5))
 DEPOL_04 = extend_with_ancilla(depolarizing(0.4))
@@ -87,9 +87,9 @@ def test_born_probabilities_dimension_check():
         born_probabilities(amplitude_damping(0.5), extended=True)
 
 
-def test_input_states_are_states():
+def test_product_states_are_states():
     for extended in (False, True):
-        for rho in input_states(extended):
+        for rho in product_states(extended):
             assert abs(np.trace(rho) - 1) < 1e-12
             assert np.linalg.eigvalsh(rho).min() > -1e-12
 
@@ -98,8 +98,7 @@ def test_input_states_are_states():
 
 def test_reconstruct_exact_probabilities_is_identity():
     rng = np.random.default_rng(3)
-    states = input_states(True)
-    projs = measurement_projectors(True)
+    states = projs = product_states(True)
     for _ in range(20):
         ch = random_channel(4, rng.integers(1, 5), rng)
         chi_ref = chi_theory(ch)
