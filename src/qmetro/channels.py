@@ -21,18 +21,26 @@ class ChannelError(ValueError):
 def evolve(rho, ks, dks=None):
     """sum_i K_i rho K_i^dag for stacked (m, d, d) Kraus operators ks.
 
-    Given their derivatives dks, returns (rho_out, drho_out) with the product
-    rule sum_i dK_i rho K_i^dag + K_i rho dK_i^dag.
+    rho is one (d, d) state or a stack (..., d, d) of them. Given their
+    derivatives dks, returns (rho_out, drho_out) with the product rule
+    sum_i dK_i rho K_i^dag + K_i rho dK_i^dag.
     """
     rho = np.asarray(rho, dtype=complex)
     d = ks.shape[-1]
-    if rho.shape != (d, d):
+    if rho.shape[-2:] != (d, d):
         raise ChannelError(f"state dimension {rho.shape} != channel dimension {d}")
-    kh = ks.conj().transpose(0, 2, 1)
+
+    def per_state(ops):
+        # one singleton axis per stack axis of rho, so each operator meets every state
+        return ops.reshape(ops.shape[:1] + (1,) * (rho.ndim - 2) + ops.shape[1:])
+
+    ks = per_state(ks)
+    kh = ks.conj().swapaxes(-1, -2)
     out = (ks @ rho @ kh).sum(axis=0)
     if dks is None:
         return out
-    return out, (dks @ rho @ kh + ks @ rho @ dks.conj().transpose(0, 2, 1)).sum(axis=0)
+    dks = per_state(dks)
+    return out, (dks @ rho @ kh + ks @ rho @ dks.conj().swapaxes(-1, -2)).sum(axis=0)
 
 
 def _tensor(a, b):

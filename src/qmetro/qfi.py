@@ -14,6 +14,7 @@ from .linalg import PAULIS, herm_from_params
 
 SUPPORT_CUTOFF = 1e-10
 DUALITY_GAP_TOL = 1e-6
+BLOCH_GRID = 64
 
 
 class QfiError(ValueError):
@@ -131,6 +132,26 @@ def _rotation_lstsq(ks, dks, s):
     return 4 * float(r @ r), x / norms
 
 
+def _pure_inner_values(ks, dks, kets):
+    """_rotation_lstsq's minimum at each pure probe of the (n, d) stack kets,
+    in closed form.
+
+    With U and V the (m, d) stacks of K_i s and dK_i s, the optimal h solves
+    hG + Gh = C for G = U U^dag and C = i(V U^dag - U V^dag), so in G's
+    eigenbasis the minimum is ||V||^2 - 1/2 sum_ab |C_ab|^2 / (g_a + g_b).
+    Pairs with g_a + g_b at round-off level are outside the span and dropped.
+    """
+    u = np.einsum('mij,nj->nmi', ks, kets)
+    v = np.einsum('mij,nj->nmi', dks, kets)
+    vu = v @ u.conj().transpose(0, 2, 1)
+    g, e = np.linalg.eigh(u @ u.conj().transpose(0, 2, 1))
+    c = e.conj().transpose(0, 2, 1) @ (1j * (vu - vu.conj().transpose(0, 2, 1))) @ e
+    denom = g[:, :, None] + g[:, None, :]
+    keep = denom > np.finfo(float).eps * len(ks) * g[:, -1:, None]
+    drop = (np.abs(c) ** 2 / np.where(keep, denom, 1.0) * keep).sum(axis=(1, 2))
+    return 4 * (np.einsum('nmi,nmi->n', v.conj(), v).real - drop / 2)
+
+
 def _bloch_ket(theta, beta):
     return np.array([np.cos(theta / 2), np.exp(1j * beta) * np.sin(theta / 2)])
 
@@ -141,14 +162,30 @@ def _bloch_vector(theta, beta):
                      np.cos(theta)])
 
 
-def channel_qfi_minimax(fam, extended=True, phi0=0.0, grid=64):
+@lru_cache(maxsize=None)
+def _bloch_grid():
+    """The bare search's grid in scan order: theta and beta of each point, its
+    ket, and the lexicographic rank of its Bloch vector rounded to 9 digits
+    (equal vectors share a rank)."""
+    thetas, betas = (a.ravel() for a in np.meshgrid(
+        np.linspace(0, np.pi, BLOCH_GRID),
+        np.linspace(0, 2 * np.pi, BLOCH_GRID, endpoint=False), indexing="ij"))
+    rank = np.unique(np.round(_bloch_vector(thetas, betas).T, 9), axis=0,
+                     return_inverse=True)[1].ravel()
+    grid = (thetas, betas, _bloch_ket(thetas, betas).T, rank)
+    for a in grid:
+        a.flags.writeable = False
+    return grid
+
+
+def channel_qfi_minimax(fam, extended=True, phi0=0.0):
     """Channel QFI by minimizing over equivalent Kraus representations.
 
     extended=True: the ancilla-assisted value, evaluated at the balanced
     maximally entangled probe, where the representation optimum is an exact
     least-squares solve. extended=False: maximum over pure single-probe
-    inputs of the inner representation minimum (coarse Bloch grid, then
-    simplex refinement).
+    inputs of the inner representation minimum (closed form on a
+    BLOCH_GRID x BLOCH_GRID Bloch grid, then simplex refinement).
     """
     ks, dks = fam.composite(phi0)
     m = len(ks)
@@ -161,23 +198,24 @@ def channel_qfi_minimax(fam, extended=True, phi0=0.0, grid=64):
     def inner(theta, beta):
         return _rotation_lstsq(ks, dks, _bloch_ket(theta, beta)[:, None])
 
-    thetas = np.linspace(0, np.pi, grid)
-    betas = np.linspace(0, 2 * np.pi, grid, endpoint=False)
-    best = (-1.0, 0.0, 0.0)
-    for t in thetas:
-        for bt in betas:
-            val, _ = inner(t, bt)
-            if val > best[0] + 1e-12:
-                best = (val, t, bt)
-            elif abs(val - best[0]) <= 1e-12:
-                # degenerate maxima: keep the lexicographically smallest Bloch vector
-                if tuple(np.round(_bloch_vector(t, bt), 9)) < tuple(
-                        np.round(_bloch_vector(best[1], best[2]), 9)):
-                    best = (best[0], t, bt)
-    ref = minimize(lambda ang: -inner(ang[0], ang[1])[0], x0=[best[1], best[2]],
+    thetas, betas, kets, rank = _bloch_grid()
+    # in 16 slices, so that the stacked (n, m, m) temporaries stay under 1 MB
+    vals = np.concatenate([_pure_inner_values(ks, dks, part)
+                           for part in np.array_split(kets, 16)])
+    top, lead, pick = -1.0, 0, 0
+    for i, val in enumerate(vals.tolist()):
+        if val > top + 1e-12:
+            top, lead, pick = val, i, i
+        elif abs(val - top) <= 1e-12 and rank[i] < rank[pick]:
+            # degenerate maxima: keep the lexicographically smallest Bloch vector
+            pick = i
+    # the polish must beat the grid maximum as its own least-squares solve gives it
+    best = inner(thetas[lead], betas[lead])[0]
+    start = (thetas[pick], betas[pick])
+    ref = minimize(lambda ang: -inner(ang[0], ang[1])[0], x0=start,
                    method="Nelder-Mead",
                    options={"xatol": 1e-10, "fatol": 1e-12, "maxfev": 400})
-    theta, beta = (ref.x if -ref.fun >= best[0] else (best[1], best[2]))
+    theta, beta = (ref.x if -ref.fun >= best else start)
     value, x = inner(theta, beta)
     ket = _bloch_ket(theta, beta)
     return QfiResult(value=value, method="minimax",

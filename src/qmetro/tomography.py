@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
+from .channels import evolve
 from .linalg import herm_from_params, nearest_psd, pauli_basis, projector
 
 # preparation kets; the measurement settings project onto the same set
@@ -124,7 +125,7 @@ def born_probabilities(ch, extended=True):
     states = product_states(extended)
     if states.shape[1] != ch.dim:
         raise TomographyError(f"channel dimension {ch.dim} does not match extended={extended}")
-    outs = np.stack([ch.apply(r) for r in states])
+    outs = evolve(states, np.stack(ch.kraus))
     p = np.einsum('mij,lji->lm', states, outs).real
     return np.clip(p, 0.0, 1.0)
 

@@ -150,6 +150,23 @@ def test_evolve_matches_kraus_loop():
         evolve(np.eye(3) / 3, ks)
 
 
+def test_evolve_stack_matches_per_state():
+    rng = np.random.default_rng(9)
+    for ancilla in (False, True):
+        ks, dks = PhaseChannelFamily(amplitude_damping(0.3)).composite(0.7, ancilla=ancilla)
+        d = ks.shape[-1]
+        rhos = np.stack([rand_rho(rng, d) for _ in range(6)]).reshape(2, 3, d, d)
+        out, dout = evolve(rhos, ks, dks)
+        assert out.shape == dout.shape == (2, 3, d, d)
+        assert np.array_equal(evolve(rhos, ks), out)
+        for idx in np.ndindex(2, 3):
+            one, done = evolve(rhos[idx], ks, dks)
+            assert np.array_equal(out[idx], one)
+            assert np.array_equal(dout[idx], done)
+        with pytest.raises(ChannelError):
+            evolve(np.zeros((4, d + 1, d + 1)), ks)
+
+
 # random phase families: (seed, number of Kraus operators, phase)
 FAMILIES = st.tuples(st.integers(0, 2 ** 32 - 1), st.integers(1, 4),
                      st.floats(-np.pi, np.pi))

@@ -257,9 +257,17 @@ def test_supplement_verify_numeric_failure(monkeypatch, capsys):
 # ------------------------------------------------------------- golden output
 
 # sha256 of the CSV each command writes, recorded before the Kraus-evolution
-# kernel was shared between channels, qfi and estimation; a refactor that
-# changes a printed digit changes the digest
+# kernel was shared between channels, qfi and estimation (the two qfi-curve
+# cases: before the bare Bloch grid was evaluated in closed form); a refactor
+# that changes a printed digit changes the digest. The JSON prints the
+# minimax values at full precision.
 GOLDEN_CSV = {
+    ("qfi-curve", "--channel", "ad", "--minimax", "--format", "json",
+     "--grid", "0.1,0.45,0.9"):
+        "f7e442a001917788024e3909d7ce67abffdf37e1a4e01577ed2205cb245f2e69",
+    ("qfi-curve", "--channel", "depol", "--minimax", "--format", "json",
+     "--grid", "0.1,0.45,0.9"):
+        "0db2b906219fe79546a79593f47c8054736620dec0ee238ff149ab91d5cc4b13",
     ("error-curve", "--scheme", "ad_single_bare"):
         "168beb2d3cd87dcb04e6af6ffb2f2d7fb07b787b23cc7fb1d626b5dacdacca2d",
     ("error-curve", "--scheme", "depol_single_bare"):

@@ -7,9 +7,10 @@ from scipy.linalg import expm
 from conftest import bell_state, rand_herm
 from qmetro.channels import (ChannelError, PhaseChannelFamily,
                              amplitude_damping, depolarizing, evolve,
-                             general_pauli, rotate_kraus)
+                             general_pauli, random_channel, rotate_kraus)
 from qmetro.linalg import projector
-from qmetro.qfi import (QfiError, channel_qfi_minimax, channel_qfi_supremum,
+from qmetro.qfi import (QfiError, _bloch_grid, _pure_inner_values,
+                        _rotation_lstsq, channel_qfi_minimax, channel_qfi_supremum,
                         closed_form_qfi, cramer_rao, qfi_from_matrix_elements,
                         sld_qfi, two_probe_collective_ad_qfi,
                         two_probe_sld_oracle)
@@ -231,13 +232,56 @@ NOISY_CHANNELS = st.one_of(
 )
 
 
-@settings(max_examples=6, deadline=None, derandomize=True, database=None)
+@settings(max_examples=24, deadline=None, derandomize=True, database=None)
 @given(NOISY_CHANNELS)
 def test_supremum_bounds_balanced_and_bare(ch):
     fam = PhaseChannelFamily(ch)
     sup = channel_qfi_supremum(fam).value
     assert channel_qfi_minimax(fam, extended=True).value <= sup + 1e-9
     assert channel_qfi_minimax(fam, extended=False).value <= sup + 1e-9
+
+
+@settings(max_examples=24, deadline=None, derandomize=True, database=None)
+@given(NOISY_CHANNELS, st.floats(0, 2 * np.pi, exclude_max=True))
+def test_minimax_independent_of_phase_point(ch, phi0):
+    fam = PhaseChannelFamily(ch)
+    for extended in (True, False):
+        here = channel_qfi_minimax(fam, extended, phi0).value
+        assert abs(here - channel_qfi_minimax(fam, extended).value) < 1e-6
+
+
+PROBE_FAMILIES = st.one_of(
+    NOISY_CHANNELS,
+    # Kraus operators of norm ~1e-14, at the round-off cutoff of both solves
+    st.sampled_from([amplitude_damping(1e-28), depolarizing(1e-28)]),
+    st.tuples(st.integers(0, 2 ** 32 - 1), st.integers(1, 4)).map(
+        lambda c: random_channel(2, c[1], np.random.default_rng(c[0]))),
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(PROBE_FAMILIES, st.integers(0, 2 ** 32 - 1), st.floats(0, 2 * np.pi))
+def test_pure_inner_values_match_lstsq(ch, seed, phi):
+    ks, dks = PhaseChannelFamily(ch).composite(phi)
+    rng = np.random.default_rng(seed)
+    # kets of the minimax's Bloch grid and random kets
+    grid = _bloch_grid()[2]
+    g = rng.standard_normal((16, 2, 2))
+    rand = g[..., 0] + 1j * g[..., 1]
+    kets = np.vstack([grid[rng.integers(0, len(grid), 48)],
+                      rand / np.linalg.norm(rand, axis=1, keepdims=True)])
+    vals = _pure_inner_values(ks, dks, kets)
+    for ket, val in zip(kets, vals):
+        assert abs(val - _rotation_lstsq(ks, dks, ket[:, None])[0]) <= 1e-12
+
+
+def test_pure_inner_values_on_full_grid():
+    # four Kraus operators on a qubit: the Gram matrix has rank 2 at every ket,
+    # and at a few grid kets round-off leaves both null eigenvalues tiny and positive
+    ks, dks = PhaseChannelFamily(depolarizing(0.5)).composite(0.0)
+    kets = _bloch_grid()[2]
+    ref = [_rotation_lstsq(ks, dks, ket[:, None])[0] for ket in kets]
+    assert np.abs(_pure_inner_values(ks, dks, kets) - ref).max() <= 1e-12
 
 
 # ------------------------------------------------------------ two-probe QFI
