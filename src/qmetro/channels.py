@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import PAULIS, herm_from_params, params_from_herm
+from .linalg import PAULIS
 
 COMPLETENESS_TOL = 1e-10
 
@@ -202,14 +202,6 @@ class GeneratorH:
             raise ChannelError("h must be Hermitian")
         object.__setattr__(self, "h", h)
 
-    @property
-    def params(self):
-        return params_from_herm(self.h)
-
-    @classmethod
-    def from_params(cls, x, m):
-        return cls(herm_from_params(x, m))
-
 
 def rotate_kraus(fam, h, phi0=0.0):
     """First-order rotated Kraus derivatives dK_i - i sum_j h_ij K_j at phi0,
@@ -225,12 +217,9 @@ def rotate_kraus(fam, h, phi0=0.0):
 def choi_matrix(ch):
     """Choi matrix C[i*d+k, j*d+l] = channel(|i><j|)[k, l]."""
     d = ch.dim
-    c = np.zeros((d * d, d * d), dtype=complex)
-    for k in ch.kraus:
-        for i in range(d):
-            for j in range(d):
-                c[i * d:(i + 1) * d, j * d:(j + 1) * d] += np.outer(k[:, i], k[:, j].conj())
-    return c
+    # units[i, j] = |i><j|, so out[i, j, k, l] = channel(|i><j|)[k, l]
+    out = evolve(np.eye(d * d).reshape(d, d, d, d), np.stack(ch.kraus))
+    return out.transpose(0, 2, 1, 3).reshape(d * d, d * d)
 
 
 def kraus_from_choi(choi, tol=1e-10):

@@ -6,8 +6,9 @@ the optical network constructions, and the flagged-channel consistency checks.
 Every command is deterministic for a fixed configuration and seed; CSV output
 uses 6 significant digits, '.' decimals, ',' separators and LF line endings.
 
-Exit codes: 0 on success, 2 for an invalid configuration, 3 when an optimizer,
-reconstruction, or verification tolerance fails.
+Exit codes: 0 on success, 2 for an invalid configuration (an unwritable output
+path included), 3 when an optimizer, reconstruction, or verification tolerance
+fails.
 """
 import argparse
 import json
@@ -148,6 +149,8 @@ def cmd_qpt(args):
     _check_noise_range(grid)
     if args.shots < 1:
         raise ConfigError("shots must be at least 1")
+    if args.resamples < 2:
+        raise ConfigError("resamples must be at least 2")
     extended = not args.single
     stem = args.out[:-4] if args.out.endswith(".csv") else args.out
     rows = []
@@ -198,6 +201,9 @@ def cmd_optics_verify(args):
         weights = [args.p0, args.p1, args.p2, args.p3]
         if any(w is None for w in weights):
             raise ConfigError("--p0 --p1 --p2 --p3 are required for the Pauli network")
+        for j, w in enumerate(weights):
+            if not np.isfinite(w):
+                raise ConfigError(f"--p{j} must be finite, got {w}")
         if min(weights) < 0 or abs(sum(weights) - 1) > 1e-9:
             raise ConfigError("branch weights must be nonnegative and sum to 1")
         net = build_pauli_network(weights)
@@ -328,6 +334,9 @@ def main(argv=None):
             CircuitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

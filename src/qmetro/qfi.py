@@ -10,7 +10,7 @@ from scipy.optimize import minimize
 
 from .channels import (GeneratorH, PhaseChannelFamily, amplitude_damping, evolve,
                        rotate_kraus)
-from .linalg import PAULIS, herm_from_params
+from .linalg import PAULIS
 
 SUPPORT_CUTOFF = 1e-10
 DUALITY_GAP_TOL = 1e-6
@@ -99,57 +99,38 @@ def two_probe_sld_oracle(eta, phi):
     return result.value
 
 
-@lru_cache(maxsize=None)
-def _rotation_basis(m):
-    """i times each of the m*m Hermitian matrices that herm_from_params weighs
-    by its parameters."""
-    basis = 1j * np.stack([herm_from_params(e, m) for e in np.eye(m * m)])
-    basis.flags.writeable = False
-    return basis
+def _inner(ks, dks, s, minimizer=True):
+    """Exact minimum over Hermitian h of sum_i ||(dK_i - i sum_j h_ij K_j) S||_F^2
+    at each S of the (..., d, k) stack s: kets have k = 1, square roots of
+    states k = d. ks and dks are stacked (m, d, d) arrays.
 
+    With U and V the (m, d*k) stacks of K_i S and dK_i S, G = U U^dag and
+    C = i(V U^dag - U V^dag), the objective is ||V||^2 + tr(hGh) + tr(hC), so the
+    optimal h solves hG + Gh = -C: in G's eigenbasis h_ab = -C_ab / (g_a + g_b),
+    and the minimum is ||V||^2 - 1/2 sum_ab |C_ab|^2 / (g_a + g_b). Pairs with
+    g_a + g_b at round-off level are outside the span of U and dropped
+    (h_ab = 0 there). The value is the objective summed at that h, not the
+    difference above, which cancels to ~1e-15 where the minimum is 0 (full
+    damping).
 
-def _rotation_lstsq(ks, dks, s):
-    """Exact minimization over Hermitian h of sum_i ||(dK_i - i h_ij K_j) S||_F^2.
-
-    The objective is a convex quadratic in h's real parameters, so the optimum
-    is a linear least-squares problem. ks and dks are stacked (m, d, d) arrays.
-    Returns (4 * minimum, optimal params).
+    Returns (4 * minimum, optimal h), stacked over the leading axes of s; with
+    minimizer=False h is None and is not rotated out of G's eigenbasis.
     """
     m = len(ks)
-    b = (dks @ s).ravel()
-    # column p holds i * sum_j E_p[i, j] K_j S in block i, E_p the p-th basis matrix
-    amat = np.einsum('pij,jn->inp', _rotation_basis(m),
-                     (ks @ s).reshape(m, -1)).reshape(b.size, m * m)
-    areal = np.vstack([amat.real, amat.imag])
-    breal = np.concatenate([b.real, b.imag])
-    # unit columns, so that near-zero Kraus operators keep their directions
-    # above the rank cutoff instead of driving h to huge, cancelling values
-    norms = np.linalg.norm(areal, axis=0)
-    norms[norms == 0] = 1.0
-    areal /= norms
-    x, _, _, _ = np.linalg.lstsq(areal, breal, rcond=None)
-    r = breal - areal @ x
-    return 4 * float(r @ r), x / norms
-
-
-def _pure_inner_values(ks, dks, kets):
-    """_rotation_lstsq's minimum at each pure probe of the (n, d) stack kets,
-    in closed form.
-
-    With U and V the (m, d) stacks of K_i s and dK_i s, the optimal h solves
-    hG + Gh = C for G = U U^dag and C = i(V U^dag - U V^dag), so in G's
-    eigenbasis the minimum is ||V||^2 - 1/2 sum_ab |C_ab|^2 / (g_a + g_b).
-    Pairs with g_a + g_b at round-off level are outside the span and dropped.
-    """
-    u = np.einsum('mij,nj->nmi', ks, kets)
-    v = np.einsum('mij,nj->nmi', dks, kets)
-    vu = v @ u.conj().transpose(0, 2, 1)
-    g, e = np.linalg.eigh(u @ u.conj().transpose(0, 2, 1))
-    c = e.conj().transpose(0, 2, 1) @ (1j * (vu - vu.conj().transpose(0, 2, 1))) @ e
-    denom = g[:, :, None] + g[:, None, :]
-    keep = denom > np.finfo(float).eps * len(ks) * g[:, -1:, None]
-    drop = (np.abs(c) ** 2 / np.where(keep, denom, 1.0) * keep).sum(axis=(1, 2))
-    return 4 * (np.einsum('nmi,nmi->n', v.conj(), v).real - drop / 2)
+    lead = s.shape[:-2]
+    u = np.einsum('mij,...jk->...mik', ks, s).reshape(lead + (m, -1))
+    v = np.einsum('mij,...jk->...mik', dks, s).reshape(lead + (m, -1))
+    g, e = np.linalg.eigh(u @ u.conj().swapaxes(-1, -2))
+    eh = e.conj().swapaxes(-1, -2)
+    u, v = eh @ u, eh @ v
+    vu = v @ u.conj().swapaxes(-1, -2)
+    denom = g[..., :, None] + g[..., None, :]
+    keep = denom > np.finfo(float).eps * m * g[..., -1:, None]
+    # -h in G's eigenbasis
+    x = 1j * (vu - vu.conj().swapaxes(-1, -2)) / np.where(keep, denom, 1.0) * keep
+    r = v + 1j * (x @ u)
+    value = 4 * np.einsum('...mi,...mi->...', r.conj(), r).real
+    return value, (-(e @ x @ eh) if minimizer else None)
 
 
 def _bloch_ket(theta, beta):
@@ -182,25 +163,22 @@ def channel_qfi_minimax(fam, extended=True, phi0=0.0):
     """Channel QFI by minimizing over equivalent Kraus representations.
 
     extended=True: the ancilla-assisted value, evaluated at the balanced
-    maximally entangled probe, where the representation optimum is an exact
-    least-squares solve. extended=False: maximum over pure single-probe
-    inputs of the inner representation minimum (closed form on a
-    BLOCH_GRID x BLOCH_GRID Bloch grid, then simplex refinement).
+    maximally entangled probe (S = I/sqrt(2) in _inner). extended=False:
+    maximum over pure single-probe inputs of the inner representation minimum
+    (stacked over a BLOCH_GRID x BLOCH_GRID Bloch grid, then simplex
+    refinement).
     """
     ks, dks = fam.composite(phi0)
-    m = len(ks)
     if extended:
-        s = np.eye(2) / np.sqrt(2)
-        value, x = _rotation_lstsq(ks, dks, s)
-        return QfiResult(value=value, method="minimax",
-                         optimal_h=GeneratorH(herm_from_params(x, m)))
+        value, h = _inner(ks, dks, np.eye(2) / np.sqrt(2))
+        return QfiResult(value=float(value), method="minimax", optimal_h=GeneratorH(h))
 
-    def inner(theta, beta):
-        return _rotation_lstsq(ks, dks, _bloch_ket(theta, beta)[:, None])
+    def loss(ang):
+        return -_inner(ks, dks, _bloch_ket(*ang)[:, None], minimizer=False)[0]
 
     thetas, betas, kets, rank = _bloch_grid()
     # in 16 slices, so that the stacked (n, m, m) temporaries stay under 1 MB
-    vals = np.concatenate([_pure_inner_values(ks, dks, part)
+    vals = np.concatenate([_inner(ks, dks, part[..., None], minimizer=False)[0]
                            for part in np.array_split(kets, 16)])
     top, lead, pick = -1.0, 0, 0
     for i, val in enumerate(vals.tolist()):
@@ -209,18 +187,15 @@ def channel_qfi_minimax(fam, extended=True, phi0=0.0):
         elif abs(val - top) <= 1e-12 and rank[i] < rank[pick]:
             # degenerate maxima: keep the lexicographically smallest Bloch vector
             pick = i
-    # the polish must beat the grid maximum as its own least-squares solve gives it
-    best = inner(thetas[lead], betas[lead])[0]
+    best = vals[lead]
     start = (thetas[pick], betas[pick])
-    ref = minimize(lambda ang: -inner(ang[0], ang[1])[0], x0=start,
-                   method="Nelder-Mead",
+    ref = minimize(loss, x0=start, method="Nelder-Mead",
                    options={"xatol": 1e-10, "fatol": 1e-12, "maxfev": 400})
-    theta, beta = (ref.x if -ref.fun >= best else start)
-    value, x = inner(theta, beta)
-    ket = _bloch_ket(theta, beta)
-    return QfiResult(value=value, method="minimax",
+    ket = _bloch_ket(*(ref.x if -ref.fun >= best else start))
+    value, h = _inner(ks, dks, ket[:, None])
+    return QfiResult(value=float(value), method="minimax",
                      optimal_input=np.outer(ket, ket.conj()),
-                     optimal_h=GeneratorH(herm_from_params(x, m)))
+                     optimal_h=GeneratorH(h))
 
 
 def _ball_state(v):
@@ -236,34 +211,33 @@ def channel_qfi_supremum(fam, phi0=0.0):
     dtK_i = dK_i - i sum_j h_ij K_j, is convex in h and linear in the probe's
     reduced state rho. By Sion's minimax theorem the worst-representation
     spectral bound min_h 4 lambda_max(alpha(h)) therefore equals the maximum
-    over the Bloch ball of the least-squares inner minimum with S = sqrt(rho),
-    the same solve that channel_qfi_minimax makes at rho = I/2 (extended) and
-    on the Bloch sphere (bare). That maximum is concave in rho, so a single
+    over the Bloch ball of the inner minimum _inner with S = sqrt(rho), the
+    same solve that channel_qfi_minimax makes at rho = I/2 (extended) and on
+    the Bloch sphere (bare). That maximum is concave in rho, so a single
     simplex ascent from I/2 finds it.
 
     The spectral bound at the returned h is the dual value; a duality gap
     above DUALITY_GAP_TOL raises ConvergenceError. That also happens when the
-    maximizing rho is pure, where the least-squares h need not be the minimax
+    maximizing rho is pure, where the inner minimizer h need not be the minimax
     one. optimal_input is the maximizing reduced state; any purification of it
     with the ancilla attains the value.
     """
     ks, dks = fam.composite(phi0)
-    m = len(ks)
 
-    def inner(v):
+    def root(v):
         w, u = np.linalg.eigh(_ball_state(v))
-        return _rotation_lstsq(ks, dks, (u * np.sqrt(np.clip(w, 0, None))) @ u.conj().T)
+        return (u * np.sqrt(np.clip(w, 0, None))) @ u.conj().T
 
-    ascent = minimize(lambda v: -inner(v)[0], x0=np.zeros(3), method="Nelder-Mead",
+    ascent = minimize(lambda v: -_inner(ks, dks, root(v), minimizer=False)[0],
+                      x0=np.zeros(3), method="Nelder-Mead",
                       options={"xatol": 1e-10, "fatol": 1e-14})
-    value, x = inner(ascent.x)
-    h = herm_from_params(x, m)
+    value, h = _inner(ks, dks, root(ascent.x))
     rot = rotate_kraus(fam, h, phi0)
     dual = 4 * np.linalg.eigvalsh(np.einsum('ilk,ilm->km', rot.conj(), rot))[-1]
     if dual - value > DUALITY_GAP_TOL:
         raise ConvergenceError(
             f"duality gap {dual - value:.2e} exceeds {DUALITY_GAP_TOL:g}")
-    return QfiResult(value=value, method="minimax",
+    return QfiResult(value=float(value), method="minimax",
                      optimal_input=_ball_state(ascent.x),
                      optimal_h=GeneratorH(h))
 

@@ -266,8 +266,23 @@ def test_rotate_kraus():
 def test_generator_h_validation():
     with pytest.raises(ChannelError):
         GeneratorH(np.array([[0, 1], [0, 0]], dtype=complex))
-    h = GeneratorH(np.array([[1, 1j], [-1j, 0]], dtype=complex))
-    assert np.abs(GeneratorH.from_params(h.params, 2).h - h.h).max() < 1e-12
+    with pytest.raises(ChannelError):
+        GeneratorH(np.zeros((2, 3)))
+    h = GeneratorH([[1, 1j], [-1j, 0]])
+    assert h.h.dtype == complex
+
+
+def test_choi_matches_kraus_loop():
+    # reference: sum over Kraus operators of K|i><j|K^dag, block by block
+    rng = np.random.default_rng(3)
+    for ch in [random_channel(d, n, rng) for d in (2, 3, 4) for n in (1, 2, 5)]:
+        d = ch.dim
+        ref = np.zeros((d * d, d * d), dtype=complex)
+        for k in ch.kraus:
+            for i in range(d):
+                for j in range(d):
+                    ref[i * d:(i + 1) * d, j * d:(j + 1) * d] += np.outer(k[:, i], k[:, j].conj())
+        assert np.abs(choi_matrix(ch) - ref).max() <= 1e-15
 
 
 def test_choi_round_trip():

@@ -189,6 +189,26 @@ def test_qpt_rejects_bad_shots():
                  "--out", "/tmp/unused.csv"]) == EXIT_CONFIG
 
 
+def test_qpt_rejects_single_resample(tmp_path, capsys):
+    assert main(["qpt", "--channel", "ad", "--grid", "0.5", "--resamples", "1",
+                 "--out", str(tmp_path / "qpt.csv")]) == EXIT_CONFIG
+    assert "resamples must be at least 2" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["qfi-curve", "--channel", "ad", "--grid", "0.5"],
+    ["qpt", "--channel", "ad", "--grid", "0.5", "--exact"],
+    ["optics-verify", "--channel", "ad", "--eta", "0.5"],
+    ["supplement-verify", "--grid", "0.5"],
+], ids=lambda argv: argv[0])
+def test_missing_output_directory_is_config_error(argv, tmp_path, capsys):
+    assert main(argv + ["--out", str(tmp_path / "missing" / "out.csv")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write output:")
+    assert err.count("\n") == 1
+
+
 # -------------------------------------------------------------- optics-verify
 
 def test_optics_verify_damping(tmp_path):
@@ -221,6 +241,16 @@ def test_optics_verify_config_errors():
     assert main(["optics-verify", "--channel", "ad", "--eta", "1.5"]) == EXIT_CONFIG
     assert main(["optics-verify", "--channel", "pauli", "--p0", "0.3",
                  "--p1", "0.3", "--p2", "0.3", "--p3", "0.3"]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("flag,value", [("--p0", "nan"), ("--p2", "inf"),
+                                        ("--p3", "-inf")])
+def test_optics_verify_rejects_non_finite_weights(flag, value, capsys):
+    weights = {"--p0": "0.7", "--p1": "0.1", "--p2": "0.1", "--p3": "0.1", flag: value}
+    # --flag=value, so that "-inf" is not read as an option
+    argv = ["optics-verify", "--channel", "pauli"] + [f"{k}={w}" for k, w in weights.items()]
+    assert main(argv) == EXIT_CONFIG
+    assert f"{flag} must be finite" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------- supplement-verify
@@ -257,17 +287,23 @@ def test_supplement_verify_numeric_failure(monkeypatch, capsys):
 # ------------------------------------------------------------- golden output
 
 # sha256 of the CSV each command writes, recorded before the Kraus-evolution
-# kernel was shared between channels, qfi and estimation (the two qfi-curve
-# cases: before the bare Bloch grid was evaluated in closed form); a refactor
-# that changes a printed digit changes the digest. The JSON prints the
-# minimax values at full precision.
+# kernel was shared between channels, qfi and estimation (the qfi-curve CSV
+# cases: before the inner minimum over Kraus representations became one
+# closed-form solve); a refactor that changes a printed digit changes the
+# digest. The JSON prints the minimax values at full precision, so its two
+# digests were re-recorded with that solve (no value moved by more than
+# 3.4e-16).
 GOLDEN_CSV = {
+    ("qfi-curve", "--channel", "ad", "--minimax", "--grid", "0.1,0.45,0.9"):
+        "1dc76f674d88812b2cad3a1bb99a1459d7dbac743477ab971c13723fe935ef44",
+    ("qfi-curve", "--channel", "depol", "--minimax", "--grid", "0.1,0.45,0.9"):
+        "5409c6ec891ae7facfae31b2aeabac88d708ff0c5da99f4d3ccb28f8e3bb3aaa",
     ("qfi-curve", "--channel", "ad", "--minimax", "--format", "json",
      "--grid", "0.1,0.45,0.9"):
-        "f7e442a001917788024e3909d7ce67abffdf37e1a4e01577ed2205cb245f2e69",
+        "1e2029ea000150be08210ba9ac7434c1c43215e0ac68d4fdf7e24071fd412217",
     ("qfi-curve", "--channel", "depol", "--minimax", "--format", "json",
      "--grid", "0.1,0.45,0.9"):
-        "0db2b906219fe79546a79593f47c8054736620dec0ee238ff149ab91d5cc4b13",
+        "bae26636bed9f10058154c3cfa77fec4df29687d0d3891f269ecfc563a252e96",
     ("error-curve", "--scheme", "ad_single_bare"):
         "168beb2d3cd87dcb04e6af6ffb2f2d7fb07b787b23cc7fb1d626b5dacdacca2d",
     ("error-curve", "--scheme", "depol_single_bare"):

@@ -1,3 +1,5 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,12 +10,11 @@ from conftest import bell_state, rand_herm
 from qmetro.channels import (ChannelError, PhaseChannelFamily,
                              amplitude_damping, depolarizing, evolve,
                              general_pauli, random_channel, rotate_kraus)
-from qmetro.linalg import projector
-from qmetro.qfi import (QfiError, _bloch_grid, _pure_inner_values,
-                        _rotation_lstsq, channel_qfi_minimax, channel_qfi_supremum,
-                        closed_form_qfi, cramer_rao, qfi_from_matrix_elements,
-                        sld_qfi, two_probe_collective_ad_qfi,
-                        two_probe_sld_oracle)
+from qmetro.linalg import herm_from_params, projector
+from qmetro.qfi import (QfiError, _bloch_grid, _inner, channel_qfi_minimax,
+                        channel_qfi_supremum, closed_form_qfi, cramer_rao,
+                        qfi_from_matrix_elements, sld_qfi,
+                        two_probe_collective_ad_qfi, two_probe_sld_oracle)
 
 PLUS = projector(np.array([1, 1]) / np.sqrt(2))
 NOISELESS = PhaseChannelFamily(general_pauli([1, 0, 0, 0]))
@@ -119,7 +120,7 @@ def test_output_state_dimension_check():
 @pytest.mark.parametrize("kind,maker", [("ad", amplitude_damping),
                                         ("depol", depolarizing)])
 def test_minimax_matches_closed_forms(kind, maker):
-    # 1e-28 gives Kraus operators of norm ~1e-14, near the lstsq rank cutoff
+    # 1e-28 gives Kraus operators of norm ~1e-14, near the inner solve's round-off cutoff
     for x in (0.0, 1e-28, 0.25, 0.5, 0.9):
         fam = PhaseChannelFamily(maker(x))
         ext = channel_qfi_minimax(fam, extended=True).value
@@ -259,29 +260,93 @@ PROBE_FAMILIES = st.one_of(
 )
 
 
+@lru_cache(maxsize=None)
+def _rotation_basis(m):
+    """i times each of the m*m Hermitian matrices that herm_from_params weighs
+    by its parameters."""
+    basis = 1j * np.stack([herm_from_params(e, m) for e in np.eye(m * m)])
+    basis.flags.writeable = False
+    return basis
+
+
+def _rotation_lstsq(ks, dks, s):
+    """Reference for _inner: the same minimum as a real least-squares problem
+    in h's m*m parameters. Returns (4 * minimum, optimal params)."""
+    m = len(ks)
+    b = (dks @ s).ravel()
+    # column p holds i * sum_j E_p[i, j] K_j S in block i, E_p the p-th basis matrix
+    amat = np.einsum('pij,jn->inp', _rotation_basis(m),
+                     (ks @ s).reshape(m, -1)).reshape(b.size, m * m)
+    areal = np.vstack([amat.real, amat.imag])
+    breal = np.concatenate([b.real, b.imag])
+    # unit columns, so that near-zero Kraus operators keep their directions
+    # above the rank cutoff instead of driving h to huge, cancelling values
+    norms = np.linalg.norm(areal, axis=0)
+    norms[norms == 0] = 1.0
+    areal /= norms
+    x, _, _, _ = np.linalg.lstsq(areal, breal, rcond=None)
+    r = breal - areal @ x
+    return 4 * float(r @ r), x / norms
+
+
+def _objective(ks, dks, h, s):
+    """4 sum_i ||(dK_i - i sum_j h_ij K_j) S||_F^2, one operator at a time."""
+    return 4 * sum(np.linalg.norm((dk - 1j * sum(hij * k for hij, k in zip(row, ks))) @ s) ** 2
+                   for dk, row in zip(dks, h))
+
+
+def _probes(rng):
+    """Probe matrices S of both shapes _inner takes: kets (d, 1), and square
+    roots of rank-1, rank-2 and maximally mixed states (d, d)."""
+    g = rng.standard_normal((3, 2, 2)) + 1j * rng.standard_normal((3, 2, 2))
+    ket = g[0, :, :1] / np.linalg.norm(g[0, :, 0])
+    rho = g[1] @ g[1].conj().T
+    w, u = np.linalg.eigh(rho / np.trace(rho).real)
+    return [ket, projector(g[2, :, 0] / np.linalg.norm(g[2, :, 0])),
+            (u * np.sqrt(np.clip(w, 0, None))) @ u.conj().T, np.eye(2) / np.sqrt(2)]
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(PROBE_FAMILIES, st.integers(0, 2 ** 32 - 1), st.floats(0, 2 * np.pi))
-def test_pure_inner_values_match_lstsq(ch, seed, phi):
+def test_inner_matches_lstsq_reference(ch, seed, phi):
     ks, dks = PhaseChannelFamily(ch).composite(phi)
     rng = np.random.default_rng(seed)
-    # kets of the minimax's Bloch grid and random kets
+    # kets of the minimax's Bloch grid as one stack, then single probes of both shapes
     grid = _bloch_grid()[2]
-    g = rng.standard_normal((16, 2, 2))
-    rand = g[..., 0] + 1j * g[..., 1]
-    kets = np.vstack([grid[rng.integers(0, len(grid), 48)],
-                      rand / np.linalg.norm(rand, axis=1, keepdims=True)])
-    vals = _pure_inner_values(ks, dks, kets)
-    for ket, val in zip(kets, vals):
-        assert abs(val - _rotation_lstsq(ks, dks, ket[:, None])[0]) <= 1e-12
+    kets = grid[rng.integers(0, len(grid), 48), :, None]
+    cases = list(zip(kets, *_inner(ks, dks, kets)))
+    cases += [(s, *_inner(ks, dks, s)) for s in _probes(rng)]
+    for s, val, h in cases:
+        assert abs(val - _rotation_lstsq(ks, dks, s)[0]) <= 1e-12
+        # the returned h attains the value
+        assert abs(_objective(ks, dks, h, s) - val) <= 1e-12
 
 
-def test_pure_inner_values_on_full_grid():
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(PROBE_FAMILIES, st.integers(0, 2 ** 32 - 1), st.floats(0, 2 * np.pi))
+def test_inner_equals_sld_of_purified_output(ch, seed, phi):
+    # independent route: the SLD information of the output of |psi> = vec(S),
+    # the probe (rows of S) with an ancilla (columns) when S is square
+    fam = PhaseChannelFamily(ch)
+    for s in _probes(np.random.default_rng(seed)):
+        ancilla = s.shape[1] > 1
+        psi = s.ravel()
+        sld, _ = sld_qfi(*evolve(np.outer(psi, psi.conj()),
+                                 *fam.composite(phi, ancilla=ancilla)))
+        assert abs(_inner(*fam.composite(phi), s)[0] - sld.value) <= 1e-10
+
+
+def test_inner_on_full_grid():
     # four Kraus operators on a qubit: the Gram matrix has rank 2 at every ket,
     # and at a few grid kets round-off leaves both null eigenvalues tiny and positive
     ks, dks = PhaseChannelFamily(depolarizing(0.5)).composite(0.0)
     kets = _bloch_grid()[2]
+    vals = _inner(ks, dks, kets[..., None], minimizer=False)[0]
     ref = [_rotation_lstsq(ks, dks, ket[:, None])[0] for ket in kets]
-    assert np.abs(_pure_inner_values(ks, dks, kets) - ref).max() <= 1e-12
+    assert np.abs(vals - ref).max() <= 1e-12
+    # the bare search compares its polish with the stacked grid value
+    single = [_inner(ks, dks, ket[:, None])[0] for ket in kets]
+    assert vals.tolist() == single
 
 
 # ------------------------------------------------------------ two-probe QFI
