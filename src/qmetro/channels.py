@@ -183,10 +183,6 @@ class PhaseChannelFamily:
             return _with_ancilla(ks), _with_ancilla(dks)
         return ks, dks
 
-    def channel_at(self, phi):
-        return KrausChannel(tuple(self.kraus_at(phi)),
-                            label=f"{self.noise.label}@phi={phi:g}")
-
 
 @dataclass(frozen=True)
 class GeneratorH:

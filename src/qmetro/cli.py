@@ -26,9 +26,8 @@ from .optics import (OpticsError, build_ad_network, build_pauli_network,
                      extract_channel, pauli_angle_residuals, solve_pauli_angles)
 from .qfi import ConvergenceError, QfiError, channel_qfi_minimax, closed_form_qfi
 from .tomography import (TomographyError, born_probabilities, chi_theory,
-                         poisson_uncertainty, process_fidelity, product_states,
-                         reconstruct_chi, reconstruct_from_probabilities,
-                         simulate_qpt)
+                         poisson_uncertainty, process_fidelity, reconstruct_chi,
+                         reconstruct_from_probabilities, simulate_qpt)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -160,9 +159,7 @@ def cmd_qpt(args):
             ch = extend_with_ancilla(ch)
         chi_th = chi_theory(ch)
         if args.exact:
-            probs = born_probabilities(ch, extended)
-            states = product_states(extended)
-            chi_exp = reconstruct_from_probabilities(probs, states, states)
+            chi_exp = reconstruct_from_probabilities(born_probabilities(ch, extended))
             std = 0.0
         else:
             data = simulate_qpt(ch, extended=extended, shots=args.shots,

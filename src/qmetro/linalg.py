@@ -19,10 +19,6 @@ def pauli_basis(n_qubits):
     return basis
 
 
-def herm_param_count(m):
-    return m * m
-
-
 def herm_from_params(x, m):
     """Hermitian m x m matrix from m**2 reals.
 

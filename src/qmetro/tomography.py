@@ -2,14 +2,13 @@
 two-outcome measurement settings, multinomial counts, linear-inversion chi
 reconstruction with positivity projection, and process fidelity.
 """
-import io
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from .channels import evolve
-from .linalg import herm_from_params, nearest_psd, pauli_basis, projector
+from .linalg import nearest_psd, pauli_basis, projector
 
 # preparation kets; the measurement settings project onto the same set
 INPUT_KETS = (
@@ -96,10 +95,9 @@ def chi_apply(chi, rho):
 
 @dataclass(frozen=True)
 class QptDataset:
-    """Counts for every (input state, measurement setting) pair."""
+    """Counts for every (input state, measurement setting) pair of the
+    `product_states` design: a 16 x 16 table with the ancilla, 4 x 4 without."""
 
-    input_states: np.ndarray       # (n_inputs, d, d)
-    measurement_bases: np.ndarray  # (n_bases, d, d) projector per setting
     counts: np.ndarray             # (n_inputs, n_bases, 2) nonnegative ints
     shots_per_setting: int
 
@@ -108,16 +106,6 @@ class QptDataset:
         if counts.min() < 0:
             raise TomographyError("counts must be nonnegative")
         object.__setattr__(self, "counts", counts)
-
-    def to_csv(self):
-        buf = io.StringIO()
-        buf.write("input_index,basis_index,outcome_index,count\n")
-        nl, nm, _ = self.counts.shape
-        for l in range(nl):
-            for m in range(nm):
-                for o in range(2):
-                    buf.write(f"{l},{m},{o},{int(self.counts[l, m, o])}\n")
-        return buf.getvalue()
 
 
 def born_probabilities(ch, extended=True):
@@ -146,44 +134,42 @@ def simulate_qpt(ch, extended=True, shots=20000, seed=0):
             rng = np.random.default_rng([seed, l, m])
             n0 = rng.binomial(shots, p[l, m])
             counts[l, m] = (n0, shots - n0)
-    states = product_states(extended)
-    return QptDataset(states, states, counts, shots)
+    return QptDataset(counts, shots)
 
 
-_design_cache = {}
+# probe dimension of the design by the shape of its probability table
+_DESIGN_DIMS = {(4, 4): 2, (16, 16): 4}
 
 
-def _design(states, projs):
-    key = (states.tobytes(), projs.tobytes())
-    hit = _design_cache.get(key)
-    if hit is not None:
-        return hit
-    basis = _basis_for(states.shape[1])
-    nb = len(basis)
-    # T[l, m, a, b] = Tr(P_m B_a rho_l B_b^dag)
-    xal = np.einsum('aij,ljk->alik', basis, states)
-    mab = np.einsum('alik,bjk->albij', xal, basis.conj())
-    t = np.einsum('mij,albji->lmab', projs, mab, optimize=True)
-    rows = t.reshape(states.shape[0] * projs.shape[0], nb, nb)
-    cols = [rows[:, a, a].real for a in range(nb)]
-    for a in range(nb):
-        for b in range(a + 1, nb):
-            cols.append(2 * rows[:, a, b].real)
-            cols.append(-2 * rows[:, a, b].imag)
-    amat = np.stack(cols, axis=1)
-    if amat.shape[0] != amat.shape[1] or np.linalg.cond(amat) > 1e9:
+@lru_cache(maxsize=None)
+def _design_inverse(d):
+    """Inverse of the linear map chi -> outcome-0 probabilities of the
+    `product_states` design on a d-dimensional probe, chi as a complex matrix."""
+    basis = _basis_for(d)
+    states = product_states(d == 4)
+    # T[l, m, a, b] = Tr(P_m B_a rho_l B_b^dag); the projectors are the states
+    t = np.einsum('mij,ajk,lkn,bin->lmab', states, basis, states, basis.conj(),
+                  optimize=True)
+    amat = t.reshape(len(states) ** 2, len(basis) ** 2)
+    if np.linalg.cond(amat) > 1e9:
         raise TomographyError("singular design matrix: input states or bases "
                               "are not informationally complete")
-    entry = (lu_factor(amat), nb)
-    _design_cache[key] = entry
-    return entry
+    inv = np.linalg.inv(amat)
+    inv.flags.writeable = False
+    return inv
 
 
-def reconstruct_from_probabilities(probs, states, projs):
-    """Linear inversion, then clip to positive semidefinite and rescale the trace."""
-    lu, nb = _design(states, projs)
-    x = lu_solve(lu, np.asarray(probs, dtype=float).ravel())
-    chi = nearest_psd(herm_from_params(x, nb))
+def reconstruct_from_probabilities(probs):
+    """Linear inversion of an (n_inputs, n_bases) table of outcome-0
+    probabilities, then clip to positive semidefinite and rescale the trace."""
+    probs = np.asarray(probs, dtype=float)
+    d = _DESIGN_DIMS.get(probs.shape)
+    if d is None:
+        raise TomographyError(f"probabilities must have shape (4, 4) or (16, 16), "
+                              f"got {probs.shape}")
+    nb = d * d
+    x = (_design_inverse(d) @ probs.ravel()).reshape(nb, nb)
+    chi = nearest_psd((x + x.conj().T) / 2)
     tr = np.trace(chi).real
     if tr <= 0:
         raise TomographyError("reconstructed chi has nonpositive trace")
@@ -198,8 +184,7 @@ def _frequencies(counts):
 
 def reconstruct_chi(data):
     """Reconstruct chi from a counted dataset using per-setting frequencies."""
-    return reconstruct_from_probabilities(_frequencies(data.counts), data.input_states,
-                                          data.measurement_bases)
+    return reconstruct_from_probabilities(_frequencies(data.counts))
 
 
 @dataclass(frozen=True)
@@ -233,7 +218,6 @@ def poisson_uncertainty(data, chi_ref=None, resamples=50, seed=0):
     fids = np.empty(resamples)
     for r in range(resamples):
         rng = np.random.default_rng([seed, r])
-        chi = reconstruct_from_probabilities(_frequencies(rng.poisson(data.counts)),
-                                             data.input_states, data.measurement_bases)
+        chi = reconstruct_from_probabilities(_frequencies(rng.poisson(data.counts)))
         fids[r] = process_fidelity(chi, chi_ref).value
     return float(np.std(fids))

@@ -24,8 +24,8 @@ from qmetro.qfi import (channel_qfi_minimax, closed_form_qfi,
                         qfi_from_matrix_elements, sld_qfi,
                         two_probe_collective_ad_qfi, two_probe_sld_oracle)
 from qmetro.tomography import (born_probabilities, chi_theory, process_fidelity,
-                               product_states, reconstruct_chi,
-                               reconstruct_from_probabilities, simulate_qpt)
+                               reconstruct_chi, reconstruct_from_probabilities,
+                               simulate_qpt)
 
 GRID = np.arange(0, 0.951, 0.05)
 BELL = np.zeros((4, 4))
@@ -189,9 +189,7 @@ def test_criterion_06_tomography_pipeline():
                         ("depol(0.4)", depolarizing(0.4))):
         ch = extend_with_ancilla(base)
         chi_th = chi_theory(ch)
-        probs = born_probabilities(ch)
-        chi_exact = reconstruct_from_probabilities(
-            probs, product_states(True), product_states(True))
+        chi_exact = reconstruct_from_probabilities(born_probabilities(ch))
         worst_exact = max(worst_exact,
                           1 - process_fidelity(chi_exact, chi_th).value)
         good = 0

@@ -184,6 +184,19 @@ def test_orthogonal_noise_channel():
     assert qfi_from_matrix_elements(rho, "ad_single") <= 1e-6
 
 
+# bare-probe values of random_channel(2, 2, default_rng(seed)); each agrees with
+# the dual route min_h 4 lambda_max(alpha(h)) within 6e-12. The optimum sits on a
+# ridge less than 1e-4 rad wide in theta, which a coarse search misses.
+BARE_RIDGE_CASES = [(2, 0.604418452147), (5, 0.407343929255), (10, 0.512006424382)]
+
+
+def test_bare_minimax_on_singular_ridge():
+    for seed, expected in BARE_RIDGE_CASES:
+        fam = PhaseChannelFamily(random_channel(2, 2, np.random.default_rng(seed)))
+        val = channel_qfi_minimax(fam, extended=False).value
+        assert abs(val - expected) < 1e-9, seed
+
+
 SUPREMUM_CASES = [
     # semidefinite-programming reference values for the spectral variant
     (amplitude_damping(0.3), 0.8300427934),

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from conftest import rand_herm, rand_rho
@@ -96,15 +98,19 @@ def test_product_states_are_states():
 
 # ----------------------------------------------------------- reconstruction
 
-def test_reconstruct_exact_probabilities_is_identity():
-    rng = np.random.default_rng(3)
-    states = projs = product_states(True)
-    for _ in range(20):
-        ch = random_channel(4, rng.integers(1, 5), rng)
-        chi_ref = chi_theory(ch)
-        probs = born_probabilities(ch)
-        chi = reconstruct_from_probabilities(probs, states, projs)
-        assert np.abs(chi.mat - chi_ref.mat).max() < 1e-10
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([2, 4]), st.integers(1, 4))
+def test_reconstruct_exact_probabilities_is_identity(seed, d, n_kraus):
+    # d = 2 is the single-qubit design, d = 4 the probe with its ancilla
+    ch = random_channel(d, n_kraus, np.random.default_rng(seed))
+    chi = reconstruct_from_probabilities(born_probabilities(ch, d == 4))
+    assert np.abs(chi.mat - chi_theory(ch).mat).max() < 1e-10
+
+
+@pytest.mark.parametrize("shape", [(16, 4), (3, 3)])
+def test_reconstruct_rejects_wrong_shape(shape):
+    with pytest.raises(TomographyError):
+        reconstruct_from_probabilities(np.full(shape, 0.5))
 
 
 def test_simulate_qpt_deterministic():
@@ -144,8 +150,7 @@ def test_reconstruction_counts_shape_check():
     data = simulate_qpt(AD_HALF, shots=100, seed=0)
     with pytest.raises(TomographyError):
         QptDataset = type(data)
-        QptDataset(data.input_states, data.measurement_bases,
-                   -data.counts, data.shots_per_setting)
+        QptDataset(-data.counts, data.shots_per_setting)
 
 
 # ----------------------------------------------------------------- fidelity
@@ -215,17 +220,3 @@ def test_poisson_uncertainty_shrinks_fast():
     assert stds[0] / stds[1] > 5
     assert stds[1] / stds[2] > 5
     assert stds[2] < 1e-3
-
-
-# -------------------------------------------------------------------- csv
-
-def test_dataset_csv_layout():
-    data = simulate_qpt(AD_HALF, shots=50, seed=2)
-    text = data.to_csv()
-    lines = text.split("\n")
-    assert lines[0] == "input_index,basis_index,outcome_index,count"
-    assert text.endswith("\n")
-    assert len(lines) == 1 + 16 * 16 * 2 + 1
-    first = lines[1].split(",")
-    assert first[:3] == ["0", "0", "0"]
-    assert sum(int(l.split(",")[3]) for l in lines[1:-1]) == 50 * 16 * 16
