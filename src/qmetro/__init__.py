@@ -29,8 +29,9 @@ from .estimation import (SCHEMES, EstimationError, MeasurementModel,
                          probabilities, run_experiment, sample_counts)
 from .optics import (ModeSpace, OpticalElement, OpticalNetwork, OpticsError,
                      apply_network, build_ad_network, build_pauli_network,
-                     extract_channel, jones_hwp, jones_qwp, network_unitary,
-                     pauli_angle_residuals, solve_pauli_angles)
+                     damping_plate_angle, element_unitary, extract_channel,
+                     jones_hwp, jones_qwp, pauli_angle_residuals,
+                     solve_pauli_angles)
 from .qfi import (ConvergenceError, QfiError, QfiResult, SldOperator,
                   channel_qfi_minimax, channel_qfi_supremum, closed_form_qfi,
                   cramer_rao, qfi_from_matrix_elements, sld_qfi,

@@ -23,7 +23,8 @@ from .circuits import (CircuitError, conjugation_residual, flagged_variance,
 from .estimation import (SCHEMES, EstimationError, classical_fisher,
                          error_curve, model_for)
 from .optics import (OpticsError, build_ad_network, build_pauli_network,
-                     extract_channel, pauli_angle_residuals, solve_pauli_angles)
+                     damping_plate_angle, extract_channel,
+                     pauli_angle_residuals, solve_pauli_angles)
 from .qfi import ConvergenceError, QfiError, channel_qfi_minimax, closed_form_qfi
 from .tomography import (TomographyError, born_probabilities, chi_theory,
                          poisson_uncertainty, process_fidelity, reconstruct_chi,
@@ -191,7 +192,7 @@ def cmd_optics_verify(args):
         target = amplitude_damping(args.eta)
         report = {
             "channel": target.label,
-            "angles": [0.5 * float(np.arccos(-np.sqrt(1 - args.eta)))],
+            "angles": [float(damping_plate_angle(args.eta))],
             "equation_residuals": [],
         }
     else:

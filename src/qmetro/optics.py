@@ -1,10 +1,10 @@
 """Jones-calculus simulation of beam-displacer interferometer networks on a
-polarization x lateral-mode space (with an optional longitudinal spectator),
-plus the two published channel constructions and their angle solver.
+polarization x lateral-mode space, plus the two published channel
+constructions and their angle solver.
 
-Basis layout: index = (pol * n_lateral + lateral) * n_longitudinal + s with
-pol 0 = H, pol 1 = V. Beam displacers shift the H component cyclically through
-the lateral modes and transmit V unchanged.
+Basis layout: index = pol * n_lateral + lateral with pol 0 = H, pol 1 = V, so
+every element is a Kronecker product over the two axes. Beam displacers shift
+the H component cyclically through the lateral modes and transmit V unchanged.
 """
 from dataclasses import dataclass
 
@@ -39,25 +39,17 @@ def jones_qwp(theta):
 @dataclass(frozen=True)
 class ModeSpace:
     n_lateral: int
-    n_longitudinal: int = 1
-    n_pol: int = 2
 
     def __post_init__(self):
-        if self.n_pol != 2:
-            raise OpticsError("polarization dimension is fixed at 2")
         if not 1 <= self.n_lateral <= 4:
             raise OpticsError(f"n_lateral must lie in 1..4, got {self.n_lateral}")
-        if self.n_longitudinal not in (1, 2):
-            raise OpticsError(f"n_longitudinal must be 1 or 2, got {self.n_longitudinal}")
-        if self.dim > 16:
-            raise OpticsError("mode-space dimension exceeds 16")
 
     @property
     def dim(self):
-        return self.n_pol * self.n_lateral * self.n_longitudinal
+        return 2 * self.n_lateral
 
-    def index(self, pol, lateral, s=0):
-        return (pol * self.n_lateral + lateral) * self.n_longitudinal + s
+    def index(self, pol, lateral):
+        return pol * self.n_lateral + lateral
 
 
 @dataclass(frozen=True)
@@ -131,170 +123,115 @@ class OpticalNetwork:
 
     def to_json(self):
         return {"n_lateral": self.space.n_lateral,
-                "n_longitudinal": self.space.n_longitudinal,
                 "elements": [e.to_json() for e in self.elements]}
 
 
-def _plate_unitary(space, jones, modes):
-    laterals = range(space.n_lateral) if modes is None else modes
-    u = np.eye(space.dim, dtype=complex)
-    for lat in laterals:
-        for s in range(space.n_longitudinal):
-            a, b = space.index(0, lat, s), space.index(1, lat, s)
-            u[a, a], u[a, b] = jones[0, 0], jones[0, 1]
-            u[b, a], u[b, b] = jones[1, 0], jones[1, 1]
-    return u
+def _select(space, modes):
+    """Mask over the lateral modes named in modes (every mode when None)."""
+    n = space.n_lateral
+    if modes is None:
+        return np.ones(n, dtype=bool)
+    if any(m not in range(n) for m in modes):
+        raise OpticsError(f"lateral modes {list(modes)} outside 0..{n - 1}")
+    return (np.arange(n)[:, None] == np.array(modes, dtype=int)).any(axis=1)
+
+
+def _kron(pol, lat):
+    """np.kron(pol, lat) for a 2x2 pol and a square lat, without its overhead."""
+    return (pol[:, None, :, None] * lat[None, :, None, :]).reshape(2 * len(lat), -1)
 
 
 def element_unitary(space, elem):
     """Unitary matrix of a non-decohering element on the full mode space."""
-    if elem.kind == "hwp":
-        return _plate_unitary(space, jones_hwp(elem.angle), elem.modes)
-    if elem.kind == "qwp":
-        return _plate_unitary(space, jones_qwp(elem.angle), elem.modes)
+    n = space.n_lateral
+    pol_id = np.eye(2, dtype=complex)
+    if elem.kind in ("hwp", "qwp"):
+        jones = (jones_hwp if elem.kind == "hwp" else jones_qwp)(elem.angle)
+        sel = np.diag(_select(space, elem.modes).astype(float))
+        return _kron(jones, sel) + _kron(pol_id, np.eye(n) - sel)
     if elem.kind == "phase":
-        laterals = range(space.n_lateral) if elem.modes is None else elem.modes
-        u = np.eye(space.dim, dtype=complex)
-        for lat in laterals:
-            for pol in (0, 1):
-                for s in range(space.n_longitudinal):
-                    i = space.index(pol, lat, s)
-                    u[i, i] = np.exp(1j * elem.angle)
-        return u
+        shift = np.where(_select(space, elem.modes), np.exp(1j * elem.angle), 1)
+        return _kron(pol_id, np.diag(shift))
     if elem.kind == "bd":
-        u = np.zeros((space.dim, space.dim), dtype=complex)
-        n = space.n_lateral
-        for lat in range(n):
-            for s in range(space.n_longitudinal):
-                u[space.index(0, (lat + elem.direction) % n, s), space.index(0, lat, s)] = 1
-                u[space.index(1, lat, s), space.index(1, lat, s)] = 1
-        return u
+        # |H><H| (x) cyclic shift + |V><V| (x) identity
+        shift = np.eye(n)[(np.arange(n) - elem.direction) % n]
+        return _kron(np.diag([1, 0j]), shift) + _kron(np.diag([0j, 1]), np.eye(n))
     if elem.kind == "nbs":
-        a, b = elem.pair
-        u = np.eye(space.dim, dtype=complex)
-        r = 1 / np.sqrt(2)
-        for pol in (0, 1):
-            for s in range(space.n_longitudinal):
-                ia, ib = space.index(pol, a, s), space.index(pol, b, s)
-                u[ia, ia], u[ia, ib] = r, r
-                u[ib, ia], u[ib, ib] = r, -r
-        return u
+        if _select(space, elem.pair).sum() != 2:
+            raise OpticsError(f"coupler modes must differ, got {list(elem.pair)}")
+        block = np.eye(n)
+        block[np.ix_(elem.pair, elem.pair)] = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+        return _kron(pol_id, block)
     raise OpticsError(f"element {elem.kind} has no unitary form")
 
 
-def _dephase_sectors(space, elem):
-    if elem.partition == POL_SECTORS:
-        return [[space.index(pol, lat, s) for lat in range(space.n_lateral)
-                 for s in range(space.n_longitudinal)] for pol in (0, 1)]
-    parts = elem.partition
-    if parts is None:
-        parts = [[lat] for lat in range(space.n_lateral)]
-    flat = sorted(l for part in parts for l in part)
-    if flat != list(range(space.n_lateral)):
+def _sector_labels(space, partition):
+    """Block label of each basis index under a dephase partition."""
+    n = space.n_lateral
+    if partition == POL_SECTORS:
+        return np.repeat([0, 1], n)
+    if partition is None:
+        return np.tile(np.arange(n), 2)
+    if sorted(l for part in partition for l in part) != list(range(n)):
         raise OpticsError("dephase partition must cover each lateral mode exactly once")
-    return [[space.index(pol, lat, s) for pol in (0, 1) for lat in part
-             for s in range(space.n_longitudinal)] for part in parts]
+    labels = np.empty(n, dtype=int)
+    for k, part in enumerate(partition):
+        labels[list(part)] = k
+    return np.tile(labels, 2)
 
 
 def _run_raw(net, full):
-    """Trace-nonincreasing linear map of the network on a full-space matrix."""
-    space = net.space
+    """Trace-nonincreasing linear map of the network on a stack of matrices."""
     for elem in net.elements:
         if elem.kind == "dephase":
-            out = np.zeros_like(full)
-            for sector in _dephase_sectors(space, elem):
-                ix = np.ix_(sector, sector)
-                out[ix] += full[ix]
-            full = out
+            labels = _sector_labels(net.space, elem.partition)
+            full = np.where(labels[:, None] == labels, full, 0)
         elif elem.kind == "postselect":
-            keep = [space.index(pol, lat, s) for pol in (0, 1) for lat in elem.keep
-                    for s in range(space.n_longitudinal)]
-            proj = np.zeros((space.dim, space.dim))
-            proj[keep, keep] = 1
-            full = proj @ full @ proj
+            keep = np.tile(_select(net.space, elem.keep), 2)
+            full = np.where(keep[:, None] & keep, full, 0)
         else:
-            u = element_unitary(space, elem)
+            u = element_unitary(net.space, elem)
             full = u @ full @ u.conj().T
     return full
 
 
-def _embed(net, small):
-    space = net.space
-    nl = space.n_longitudinal
-    full = np.zeros((space.dim, space.dim), dtype=complex)
-    for p in (0, 1):
-        for q in (0, 1):
-            for s in range(nl):
-                for t in range(nl):
-                    full[space.index(p, 0, s), space.index(q, 0, t)] = small[p * nl + s, q * nl + t]
-    return full
-
-
-def _reduce(net, full):
-    space = net.space
-    nl = space.n_longitudinal
-    small = np.zeros((2 * nl, 2 * nl), dtype=complex)
-    for p in (0, 1):
-        for q in (0, 1):
-            for s in range(nl):
-                for t in range(nl):
-                    small[p * nl + s, q * nl + t] = sum(
-                        full[space.index(p, lat, s), space.index(q, lat, t)]
-                        for lat in range(space.n_lateral))
-    return small
+def _through(net, small):
+    """Unnormalized polarization output for a stack (..., 2, 2) of inputs, each
+    sent in on lateral mode 0, with the lateral modes traced out."""
+    n = net.space.n_lateral
+    lead = small.shape[:-2]
+    full = np.zeros(lead + (2, n, 2, n), dtype=complex)
+    full[..., :, 0, :, 0] = small
+    out = _run_raw(net, full.reshape(lead + (2 * n, 2 * n)))
+    return np.trace(out.reshape(lead + (2, n, 2, n)), axis1=-3, axis2=-1)
 
 
 def apply_network(net, rho_in):
-    """Send a polarization (x longitudinal) state through the network.
+    """Send a polarization state through the network.
 
     Returns (rho_out, success_probability); the output is renormalized and the
     postselection losses are reported in the probability, never hidden.
     """
     rho_in = np.asarray(rho_in, dtype=complex)
-    d = 2 * net.space.n_longitudinal
-    if rho_in.shape != (d, d):
-        raise OpticsError(f"input must be {d}x{d} for this network")
-    out = _run_raw(net, _embed(net, rho_in))
+    if rho_in.shape != (2, 2):
+        raise OpticsError("input must be 2x2 for this network")
+    out = _through(net, rho_in)
     success = np.trace(out).real
     if success < 1e-15:
         raise OpticsError("postselection removed the entire state")
-    return _reduce(net, out) / success, float(success)
-
-
-def network_unitary(net, skip_dephase=False):
-    """Product of the element unitaries, in order.
-
-    Raises on postselection always, and on dephasing unless skip_dephase.
-    """
-    u = np.eye(net.space.dim, dtype=complex)
-    for elem in net.elements:
-        if elem.kind == "postselect":
-            raise OpticsError("network contains a postselection")
-        if elem.kind == "dephase":
-            if skip_dephase:
-                continue
-            raise OpticsError("network contains a dephasing element")
-        u = element_unitary(net.space, elem) @ u
-    return u
+    return out / success, float(success)
 
 
 def extract_channel(net, tol=1e-12):
     """Recover the polarization channel a network realizes.
 
-    Runs the four basis operators through the unnormalized map, assembles the
-    Choi matrix, divides out the success probability, and eigendecomposes to
-    Kraus form. The returned channel satisfies completeness; failures signal a
-    network construction bug.
+    Runs the four |i><j| through the unnormalized map as one stack, divides
+    their Choi matrix by the success probability and eigendecomposes it to
+    Kraus form; a completeness failure signals a network construction bug.
     """
-    if net.space.n_longitudinal != 1:
-        raise OpticsError("channel extraction needs a pure polarization network")
-    # Choi layout C[(i, k), (j, l)] = map(|i><j|)[k, l]
-    c = np.zeros((4, 4), dtype=complex)
-    for i in (0, 1):
-        for j in (0, 1):
-            e = np.zeros((2, 2), dtype=complex)
-            e[i, j] = 1
-            c[i * 2:i * 2 + 2, j * 2:j * 2 + 2] = _reduce(net, _run_raw(net, _embed(net, e)))
+    # units[i, j] = |i><j|; Choi layout C[(i, k), (j, l)] = map(|i><j|)[k, l]
+    out = _through(net, np.eye(4, dtype=complex).reshape(2, 2, 2, 2))
+    c = out.transpose(0, 2, 1, 3).reshape(4, 4)
     success = np.trace(c).real / 2
     if success <= 0:
         raise OpticsError("network blocks every input")
@@ -302,21 +239,25 @@ def extract_channel(net, tol=1e-12):
     return KrausChannel(tuple(ops), label="extracted"), float(success)
 
 
+def damping_plate_angle(eta):
+    """Decay-network plate angle theta_A: cos(2 theta_A) = -sqrt(1 - eta)."""
+    return 0.5 * np.arccos(-np.sqrt(1 - eta))
+
+
 def build_ad_network(eta):
     """Dual-interferometer decay channel on three lateral modes.
 
-    Splits the polarizations, rotates the transmitted arm by theta_A with
-    cos(2 theta_A) = -sqrt(1 - eta), recombines, erases the inter-branch
+    Splits the polarizations, rotates the transmitted arm by theta_A
+    (damping_plate_angle), recombines, erases the inter-branch
     coherence, and closes with a balanced recombination stage postselected on
     its bright port (probability 1/2).
     """
     if not 0 <= eta <= 1:
         raise OpticsError(f"eta must lie in [0, 1], got {eta}")
-    theta_a = 0.5 * np.arccos(-np.sqrt(1 - eta))
     elements = (
         bd(+1),
         hwp(np.pi / 4, [1]),
-        hwp(theta_a, [0]),
+        hwp(damping_plate_angle(eta), [0]),
         bd(+1),
         dephase(POL_SECTORS),
         hwp(3 * np.pi / 8, [0, 1]),

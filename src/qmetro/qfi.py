@@ -111,7 +111,8 @@ def _inner(ks, dks, s, minimizer=True):
     g_a + g_b at round-off level are outside the span of U and dropped
     (h_ab = 0 there). The value is the objective summed at that h, not the
     difference above, which cancels to ~1e-15 where the minimum is 0 (full
-    damping).
+    damping); values at or below 64 eps ||V||^2 are round-off and returned
+    as exact zeros.
 
     Returns (4 * minimum, optimal h), stacked over the leading axes of s; with
     minimizer=False h is None and is not rotated out of G's eigenbasis.
@@ -120,6 +121,7 @@ def _inner(ks, dks, s, minimizer=True):
     lead = s.shape[:-2]
     u = np.einsum('mij,...jk->...mik', ks, s).reshape(lead + (m, -1))
     v = np.einsum('mij,...jk->...mik', dks, s).reshape(lead + (m, -1))
+    vv = np.einsum('...mi,...mi->...', v.conj(), v).real
     g, e = np.linalg.eigh(u @ u.conj().swapaxes(-1, -2))
     eh = e.conj().swapaxes(-1, -2)
     u, v = eh @ u, eh @ v
@@ -130,6 +132,7 @@ def _inner(ks, dks, s, minimizer=True):
     x = 1j * (vu - vu.conj().swapaxes(-1, -2)) / np.where(keep, denom, 1.0) * keep
     r = v + 1j * (x @ u)
     value = 4 * np.einsum('...mi,...mi->...', r.conj(), r).real
+    value = value * (value > 64 * np.finfo(float).eps * vv)
     return value, (-(e @ x @ eh) if minimizer else None)
 
 

@@ -301,6 +301,15 @@ def test_choi_round_trip():
         kraus_from_choi(-np.eye(4))
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([2, 4]), st.integers(1, 4))
+def test_choi_round_trip_property(seed, d, n):
+    # optics.extract_channel turns a Choi matrix into Kraus form this way
+    c = choi_matrix(random_channel(d, n, np.random.default_rng(seed)))
+    rebuilt = KrausChannel(tuple(kraus_from_choi(c)), label="rebuilt")
+    assert np.abs(choi_matrix(rebuilt) - c).max() <= 1e-10
+
+
 def test_random_channel_seeded():
     a = random_channel(2, 4, np.random.default_rng(11))
     b = random_channel(2, 4, np.random.default_rng(11))

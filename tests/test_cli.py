@@ -80,6 +80,14 @@ def test_qfi_curve_minimax_columns(tmp_path):
     assert abs(row["qfi_bare_minimax"] - 0.36) < 1e-4
 
 
+@pytest.mark.parametrize("channel", ["ad", "depol"])
+def test_qfi_curve_prints_exact_zeros_at_full_noise(channel, capsys):
+    # the channel no longer depends on the phase; round-off prints as 0
+    assert main(["qfi-curve", "--channel", channel, "--minimax", "--grid", "1"]) == EXIT_OK
+    row = capsys.readouterr().out.strip().split("\n")[1]
+    assert row == "1,0,0,0,0"
+
+
 def test_qfi_curve_json_format(tmp_path):
     out = tmp_path / "curve.json"
     assert main(["qfi-curve", "--channel", "ad", "--grid", "0.2,0.6",
@@ -286,13 +294,14 @@ def test_supplement_verify_numeric_failure(monkeypatch, capsys):
 
 # ------------------------------------------------------------- golden output
 
-# sha256 of the CSV each command writes, recorded before the Kraus-evolution
-# kernel was shared between channels, qfi and estimation (the qfi-curve CSV
-# cases: before the inner minimum over Kraus representations became one
-# closed-form solve); a refactor that changes a printed digit changes the
-# digest. The JSON prints the minimax values at full precision, so its two
-# digests were re-recorded with that solve (no value moved by more than
-# 3.4e-16).
+# sha256 of the CSV or JSON each command writes, recorded before the
+# Kraus-evolution kernel was shared between channels, qfi and estimation (the
+# qfi-curve CSV cases: before the inner minimum over Kraus representations
+# became one closed-form solve; the optics-verify and supplement-verify cases:
+# before the optics networks were rebuilt on Kronecker products); a refactor
+# that changes a printed digit changes the digest. The qfi-curve JSON prints
+# the minimax values at full precision, so its two digests were re-recorded
+# with that solve (no value moved by more than 3.4e-16).
 GOLDEN_CSV = {
     ("qfi-curve", "--channel", "ad", "--minimax", "--grid", "0.1,0.45,0.9"):
         "1dc76f674d88812b2cad3a1bb99a1459d7dbac743477ab971c13723fe935ef44",
@@ -318,6 +327,13 @@ GOLDEN_CSV = {
         "aef89670b52106e4a97294e9f0ac4cca4b7c6d6352e2699ad895185cb8ec0887",
     ("qpt", "--channel", "depol", "--grid", "0.3,0.6", "--exact"):
         "aef89670b52106e4a97294e9f0ac4cca4b7c6d6352e2699ad895185cb8ec0887",
+    ("optics-verify", "--channel", "ad", "--eta", "0.5"):
+        "8e5bcf30b667759dcabaca0ba1e81b63e8d32af6155de5974e4f6ce100f43975",
+    ("optics-verify", "--channel", "pauli", "--p0", "0.7", "--p1", "0.1",
+     "--p2", "0.1", "--p3", "0.1"):
+        "37109e0cecd2b598764f2b9673e82bdd294cdda950454322917e4bd4c2d8d536",
+    ("supplement-verify",):
+        "39b3c0d7136fc03ab1dbbeff3189017188890d197ae40ab7e1da705a49b9348c",
 }
 
 

@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmetro.channels import amplitude_damping, general_pauli
 from qmetro.linalg import projector
 from qmetro.optics import (ModeSpace, OpticalNetwork, OpticsError,
                            apply_network, bd, build_ad_network,
-                           build_pauli_network, dephase, element_unitary,
-                           extract_channel, hwp, jones_hwp, jones_qwp,
-                           network_unitary, nbs, pauli_angle_residuals,
-                           phase, postselect, qwp, solve_pauli_angles)
+                           build_pauli_network, damping_plate_angle, dephase,
+                           element_unitary, extract_channel, hwp, jones_hwp,
+                           jones_qwp, nbs, pauli_angle_residuals, phase,
+                           postselect, qwp, solve_pauli_angles)
 from qmetro.tomography import chi_theory, process_fidelity
 
 PLUS = projector(np.array([1, 1]) / np.sqrt(2))
@@ -30,7 +32,7 @@ def test_hwp_axis_and_diagonal():
 
 def test_hwp_decay_rotation_angle():
     # the transmitted-arm angle for half transmission
-    theta = 0.5 * np.arccos(-np.sqrt(0.5))
+    theta = damping_plate_angle(0.5)
     r = 1 / np.sqrt(2)
     expected = np.array([[-r, r], [r, r]])
     assert np.abs(jones_hwp(theta) - expected).max() < 1e-12
@@ -95,24 +97,72 @@ def test_dephase_partition_must_cover():
         apply_network(net, PLUS)
 
 
-def test_network_unitary_flags():
+def loop_unitary(space, elem):
+    """Index-by-index construction of the element unitaries, the reference
+    for their Kronecker-product form."""
+    n, idx = space.n_lateral, space.index
+    u = np.eye(space.dim, dtype=complex)
+    laterals = range(n) if elem.modes is None else elem.modes
+    if elem.kind in ("hwp", "qwp"):
+        jones = jones_hwp(elem.angle) if elem.kind == "hwp" else jones_qwp(elem.angle)
+        for lat in laterals:
+            ab = [idx(0, lat), idx(1, lat)]
+            u[np.ix_(ab, ab)] = jones
+    elif elem.kind == "phase":
+        for lat in laterals:
+            for pol in (0, 1):
+                u[idx(pol, lat), idx(pol, lat)] = np.exp(1j * elem.angle)
+    elif elem.kind == "bd":
+        u[:] = 0
+        for lat in range(n):
+            u[idx(0, (lat + elem.direction) % n), idx(0, lat)] = 1
+            u[idx(1, lat), idx(1, lat)] = 1
+    elif elem.kind == "nbs":
+        r = 1 / np.sqrt(2)
+        for pol in (0, 1):
+            ab = [idx(pol, elem.pair[0]), idx(pol, elem.pair[1])]
+            u[np.ix_(ab, ab)] = [[r, r], [r, -r]]
+    return u
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_element_unitary_matches_index_loops(n):
+    space = ModeSpace(n_lateral=n)
+    elems = [hwp(0.3), qwp(1.1), phase(0.7), bd(1), bd(-1), hwp(0.2, []),
+             hwp(0.4, [n - 1]), qwp(0.9, [0]), phase(-0.5, [n - 1])]
+    if n > 1:
+        elems += [nbs(0, n - 1), nbs(n - 1, 0), hwp(-0.6, [0, n - 1])]
+    for elem in elems:
+        assert np.array_equal(element_unitary(space, elem), loop_unitary(space, elem))
+
+
+def test_element_unitary_flags():
     space = ModeSpace(n_lateral=2)
-    net = OpticalNetwork(space, (hwp(0.2), bd(), nbs(0, 1), qwp(0.5),
-                                 phase(0.3), dephase([[0], [1]])))
+    for elem in (hwp(0.2), bd(), bd(-1), nbs(0, 1), qwp(0.5), phase(0.3),
+                 hwp(0.7, [1]), qwp(0.4, [0]), phase(1.1, [1])):
+        u = element_unitary(space, elem)
+        assert np.abs(u @ u.conj().T - np.eye(space.dim)).max() < 1e-10
+    for elem in (dephase([[0], [1]]), dephase(), postselect([0])):
+        with pytest.raises(OpticsError):
+            element_unitary(space, elem)
+
+
+@pytest.mark.parametrize("elem", [
+    hwp(0.3, [-1]), hwp(0.3, [3]), hwp(0.3, [1.5]), qwp(0.3, [0, 3]),
+    phase(0.2, [-1]), nbs(0, 3), nbs(-1, 0), nbs(1, 1), postselect([-1]),
+    postselect([0, 3]), dephase([[-1], [0, 1]]), dephase([[0], [1], [2], [3]]),
+], ids=lambda e: f"{e.kind}{e.modes or e.pair or e.keep or e.partition}")
+def test_lateral_indices_validated(elem):
+    # a negative index must not wrap onto the last mode
+    net = OpticalNetwork(ModeSpace(n_lateral=3), (elem,))
     with pytest.raises(OpticsError):
-        network_unitary(net)
-    u = network_unitary(net, skip_dephase=True)
-    assert np.abs(u @ u.conj().T - np.eye(space.dim)).max() < 1e-10
-    bad = OpticalNetwork(space, (postselect([0]),))
-    with pytest.raises(OpticsError):
-        network_unitary(bad, skip_dephase=True)
+        apply_network(net, PLUS)
 
 
 def test_mode_space_validation():
-    with pytest.raises(OpticsError):
-        ModeSpace(n_lateral=5)
-    with pytest.raises(OpticsError):
-        ModeSpace(n_lateral=1, n_longitudinal=3)
+    for n in (0, 5):
+        with pytest.raises(OpticsError):
+            ModeSpace(n_lateral=n)
 
 
 def test_apply_network_shape_check():
@@ -166,6 +216,17 @@ def test_pauli_angles_random_weights():
         assert np.abs(pauli_angle_residuals(p, angles)).max() < 1e-10
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sets(st.integers(0, 3), max_size=2))
+def test_pauli_angles_solve_dirichlet_weights(seed, zeros):
+    # Dirichlet weights, on the faces where one or two branches vanish too
+    p = np.random.default_rng(seed).dirichlet([1, 1, 1, 1])
+    p[list(zeros)] = 0
+    p /= p.sum()
+    angles = solve_pauli_angles(p)
+    assert np.abs(pauli_angle_residuals(p, angles)).max() <= 1e-10
+
+
 def test_pauli_network_identity_branch():
     fid, success = channel_match(build_pauli_network((1, 0, 0, 0)),
                                  general_pauli([1, 0, 0, 0]))
@@ -205,10 +266,14 @@ def test_extract_channel_identity_network():
     assert np.abs(ch.apply(rho) - rho).max() < 1e-12
 
 
-def test_extract_channel_needs_polarization_only():
-    net = OpticalNetwork(ModeSpace(n_lateral=1, n_longitudinal=2), ())
-    with pytest.raises(OpticsError):
-        extract_channel(net)
+def test_extract_channel_matches_single_state_runs():
+    # the stacked four-operator pass against one state at a time
+    rho = np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]])
+    for net in (build_ad_network(0.35), build_pauli_network((0.4, 0.1, 0.2, 0.3))):
+        ch, success = extract_channel(net)
+        out, p = apply_network(net, rho)
+        assert abs(p - success) < 1e-12
+        assert np.abs(ch.apply(rho) - out).max() < 1e-12
 
 
 def test_extract_channel_completeness():
@@ -221,8 +286,8 @@ def test_extract_channel_completeness():
 def test_network_json_round_trippable_fields():
     net = build_ad_network(0.4)
     obj = net.to_json()
+    assert set(obj) == {"n_lateral", "elements"}
     assert obj["n_lateral"] == 3
-    assert obj["n_longitudinal"] == 1
     kinds = [e["kind"] for e in obj["elements"]]
     assert kinds[0] == "bd" and kinds[-1] == "postselect"
     assert all(isinstance(e, dict) for e in obj["elements"])
