@@ -72,6 +72,12 @@ def _check_noise_range(values):
         raise ConfigError("noise values must lie in [0, 1]")
 
 
+def _check_seed(seed):
+    # numpy's seeding rejects a negative entry with a plain ValueError
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
+
+
 def format_csv(header, rows):
     lines = [",".join(header)]
     for row in rows:
@@ -127,6 +133,7 @@ def cmd_error_curve(args):
         raise ConfigError("events must be at least 1")
     if not np.isfinite(args.phi):
         raise ConfigError(f"phi must be finite, got {args.phi}")
+    _check_seed(args.seed)
     rows = error_curve(args.scheme, grid, visibility=args.visibility,
                        events=args.events, repetitions=args.reps,
                        seed=args.seed, phi_true=args.phi)
@@ -151,6 +158,7 @@ def cmd_qpt(args):
         raise ConfigError("shots must be at least 1")
     if args.resamples < 2:
         raise ConfigError("resamples must be at least 2")
+    _check_seed(args.seed)
     extended = not args.single
     stem = args.out[:-4] if args.out.endswith(".csv") else args.out
     rows = []

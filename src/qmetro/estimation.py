@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import NOISE, PhaseChannelFamily, evolve
-from .linalg import projector
+from .linalg import projector, substreams
 
 SCHEMES = (
     "ad_single_assisted",
@@ -171,21 +171,29 @@ def _contrast(model):
     return model.visibility * k
 
 
-def estimate_phase(model, counts):
-    """Invert the +/- count asymmetry through the arcsine, clamped to [-1, 1]."""
+def _arcsine(model, counts):
+    """Arcsine estimates of every row of a (..., n_outcomes) counts array, and
+    the mask of rows whose argument was clamped to +/-1."""
     counts = np.asarray(counts)
-    total = counts.sum()
-    if total <= 0:
+    total = counts.sum(axis=-1)
+    if np.any(total <= 0):
         raise EstimationError("empty acquisition")
     denom = _contrast(model)
     if denom <= 0:
         raise EstimationError("zero contrast: the phase is invisible at these parameters")
-    arg = np.clip((counts[0] - counts[1]) / (total * denom), -1.0, 1.0)
+    arg = np.clip((counts[..., 0] - counts[..., 1]) / (total * denom), -1.0, 1.0)
+    estimates = np.arcsin(arg)
     if is_two_probe(model.scheme):
         # outcome 0 loses weight as the phase grows, and the doubled phase
         # halves on inversion
-        return float(-np.arcsin(arg) / 2)
-    return float(np.arcsin(arg))
+        estimates = -estimates / 2
+    return estimates, np.abs(arg) == 1.0
+
+
+def estimate_phase(model, counts):
+    """Invert the +/- count asymmetry of one acquisition through the arcsine,
+    clamped to [-1, 1]."""
+    return float(_arcsine(model, counts)[0])
 
 
 @dataclass(frozen=True)
@@ -203,6 +211,7 @@ class ErrorReport:
     bootstrap_std: float
     cr_bound: float
     shot_noise: float
+    clamped: int           # repetitions whose arcsine argument hit +/-1
 
 
 def _seed_list(seed):
@@ -224,10 +233,11 @@ def run_experiment(model, phi_true=0.0, events=None, repetitions=100, seed=0,
     base = _seed_list(seed)
     p = probabilities(model, phi_true)
     pn = p / p.sum()
+    # repetition r draws from default_rng(base + [r]), seeded in one batch
     counts = np.empty((repetitions, len(p)), dtype=np.int64)
-    for r in range(repetitions):
-        counts[r] = np.random.default_rng(base + [r]).multinomial(events, pn)
-    estimates = np.array([estimate_phase(model, c) for c in counts])
+    for r, rng in enumerate(substreams(base, np.arange(repetitions))):
+        counts[r] = rng.multinomial(events, pn)
+    estimates, clamped = _arcsine(model, counts)
     sqrt_nu = np.sqrt(float(events))
     stat = estimates.std(ddof=1) * sqrt_nu
     boot_rng = np.random.default_rng(base + [repetitions])
@@ -241,6 +251,7 @@ def run_experiment(model, phi_true=0.0, events=None, repetitions=100, seed=0,
         bootstrap_std=float(stats.std(ddof=1)),
         cr_bound=float(1 / np.sqrt(fisher)) if fisher > 0 else float("inf"),
         shot_noise=1 / np.sqrt(2) if is_two_probe(model.scheme) else 1.0,
+        clamped=int(clamped.sum()),
     )
     ensemble = TrialEnsemble(counts=counts, estimates=estimates, nu=float(events),
                              repetitions=repetitions, seed=seed)

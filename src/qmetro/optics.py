@@ -88,7 +88,7 @@ def bd(direction=1):
 
 
 def nbs(a, b):
-    return OpticalElement("nbs", pair=(int(a), int(b)))
+    return OpticalElement("nbs", pair=(a, b))
 
 
 def dephase(partition=None):
@@ -101,7 +101,7 @@ def dephase(partition=None):
     if partition is None or partition == POL_SECTORS:
         return OpticalElement("dephase", partition=partition)
     return OpticalElement("dephase",
-                          partition=tuple(tuple(int(l) for l in part) for part in partition))
+                          partition=tuple(tuple(part) for part in partition))
 
 
 def phase(angle, modes=None):
@@ -159,8 +159,9 @@ def element_unitary(space, elem):
     if elem.kind == "nbs":
         if _select(space, elem.pair).sum() != 2:
             raise OpticsError(f"coupler modes must differ, got {list(elem.pair)}")
+        pair = np.array(elem.pair, dtype=int)
         block = np.eye(n)
-        block[np.ix_(elem.pair, elem.pair)] = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+        block[np.ix_(pair, pair)] = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
         return _kron(pol_id, block)
     raise OpticsError(f"element {elem.kind} has no unitary form")
 
@@ -176,7 +177,7 @@ def _sector_labels(space, partition):
         raise OpticsError("dephase partition must cover each lateral mode exactly once")
     labels = np.empty(n, dtype=int)
     for k, part in enumerate(partition):
-        labels[list(part)] = k
+        labels[np.array(part, dtype=int)] = k
     return np.tile(labels, 2)
 
 

@@ -8,7 +8,7 @@ from functools import lru_cache
 import numpy as np
 
 from .channels import evolve
-from .linalg import nearest_psd, pauli_basis, projector
+from .linalg import nearest_psd, pauli_basis, projector, substreams
 
 # preparation kets; the measurement settings project onto the same set
 INPUT_KETS = (
@@ -127,13 +127,11 @@ def simulate_qpt(ch, extended=True, shots=20000, seed=0):
     if shots < 1:
         raise TomographyError("shots must be at least 1")
     p = born_probabilities(ch, extended)
-    nl, nm = p.shape
-    counts = np.empty((nl, nm, 2), dtype=np.int64)
-    for l in range(nl):
-        for m in range(nm):
-            rng = np.random.default_rng([seed, l, m])
-            n0 = rng.binomial(shots, p[l, m])
-            counts[l, m] = (n0, shots - n0)
+    # setting (l, m) draws from default_rng([seed, l, m]), seeded in one batch
+    pairs = np.indices(p.shape).reshape(2, -1).T
+    n0 = np.array([rng.binomial(shots, q)
+                   for rng, q in zip(substreams([seed], pairs), p.ravel())])
+    counts = np.stack([n0, shots - n0], axis=-1).reshape(*p.shape, 2)
     return QptDataset(counts, shots)
 
 
@@ -216,8 +214,8 @@ def poisson_uncertainty(data, chi_ref=None, resamples=50, seed=0):
     if chi_ref is None:
         chi_ref = reconstruct_chi(data)
     fids = np.empty(resamples)
-    for r in range(resamples):
-        rng = np.random.default_rng([seed, r])
+    # resample r draws from default_rng([seed, r])
+    for r, rng in enumerate(substreams([seed], np.arange(resamples))):
         chi = reconstruct_from_probabilities(_frequencies(rng.poisson(data.counts)))
         fids[r] = process_fidelity(chi, chi_ref).value
     return float(np.std(fids))

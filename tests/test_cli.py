@@ -146,6 +146,15 @@ def test_error_curve_validation():
         assert main(base + [f"--phi={phi}"]) == EXIT_CONFIG
 
 
+def test_error_curve_rejects_negative_seed(capsys):
+    argv = ["error-curve", "--scheme", "ad_single_bare", "--grid", "0.2",
+            "--seed", "-1"]
+    assert main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err == "error: invalid configuration: seed must be non-negative, got -1\n"
+    assert captured.out == ""
+
+
 # ----------------------------------------------------------------------- qpt
 
 def test_qpt_writes_summary_and_chi_files(tmp_path):
@@ -195,6 +204,14 @@ def test_qpt_deterministic(tmp_path):
 def test_qpt_rejects_bad_shots():
     assert main(["qpt", "--channel", "ad", "--grid", "0.5", "--shots", "0",
                  "--out", "/tmp/unused.csv"]) == EXIT_CONFIG
+
+
+def test_qpt_rejects_negative_seed(tmp_path, capsys):
+    for mode in ([], ["--exact"]):
+        assert main(["qpt", "--channel", "ad", "--grid", "0.5", "--seed", "-1",
+                     "--out", str(tmp_path / "qpt.csv")] + mode) == EXIT_CONFIG
+        assert "seed must be non-negative" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_qpt_rejects_single_resample(tmp_path, capsys):
@@ -298,7 +315,9 @@ def test_supplement_verify_numeric_failure(monkeypatch, capsys):
 # Kraus-evolution kernel was shared between channels, qfi and estimation (the
 # qfi-curve CSV cases: before the inner minimum over Kraus representations
 # became one closed-form solve; the optics-verify and supplement-verify cases:
-# before the optics networks were rebuilt on Kronecker products); a refactor
+# before the optics networks were rebuilt on Kronecker products; the
+# assisted error-curve and single-probe qpt cases: before the Monte-Carlo and
+# tomography substreams were seeded in one batch); a refactor
 # that changes a printed digit changes the digest. The qfi-curve JSON prints
 # the minimax values at full precision, so its two digests were re-recorded
 # with that solve (no value moved by more than 3.4e-16).
@@ -313,6 +332,12 @@ GOLDEN_CSV = {
     ("qfi-curve", "--channel", "depol", "--minimax", "--format", "json",
      "--grid", "0.1,0.45,0.9"):
         "bae26636bed9f10058154c3cfa77fec4df29687d0d3891f269ecfc563a252e96",
+    ("error-curve", "--scheme", "ad_single_assisted"):
+        "a898343fa436f0e89ec1077b29580b1ac9322e674fb854e4b89c11223acf0f49",
+    ("error-curve", "--scheme", "depol_single_assisted"):
+        "9a0e946de12360478ca1e2f9a84bb8991fd7f798c54308ad795502647f4a4eea",
+    ("error-curve", "--scheme", "ad_two_probe_assisted"):
+        "4c45138dcb0c4fb23fcaf70e328cd16884a64c85d6b9ccf019941cd6fd894619",
     ("error-curve", "--scheme", "ad_single_bare"):
         "168beb2d3cd87dcb04e6af6ffb2f2d7fb07b787b23cc7fb1d626b5dacdacca2d",
     ("error-curve", "--scheme", "depol_single_bare"):
@@ -323,6 +348,9 @@ GOLDEN_CSV = {
         "274db5ef0219676dbc7f2e2bc2055531ce805f585846f625a7ff28c9ea8d1491",
     ("qpt", "--channel", "depol", "--grid", "0.3,0.6"):
         "3c5bb4bacd3d54264cbbfdc422ffb1d6b9c7f86c2cb7b56c33ad6fc6db56d439",
+    ("qpt", "--channel", "ad", "--grid", "0.25,0.7", "--single", "--shots", "3000",
+     "--seed", "12345", "--resamples", "20"):
+        "4418428b4e3224ed42581f8f06fab2a4cde55c41caea014175805e7a60036360",
     ("qpt", "--channel", "ad", "--grid", "0.3,0.6", "--exact"):
         "aef89670b52106e4a97294e9f0ac4cca4b7c6d6352e2699ad895185cb8ec0887",
     ("qpt", "--channel", "depol", "--grid", "0.3,0.6", "--exact"):
@@ -342,3 +370,24 @@ def test_csv_matches_recorded_digest(argv, tmp_path):
     out = tmp_path / "out.csv"
     assert main(list(argv) + ["--out", str(out)]) == EXIT_OK
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_CSV[argv]
+
+
+# error-curve stdout, recorded before the substreams were seeded in one batch:
+# a seed of 2**40 is two 32-bit words of entropy, and phi near the edge of the
+# arcsine range makes many estimates clamp
+GOLDEN_STDOUT = {
+    "ad_single_assisted": ("1.5", "1c8454895a0dae8fe15168f17a94ce7f90c7818e58f82ebceac8b6606fb57779"),
+    "depol_single_assisted": ("1.5", "ba180b3f742e10ccb233ec54011329f2811642652074a26f265b7e183978b1f7"),
+    "ad_two_probe_assisted": ("0.77", "68a941c135c46621c9dad1c86b102a998de64af2810a3ed4c74b402893151374"),
+    "ad_single_bare": ("1.5", "87ceaefc8d888749dd2a2bd9336aa501d68f1be9527ba5164bc7ff3c7402130a"),
+    "depol_single_bare": ("1.5", "7270056d9c91dccbeb30844c84b40289627bd1c28411ce4d2505916ded32dca7"),
+    "ad_two_probe_bare": ("0.77", "166aa8cd80edddc7f9428d9a722d8d39573e1f124ee057319a94e73b2bd3fac6"),
+}
+
+
+@pytest.mark.parametrize("scheme", list(GOLDEN_STDOUT))
+def test_error_curve_stdout_matches_recorded_digest(scheme, capsys):
+    phi, digest = GOLDEN_STDOUT[scheme]
+    assert main(["error-curve", "--scheme", scheme, "--grid", "0.15,0.55",
+                 "--reps", "300", "--seed", str(2 ** 40), "--phi", phi]) == EXIT_OK
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest

@@ -187,19 +187,23 @@ def test_estimate_phase_zero_contrast():
     m = model_for("ad_single_assisted", 1.0, visibility=1.0)
     with pytest.raises(EstimationError):
         estimate_phase(m, np.array([10, 10, 5, 0]))
+    with pytest.raises(EstimationError, match="zero contrast"):
+        run_experiment(m, events=100, repetitions=5)
     m2 = model_for("ad_single_assisted", 0.3)
     with pytest.raises(EstimationError):
         estimate_phase(m2, np.zeros(4))
 
 
 def test_estimator_unbiased_near_origin():
-    for scheme in SCHEMES:
+    # fixed seeds per scheme, so that a failure reproduces (a seed taken from
+    # the salted str hash changed from one interpreter to the next)
+    for k, scheme in enumerate(SCHEMES):
         m = model_for(scheme, 0.3, visibility=1.0)
         for phi in (0.0, 0.05, -0.05):
-            ests = np.array([
-                estimate_phase(m, sample_counts(m, phi, 20000,
-                                                [9, abs(hash(scheme)) % 1000, r]))
-                for r in range(1000)])
+            # repetition r draws from default_rng([9, k, r])
+            ensemble, _ = run_experiment(m, phi_true=phi, events=20000,
+                                         repetitions=1000, seed=[9, k], bootstrap=2)
+            ests = ensemble.estimates
             se = ests.std(ddof=1) / np.sqrt(len(ests))
             assert abs(ests.mean() - phi) <= 3 * se + 1e-9
 
@@ -241,6 +245,43 @@ def test_run_experiment_report_fields():
     m2 = model_for("ad_single_bare", 0.2, visibility=1.0)
     _, rep2 = run_experiment(m2, events=2000, repetitions=30, seed=1, bootstrap=20)
     assert rep2.shot_noise == 1.0
+
+
+@pytest.mark.parametrize("scheme,noise,repetitions,seed", [
+    ("ad_single_assisted", 0.3, 400, 0),
+    ("depol_single_bare", 0.6, 250, [4, 1]),
+    ("ad_two_probe_assisted", 0.2, 300, [0, 2, 1]),
+    ("ad_two_probe_bare", 0.5, 200, 2 ** 40),
+])
+def test_run_experiment_matches_per_repetition_loop(scheme, noise, repetitions, seed):
+    # every repetition r draws from default_rng(seed + [r]) and is estimated
+    # on its own, bit for bit
+    m = model_for(scheme, noise)
+    ensemble, _ = run_experiment(m, phi_true=0.1, repetitions=repetitions, seed=seed,
+                                 bootstrap=5)
+    base = [seed] if np.isscalar(seed) else list(seed)
+    p = probabilities(m, 0.1)
+    counts = np.array([np.random.default_rng(base + [r]).multinomial(
+        default_events(scheme), p / p.sum()) for r in range(repetitions)])
+    assert np.array_equal(ensemble.counts, counts)
+    assert np.array_equal(ensemble.estimates, [estimate_phase(m, c) for c in counts])
+
+
+def test_run_experiment_counts_clamped_estimates():
+    # near phi = pi/2 the count asymmetry often exceeds the contrast
+    m = model_for("ad_single_assisted", 0.1)
+    ensemble, rep = run_experiment(m, phi_true=1.5, repetitions=200, seed=3,
+                                   bootstrap=5)
+    at_edge = np.abs(ensemble.estimates) == np.pi / 2
+    assert rep.clamped == at_edge.sum()
+    assert 0 < rep.clamped < 200
+    m = model_for("ad_two_probe_bare", 0.0, visibility=1.0)
+    ensemble, rep = run_experiment(m, phi_true=np.pi / 4, events=500,
+                                   repetitions=50, seed=1, bootstrap=5)
+    assert rep.clamped == (np.abs(ensemble.estimates) == np.pi / 4).sum() > 0
+    _, rep = run_experiment(m, phi_true=0.0, events=500, repetitions=50, seed=1,
+                            bootstrap=5)
+    assert rep.clamped == 0
 
 
 def test_run_experiment_validation():

@@ -151,9 +151,11 @@ def test_element_unitary_flags():
     hwp(0.3, [-1]), hwp(0.3, [3]), hwp(0.3, [1.5]), qwp(0.3, [0, 3]),
     phase(0.2, [-1]), nbs(0, 3), nbs(-1, 0), nbs(1, 1), postselect([-1]),
     postselect([0, 3]), dephase([[-1], [0, 1]]), dephase([[0], [1], [2], [3]]),
+    nbs(0.7, 1.9), nbs(0, 1.5), dephase([[0.6], [1.2], [2]]),
 ], ids=lambda e: f"{e.kind}{e.modes or e.pair or e.keep or e.partition}")
 def test_lateral_indices_validated(elem):
-    # a negative index must not wrap onto the last mode
+    # a negative index must not wrap onto the last mode, and a fractional one
+    # must not be truncated onto a valid mode
     net = OpticalNetwork(ModeSpace(n_lateral=3), (elem,))
     with pytest.raises(OpticsError):
         apply_network(net, PLUS)

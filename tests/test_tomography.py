@@ -8,11 +8,11 @@ from conftest import rand_herm, rand_rho
 from qmetro.channels import (KrausChannel, amplitude_damping, depolarizing,
                              extend_with_ancilla, general_pauli,
                              random_channel)
-from qmetro.tomography import (ChiMatrix, TomographyError, born_probabilities,
-                               chi_apply, chi_theory, poisson_uncertainty,
-                               process_fidelity, product_states,
-                               reconstruct_chi, reconstruct_from_probabilities,
-                               simulate_qpt)
+from qmetro.tomography import (ChiMatrix, QptDataset, TomographyError,
+                               born_probabilities, chi_apply, chi_theory,
+                               poisson_uncertainty, process_fidelity,
+                               product_states, reconstruct_chi,
+                               reconstruct_from_probabilities, simulate_qpt)
 
 AD_HALF = extend_with_ancilla(amplitude_damping(0.5))
 DEPOL_04 = extend_with_ancilla(depolarizing(0.4))
@@ -121,6 +121,18 @@ def test_simulate_qpt_deterministic():
     assert not np.array_equal(a.counts, c.counts)
 
 
+@pytest.mark.parametrize("extended,seed", [(True, 0), (False, 7), (True, 2 ** 33 + 5)])
+def test_simulate_qpt_matches_per_setting_streams(extended, seed):
+    # setting (l, m) draws from default_rng([seed, l, m]), bit for bit
+    ch = AD_HALF if extended else amplitude_damping(0.5)
+    data = simulate_qpt(ch, extended=extended, shots=900, seed=seed)
+    p = born_probabilities(ch, extended)
+    n0 = [[np.random.default_rng([seed, l, m]).binomial(900, p[l, m])
+           for m in range(p.shape[1])] for l in range(p.shape[0])]
+    assert np.array_equal(data.counts[:, :, 0], n0)
+    assert data.counts.dtype == np.int64
+
+
 def test_simulate_qpt_count_totals():
     data = simulate_qpt(AD_HALF, shots=777, seed=0)
     assert data.counts.shape == (16, 16, 2)
@@ -206,6 +218,16 @@ def test_poisson_uncertainty_reproducible():
     b = poisson_uncertainty(data, chi_ref=chi_th, resamples=50, seed=3)
     assert a == b
     assert abs(a - 3.596056e-03) < 1e-8
+
+
+def test_poisson_uncertainty_matches_per_resample_streams():
+    # resample r draws from default_rng([seed, r])
+    data = simulate_qpt(AD_HALF, shots=2000, seed=11)
+    chi_th = chi_theory(AD_HALF)
+    fids = [process_fidelity(reconstruct_chi(QptDataset(
+        np.random.default_rng([3, r]).poisson(data.counts), 2000)), chi_th).value
+        for r in range(12)]
+    assert poisson_uncertainty(data, chi_ref=chi_th, resamples=12, seed=3) == np.std(fids)
 
 
 def test_poisson_uncertainty_shrinks_fast():
