@@ -59,34 +59,40 @@ def _with_ancilla(ks):
 
 @dataclass(frozen=True)
 class KrausChannel:
-    """A completely positive trace-preserving map in operator-sum form."""
+    """A completely positive trace-preserving map in operator-sum form.
 
-    kraus: tuple
+    kraus is copied once, at construction, into a read-only (m, d, d) complex
+    stack: the form evolve takes, and the only one any caller sees.
+    """
+
+    kraus: np.ndarray
     label: str = ""
 
     def __post_init__(self):
-        ops = tuple(np.asarray(k, dtype=complex) for k in self.kraus)
-        if not ops:
+        try:
+            ks = np.array(self.kraus, dtype=complex)
+        except ValueError:
+            raise ChannelError("Kraus operators must share a square shape") from None
+        if not ks.size:
             raise ChannelError("empty Kraus list")
-        d = ops[0].shape[0]
-        for k in ops:
-            if k.shape != (d, d):
-                raise ChannelError("Kraus operators must share a square shape")
-        object.__setattr__(self, "kraus", ops)
+        if ks.ndim != 3 or ks.shape[1] != ks.shape[2]:
+            raise ChannelError("Kraus operators must share a square shape")
+        ks.flags.writeable = False
+        object.__setattr__(self, "kraus", ks)
         if self.completeness_residual() > COMPLETENESS_TOL:
             raise ChannelError(
                 f"Kraus completeness violated: residual {self.completeness_residual():.2e}")
 
     @property
     def dim(self):
-        return self.kraus[0].shape[0]
+        return self.kraus.shape[-1]
 
     def completeness_residual(self):
         s = sum(k.conj().T @ k for k in self.kraus)
         return np.abs(s - np.eye(self.dim)).max()
 
     def apply(self, rho):
-        return evolve(rho, np.stack(self.kraus))
+        return evolve(rho, self.kraus)
 
     def to_json(self):
         return {
@@ -97,8 +103,8 @@ class KrausChannel:
 
     @classmethod
     def from_json(cls, obj):
-        ops = [np.array(re) + 1j * np.array(im) for re, im in obj["kraus"]]
-        return cls(tuple(ops), obj.get("label", ""))
+        return cls([np.array(re) + 1j * np.array(im) for re, im in obj["kraus"]],
+                   obj.get("label", ""))
 
 
 def phase_unitary(phi):
@@ -125,8 +131,9 @@ def general_pauli(p):
         raise ChannelError("need exactly four probabilities")
     if p.min() < -1e-12 or abs(p.sum() - 1) > 1e-12:
         raise ChannelError(f"invalid probability vector {p}")
-    ops = tuple(np.sqrt(pi) * sigma for pi, sigma in zip(p, PAULIS) if pi > 0)
-    return KrausChannel(ops, label=f"pauli({p[0]:g},{p[1]:g},{p[2]:g},{p[3]:g})")
+    keep = p > 0
+    return KrausChannel(np.sqrt(p[keep])[:, None, None] * PAULIS[keep],
+                        label=f"pauli({p[0]:g},{p[1]:g},{p[2]:g},{p[3]:g})")
 
 
 def depolarizing(p):
@@ -139,8 +146,7 @@ def depolarizing(p):
 
 def extend_with_ancilla(ch):
     """Channel acting on probe while an equal-dimension ancilla idles."""
-    return KrausChannel(tuple(_with_ancilla(np.stack(ch.kraus))),
-                        label=ch.label + "+ancilla")
+    return KrausChannel(_with_ancilla(ch.kraus), label=ch.label + "+ancilla")
 
 
 NOISE = {"ad": amplitude_damping, "depol": depolarizing}
@@ -155,19 +161,16 @@ class PhaseChannelFamily:
     """Phase imprinting followed by a fixed qubit noise map."""
 
     noise: KrausChannel
-    phase_point: float = 0.0
 
     def __post_init__(self):
         if self.noise.dim != 2:
             raise ChannelError("phase family is defined on a single qubit")
 
     def kraus_at(self, phi):
-        u = phase_unitary(phi)
-        return [k @ u for k in self.noise.kraus]
+        return self.noise.kraus @ phase_unitary(phi)
 
     def dkraus_at(self, phi):
-        du = phase_unitary(phi) @ _PHASE_GEN
-        return [k @ du for k in self.noise.kraus]
+        return self.noise.kraus @ (phase_unitary(phi) @ _PHASE_GEN)
 
     def composite(self, phi, n_probes=1, ancilla=False):
         """Stacked Kraus operators and their phase derivatives on the joint
@@ -175,7 +178,7 @@ class PhaseChannelFamily:
         ancilla of the probes' joint dimension."""
         if n_probes < 1:
             raise ChannelError("n_probes must be at least 1")
-        ks1, dks1 = np.stack(self.kraus_at(phi)), np.stack(self.dkraus_at(phi))
+        ks1, dks1 = self.kraus_at(phi), self.dkraus_at(phi)
         ks, dks = ks1, dks1
         for _ in range(n_probes - 1):
             ks, dks = _tensor(ks, ks1), _tensor(dks, ks1) + _tensor(ks, dks1)
@@ -214,12 +217,13 @@ def choi_matrix(ch):
     """Choi matrix C[i*d+k, j*d+l] = channel(|i><j|)[k, l]."""
     d = ch.dim
     # units[i, j] = |i><j|, so out[i, j, k, l] = channel(|i><j|)[k, l]
-    out = evolve(np.eye(d * d).reshape(d, d, d, d), np.stack(ch.kraus))
+    out = evolve(np.eye(d * d).reshape(d, d, d, d), ch.kraus)
     return out.transpose(0, 2, 1, 3).reshape(d * d, d * d)
 
 
 def kraus_from_choi(choi, tol=1e-10):
-    """Kraus operators from a Choi matrix by eigendecomposition.
+    """Stacked (m, d, d) Kraus operators from a Choi matrix by
+    eigendecomposition, one per eigenvalue above tol.
 
     Eigenvectors come out flattened with the input index first, so each one is
     reshaped and transposed to recover the operator.
@@ -229,16 +233,12 @@ def kraus_from_choi(choi, tol=1e-10):
     w, v = np.linalg.eigh(choi)
     if w.min() < -100 * tol:
         raise ChannelError(f"Choi matrix is not positive: min eigenvalue {w.min():.2e}")
-    ops = []
-    for wi, vi in zip(w, v.T):
-        if wi > tol:
-            ops.append(np.sqrt(wi) * vi.reshape(d, d).T)
-    return ops
+    keep = w > tol
+    return np.sqrt(w[keep])[:, None, None] * v.T[keep].reshape(-1, d, d).swapaxes(-1, -2)
 
 
 def random_channel(dim, n_kraus, rng):
     """Random CPTP channel from a Haar-ish Ginibre isometry."""
     g = rng.standard_normal((n_kraus * dim, dim)) + 1j * rng.standard_normal((n_kraus * dim, dim))
     q, _ = np.linalg.qr(g)
-    ops = tuple(q[i * dim:(i + 1) * dim, :] for i in range(n_kraus))
-    return KrausChannel(ops, label=f"random({dim},{n_kraus})")
+    return KrausChannel(q.reshape(n_kraus, dim, dim), label=f"random({dim},{n_kraus})")

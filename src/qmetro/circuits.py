@@ -35,16 +35,15 @@ def build_flagged_channel(p):
     pairs = ((PAULI_I, PAULI_I), (PAULI_Z, PAULI_I),
              (PAULI_X, PAULI_X), (PAULI_Y, PAULI_X))
     ops = [np.sqrt(w) * np.kron(a, b) for w, (a, b) in zip(weights, pairs) if w > 0]
-    return KrausChannel(tuple(ops), label=f"flagged_depol({p:g})")
+    return KrausChannel(ops, label=f"flagged_depol({p:g})")
 
 
 def conjugation_residual(p):
     """Max Choi-matrix deviation between the flagged channel and the same noise
     conjugated by probe-controlled NOTs acting on a fresh ancilla."""
     flagged = build_flagged_channel(p)
-    conjugated = KrausChannel(
-        tuple(CNOT @ k @ CNOT for k in extend_with_ancilla(depolarizing(p)).kraus),
-        label="conjugated")
+    conjugated = KrausChannel(CNOT @ extend_with_ancilla(depolarizing(p)).kraus @ CNOT,
+                              label="conjugated")
     diff = choi_matrix(flagged) - choi_matrix(conjugated)
     return float(np.abs(diff).max())
 

@@ -71,13 +71,20 @@ class OpticalElement:
         return out
 
 
+def _finite(angle):
+    angle = float(angle)
+    if not np.isfinite(angle):
+        raise OpticsError(f"angle must be finite, got {angle}")
+    return angle
+
+
 def hwp(angle, modes=None):
-    return OpticalElement("hwp", angle=float(angle),
+    return OpticalElement("hwp", angle=_finite(angle),
                           modes=None if modes is None else tuple(modes))
 
 
 def qwp(angle, modes=None):
-    return OpticalElement("qwp", angle=float(angle),
+    return OpticalElement("qwp", angle=_finite(angle),
                           modes=None if modes is None else tuple(modes))
 
 
@@ -105,7 +112,7 @@ def dephase(partition=None):
 
 
 def phase(angle, modes=None):
-    return OpticalElement("phase", angle=float(angle),
+    return OpticalElement("phase", angle=_finite(angle),
                           modes=None if modes is None else tuple(modes))
 
 
@@ -223,7 +230,7 @@ def apply_network(net, rho_in):
     return out / success, float(success)
 
 
-def extract_channel(net, tol=1e-12):
+def extract_channel(net):
     """Recover the polarization channel a network realizes.
 
     Runs the four |i><j| through the unnormalized map as one stack, divides
@@ -236,8 +243,8 @@ def extract_channel(net, tol=1e-12):
     success = np.trace(c).real / 2
     if success <= 0:
         raise OpticsError("network blocks every input")
-    ops = kraus_from_choi(c / success, tol=tol)
-    return KrausChannel(tuple(ops), label="extracted"), float(success)
+    ks = kraus_from_choi(c / success, tol=1e-12)
+    return KrausChannel(ks, label="extracted"), float(success)
 
 
 def damping_plate_angle(eta):

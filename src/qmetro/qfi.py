@@ -29,7 +29,6 @@ class ConvergenceError(RuntimeError):
 @dataclass(frozen=True)
 class QfiResult:
     value: float
-    method: str
     optimal_input: np.ndarray = None
     optimal_h: GeneratorH = None
 
@@ -37,15 +36,14 @@ class QfiResult:
 @dataclass(frozen=True)
 class SldOperator:
     mat: np.ndarray
-    support_cutoff: float
     residual: float
 
 
-def sld_qfi(rho, drho, cutoff=SUPPORT_CUTOFF):
+def sld_qfi(rho, drho):
     """QFI and logarithmic-derivative operator from (rho, drho).
 
-    Works in the eigenbasis of rho; eigenvalue pairs with li + lj <= cutoff
-    are outside the support and dropped.
+    Works in the eigenbasis of rho; eigenvalue pairs with li + lj <=
+    SUPPORT_CUTOFF are outside the support and dropped.
     """
     rho = np.asarray(rho, dtype=complex)
     drho = np.asarray(drho, dtype=complex)
@@ -54,15 +52,15 @@ def sld_qfi(rho, drho, cutoff=SUPPORT_CUTOFF):
     w, v = np.linalg.eigh(rho)
     m = v.conj().T @ drho @ v
     denom = w[:, None] + w[None, :]
-    mask = denom > cutoff
+    mask = denom > SUPPORT_CUTOFF
     value = (2 * np.abs(m) ** 2 / np.where(mask, denom, 1.0))[mask].sum()
     lam = np.where(mask, 2 * m / np.where(mask, denom, 1.0), 0.0)
     sld = v @ lam @ v.conj().T
     # defining relation checked on the support only
-    proj = v[:, w > cutoff] @ v[:, w > cutoff].conj().T
+    proj = v[:, w > SUPPORT_CUTOFF] @ v[:, w > SUPPORT_CUTOFF].conj().T
     resid = proj @ (drho - (sld @ rho + rho @ sld) / 2) @ proj
-    return (QfiResult(value=float(value.real), method="sld"),
-            SldOperator(mat=sld, support_cutoff=cutoff, residual=float(np.abs(resid).max())))
+    return (QfiResult(value=float(value.real)),
+            SldOperator(mat=sld, residual=float(np.abs(resid).max())))
 
 
 def closed_form_qfi(kind, param, assisted):
@@ -174,7 +172,7 @@ def channel_qfi_minimax(fam, extended=True, phi0=0.0):
     ks, dks = fam.composite(phi0)
     if extended:
         value, h = _inner(ks, dks, np.eye(2) / np.sqrt(2))
-        return QfiResult(value=float(value), method="minimax", optimal_h=GeneratorH(h))
+        return QfiResult(value=float(value), optimal_h=GeneratorH(h))
 
     def loss(ang):
         return -_inner(ks, dks, _bloch_ket(*ang)[:, None], minimizer=False)[0]
@@ -183,21 +181,14 @@ def channel_qfi_minimax(fam, extended=True, phi0=0.0):
     # in 16 slices, so that the stacked (n, m, m) temporaries stay under 1 MB
     vals = np.concatenate([_inner(ks, dks, part[..., None], minimizer=False)[0]
                            for part in np.array_split(kets, 16)])
-    top, lead, pick = -1.0, 0, 0
-    for i, val in enumerate(vals.tolist()):
-        if val > top + 1e-12:
-            top, lead, pick = val, i, i
-        elif abs(val - top) <= 1e-12 and rank[i] < rank[pick]:
-            # degenerate maxima: keep the lexicographically smallest Bloch vector
-            pick = i
-    best = vals[lead]
-    start = (thetas[pick], betas[pick])
-    ref = minimize(loss, x0=start, method="Nelder-Mead",
+    # degenerate maxima: the lexicographically smallest Bloch vector among them
+    near = np.flatnonzero(vals >= vals.max() - 1e-12)
+    pick = near[np.argmin(rank[near])]
+    ref = minimize(loss, x0=(thetas[pick], betas[pick]), method="Nelder-Mead",
                    options={"xatol": 1e-10, "fatol": 1e-12, "maxfev": 400})
-    ket = _bloch_ket(*(ref.x if -ref.fun >= best else start))
+    ket = _bloch_ket(*ref.x)
     value, h = _inner(ks, dks, ket[:, None])
-    return QfiResult(value=float(value), method="minimax",
-                     optimal_input=np.outer(ket, ket.conj()),
+    return QfiResult(value=float(value), optimal_input=np.outer(ket, ket.conj()),
                      optimal_h=GeneratorH(h))
 
 
@@ -240,8 +231,7 @@ def channel_qfi_supremum(fam, phi0=0.0):
     if dual - value > DUALITY_GAP_TOL:
         raise ConvergenceError(
             f"duality gap {dual - value:.2e} exceeds {DUALITY_GAP_TOL:g}")
-    return QfiResult(value=float(value), method="minimax",
-                     optimal_input=_ball_state(ascent.x),
+    return QfiResult(value=float(value), optimal_input=_ball_state(ascent.x),
                      optimal_h=GeneratorH(h))
 
 

@@ -113,7 +113,7 @@ def born_probabilities(ch, extended=True):
     states = product_states(extended)
     if states.shape[1] != ch.dim:
         raise TomographyError(f"channel dimension {ch.dim} does not match extended={extended}")
-    outs = evolve(states, np.stack(ch.kraus))
+    outs = evolve(states, ch.kraus)
     p = np.einsum('mij,lji->lm', states, outs).real
     return np.clip(p, 0.0, 1.0)
 
@@ -207,12 +207,11 @@ def process_fidelity(exp, th):
     return report
 
 
-def poisson_uncertainty(data, chi_ref=None, resamples=50, seed=0):
-    """Std-dev of the process fidelity under Poisson re-draws of the counts."""
+def poisson_uncertainty(data, chi_ref, resamples=50, seed=0):
+    """Std-dev of the process fidelity to chi_ref under Poisson re-draws of the
+    counts."""
     if resamples < 2:
         raise TomographyError("need at least 2 resamples")
-    if chi_ref is None:
-        chi_ref = reconstruct_chi(data)
     fids = np.empty(resamples)
     # resample r draws from default_rng([seed, r])
     for r, rng in enumerate(substreams([seed], np.arange(resamples))):

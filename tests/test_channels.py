@@ -34,6 +34,27 @@ def test_completeness_enforced():
         KrausChannel((np.eye(2), np.eye(2)), label="broken")
 
 
+@pytest.mark.parametrize("ops", [[], [np.eye(2), np.eye(3)], [np.zeros((2, 3))]],
+                         ids=["empty", "ragged", "non-square"])
+def test_kraus_shape_validated(ops):
+    with pytest.raises(ChannelError):
+        KrausChannel(ops)
+
+
+def test_kraus_stack_is_a_read_only_copy():
+    a0 = np.diag([1, np.sqrt(0.7)]).astype(complex)
+    a1 = np.array([[0, np.sqrt(0.3)], [0, 0]], dtype=complex)
+    ch = KrausChannel([a0, a1])
+    before = ch.kraus.copy()
+    a0[0, 0] = 5
+    assert ch.kraus.shape == (2, 2, 2) and ch.kraus.dtype == complex
+    assert np.array_equal(ch.kraus, before)
+    assert ch.completeness_residual() < 1e-10
+    for built in (ch, amplitude_damping(0.3)):
+        with pytest.raises(ValueError):
+            built.kraus[0][1, 1] = 9
+
+
 def test_amplitude_damping_limits():
     rng = np.random.default_rng(0)
     rho = rand_rho(rng, 2)
@@ -115,15 +136,15 @@ def test_extend_with_ancilla():
     assert np.abs(ident.apply(rho4) - rho4).max() < 1e-12
     # the family's ancilla layout is the same tensor
     fam = PhaseChannelFamily(amplitude_damping(eta))
-    assert np.array_equal(np.stack(ext.kraus), fam.composite(0.0, ancilla=True)[0])
+    assert np.array_equal(ext.kraus, fam.composite(0.0, ancilla=True)[0])
 
 
 def test_composite_two_probes():
     ch = amplitude_damping(0.3)
     fam = PhaseChannelFamily(ch)
     ks, dks = fam.composite(0.0)
-    assert np.array_equal(ks, np.stack(ch.kraus))
-    assert np.array_equal(dks, np.stack(fam.dkraus_at(0.0)))
+    assert np.array_equal(ks, ch.kraus)
+    assert np.array_equal(dks, fam.dkraus_at(0.0))
     two = fam.composite(0.0, 2)[0]
     assert len(two) == 4
     assert np.abs(np.einsum('kji,kjl->il', two.conj(), two) - np.eye(4)).max() < 1e-10
@@ -295,7 +316,7 @@ def test_choi_round_trip():
             for j in range(2):
                 block = np.trace(c[i * 2:(i + 1) * 2, j * 2:(j + 1) * 2])
                 assert abs(block - (1.0 if i == j else 0.0)) < 1e-10
-        rebuilt = KrausChannel(tuple(kraus_from_choi(c)), label="rebuilt")
+        rebuilt = KrausChannel(kraus_from_choi(c), label="rebuilt")
         assert np.abs(choi_matrix(rebuilt) - c).max() < 1e-10
     with pytest.raises(ChannelError):
         kraus_from_choi(-np.eye(4))
@@ -306,7 +327,7 @@ def test_choi_round_trip():
 def test_choi_round_trip_property(seed, d, n):
     # optics.extract_channel turns a Choi matrix into Kraus form this way
     c = choi_matrix(random_channel(d, n, np.random.default_rng(seed)))
-    rebuilt = KrausChannel(tuple(kraus_from_choi(c)), label="rebuilt")
+    rebuilt = KrausChannel(kraus_from_choi(c), label="rebuilt")
     assert np.abs(choi_matrix(rebuilt) - c).max() <= 1e-10
 
 

@@ -161,6 +161,13 @@ def test_lateral_indices_validated(elem):
         apply_network(net, PLUS)
 
 
+@pytest.mark.parametrize("angle", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("make", [hwp, qwp, phase])
+def test_non_finite_angles_rejected(make, angle):
+    with pytest.raises(OpticsError):
+        make(angle)
+
+
 def test_mode_space_validation():
     for n in (0, 5):
         with pytest.raises(OpticsError):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from conftest import bell_state, rand_herm
-from qmetro.channels import (ChannelError, PhaseChannelFamily,
+from qmetro.channels import (ChannelError, KrausChannel, PhaseChannelFamily,
                              amplitude_damping, depolarizing, evolve,
                              general_pauli, random_channel, rotate_kraus)
 from qmetro.linalg import herm_from_params, projector
@@ -262,6 +262,19 @@ def test_minimax_independent_of_phase_point(ch, phi0):
     for extended in (True, False):
         here = channel_qfi_minimax(fam, extended, phi0).value
         assert abs(here - channel_qfi_minimax(fam, extended).value) < 1e-6
+
+
+# 16 pairs: the bare search over a 16-operator composition takes ~0.3 s
+@settings(max_examples=16, deadline=None, derandomize=True, database=None)
+@given(NOISY_CHANNELS, NOISY_CHANNELS)
+def test_later_noise_never_adds_information(first, second):
+    # data processing: N2 after N1 has the Kraus products B_j A_i
+    both = KrausChannel((second.kraus[:, None] @ first.kraus[None]).reshape(-1, 2, 2))
+    before, after = ([channel_qfi_minimax(fam, extended=True).value,
+                      channel_qfi_minimax(fam, extended=False).value,
+                      channel_qfi_supremum(fam).value]
+                     for fam in (PhaseChannelFamily(first), PhaseChannelFamily(both)))
+    assert all(b <= a + 1e-9 for a, b in zip(before, after))
 
 
 PROBE_FAMILIES = st.one_of(
