@@ -37,6 +37,9 @@ EXIT_NUMERIC = 3
 # a longer range is rejected before np.arange allocates it; the default grids
 # have 10 and 20 points
 MAX_GRID_POINTS = 10_000
+# more repetitions are rejected before the counts array is allocated; 20x the
+# largest count the acceptance criteria use (50 000)
+MAX_REPETITIONS = 1_000_000
 
 
 class ConfigError(ValueError):
@@ -129,6 +132,8 @@ def cmd_error_curve(args):
     _check_noise_range(grid)
     if args.reps < 2:
         raise ConfigError("repetitions must be at least 2")
+    if args.reps > MAX_REPETITIONS:
+        raise ConfigError(f"repetitions must be at most {MAX_REPETITIONS}")
     if args.events is not None and args.events < 1:
         raise ConfigError("events must be at least 1")
     if not np.isfinite(args.phi):
@@ -161,8 +166,12 @@ def cmd_qpt(args):
     _check_seed(args.seed)
     extended = not args.single
     stem = args.out[:-4] if args.out.endswith(".csv") else args.out
+    tags = [f"{stem}_noise{noise:g}" for noise in grid]
+    if len(set(tags)) < len(tags):
+        raise ConfigError(f"grid {args.grid!r} has points that print alike at 6 "
+                          "significant digits, so their chi files would share a name")
     rows = []
-    for noise in grid:
+    for noise, tag in zip(grid, tags):
         ch = NOISE[args.channel](noise)
         if extended:
             ch = extend_with_ancilla(ch)
@@ -179,7 +188,6 @@ def cmd_qpt(args):
         fidelity = process_fidelity(chi_exp, chi_th).value
         rows.append({"noise": float(noise), "fidelity": fidelity,
                      "fidelity_std": std})
-        tag = f"{stem}_noise{noise:g}"
         with open(tag + "_chi_exp.json", "w", newline="\n") as fh:
             json.dump(chi_exp.to_json(), fh, indent=2, sort_keys=True)
         with open(tag + "_chi_th.json", "w", newline="\n") as fh:

@@ -6,7 +6,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .channels import (GeneratorH, PhaseChannelFamily, amplitude_damping, evolve,
                        rotate_kraus)
@@ -15,6 +14,8 @@ from .linalg import PAULIS
 SUPPORT_CUTOFF = 1e-10
 DUALITY_GAP_TOL = 1e-6
 BLOCH_GRID = 64
+SIMPLEX_XATOL = 1e-10
+SIMPLEX_BUDGET = 200  # evaluations per coordinate
 
 
 class QfiError(ValueError):
@@ -134,6 +135,78 @@ def _inner(ks, dks, s, minimizer=True):
     return value, (-(e @ x @ eh) if minimizer else None)
 
 
+class _BudgetSpent(Exception):
+    """The simplex asked for more evaluations than its budget."""
+
+
+def _simplex_min(f, x0, fatol):
+    """Nelder-Mead minimizer of f from x0 with xatol SIMPLEX_XATOL, the given
+    fatol and a budget of SIMPLEX_BUDGET * n evaluations.
+
+    It repeats the reference implementation that tests/test_qfi.py compares
+    it with, step for step, so both return the same point bit for bit: the
+    initial simplex moves each coordinate by 5 % (a zero one to 0.00025), the
+    coefficients are reflection 1, expansion 2, contraction and shrink 1/2,
+    vertices are ordered by np.argsort, and both tolerances are tested before
+    each step. The evaluation that would exceed the budget abandons its step;
+    vertices a shrink already moved stay moved, with their old values.
+    """
+    x0 = np.asarray(x0, dtype=float)
+    n = len(x0)
+    left = SIMPLEX_BUDGET * n
+
+    def fun(x):
+        nonlocal left
+        if left == 0:
+            raise _BudgetSpent
+        left -= 1
+        return f(x)
+
+    def ordered(sim, fsim):
+        ind = np.argsort(fsim)
+        return sim[ind], fsim[ind]
+
+    sim = np.tile(x0, (n + 1, 1))
+    for k in range(n):
+        sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
+    fsim = np.array([fun(x) for x in sim], dtype=float)
+    # ordered twice, as in the reference: argsort need not keep ties in place
+    sim, fsim = ordered(*ordered(sim, fsim))
+    while left > 0:
+        if (np.max(np.abs(sim[1:] - sim[0])) <= SIMPLEX_XATOL
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+            break
+        try:
+            xbar = np.add.reduce(sim[:-1], 0) / n
+            xr = 2 * xbar - sim[-1]
+            fxr = fun(xr)
+            if fxr < fsim[0]:
+                xe = 3 * xbar - 2 * sim[-1]
+                fxe = fun(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:  # contract outside
+                    xc = 1.5 * xbar - 0.5 * sim[-1]
+                    fxc = fun(xc)
+                    shrink = not fxc <= fxr
+                else:  # contract inside
+                    xc = 0.5 * xbar + 0.5 * sim[-1]
+                    fxc = fun(xc)
+                    shrink = not fxc < fsim[-1]
+                if not shrink:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    for j in range(1, n + 1):
+                        sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                        fsim[j] = fun(sim[j])
+        except _BudgetSpent:
+            pass
+        sim, fsim = ordered(sim, fsim)
+    return sim[0]
+
+
 def _bloch_ket(theta, beta):
     return np.array([np.cos(theta / 2), np.exp(1j * beta) * np.sin(theta / 2)])
 
@@ -184,9 +257,7 @@ def channel_qfi_minimax(fam, extended=True, phi0=0.0):
     # degenerate maxima: the lexicographically smallest Bloch vector among them
     near = np.flatnonzero(vals >= vals.max() - 1e-12)
     pick = near[np.argmin(rank[near])]
-    ref = minimize(loss, x0=(thetas[pick], betas[pick]), method="Nelder-Mead",
-                   options={"xatol": 1e-10, "fatol": 1e-12, "maxfev": 400})
-    ket = _bloch_ket(*ref.x)
+    ket = _bloch_ket(*_simplex_min(loss, (thetas[pick], betas[pick]), fatol=1e-12))
     value, h = _inner(ks, dks, ket[:, None])
     return QfiResult(value=float(value), optimal_input=np.outer(ket, ket.conj()),
                      optimal_h=GeneratorH(h))
@@ -222,16 +293,15 @@ def channel_qfi_supremum(fam, phi0=0.0):
         w, u = np.linalg.eigh(_ball_state(v))
         return (u * np.sqrt(np.clip(w, 0, None))) @ u.conj().T
 
-    ascent = minimize(lambda v: -_inner(ks, dks, root(v), minimizer=False)[0],
-                      x0=np.zeros(3), method="Nelder-Mead",
-                      options={"xatol": 1e-10, "fatol": 1e-14})
-    value, h = _inner(ks, dks, root(ascent.x))
+    top = _simplex_min(lambda v: -_inner(ks, dks, root(v), minimizer=False)[0],
+                       np.zeros(3), fatol=1e-14)
+    value, h = _inner(ks, dks, root(top))
     rot = rotate_kraus(fam, h, phi0)
     dual = 4 * np.linalg.eigvalsh(np.einsum('ilk,ilm->km', rot.conj(), rot))[-1]
     if dual - value > DUALITY_GAP_TOL:
         raise ConvergenceError(
             f"duality gap {dual - value:.2e} exceeds {DUALITY_GAP_TOL:g}")
-    return QfiResult(value=float(value), optimal_input=_ball_state(ascent.x),
+    return QfiResult(value=float(value), optimal_input=_ball_state(top),
                      optimal_h=GeneratorH(h))
 
 

@@ -146,6 +146,19 @@ def test_error_curve_validation():
         assert main(base + [f"--phi={phi}"]) == EXIT_CONFIG
 
 
+def test_error_curve_repetition_cap(monkeypatch, capsys):
+    # the Monte-Carlo is replaced, so neither call allocates any counts
+    seen = []
+    monkeypatch.setattr(cli, "error_curve",
+                        lambda *a, repetitions, **kw: seen.append(repetitions) or [])
+    base = ["error-curve", "--scheme", "ad_single_bare", "--grid", "0.5"]
+    assert main(base + ["--reps", str(cli.MAX_REPETITIONS)]) == EXIT_OK
+    assert main(base + ["--reps", "1000000000000"]) == EXIT_CONFIG
+    assert seen == [cli.MAX_REPETITIONS]
+    assert capsys.readouterr().err == ("error: invalid configuration: repetitions "
+                                       "must be at most 1000000\n")
+
+
 def test_error_curve_rejects_negative_seed(capsys):
     argv = ["error-curve", "--scheme", "ad_single_bare", "--grid", "0.2",
             "--seed", "-1"]
@@ -218,6 +231,14 @@ def test_qpt_rejects_single_resample(tmp_path, capsys):
     assert main(["qpt", "--channel", "ad", "--grid", "0.5", "--resamples", "1",
                  "--out", str(tmp_path / "qpt.csv")]) == EXIT_CONFIG
     assert "resamples must be at least 2" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_qpt_rejects_grid_with_colliding_chi_names(tmp_path, capsys):
+    # both points print as 0.123456, so their chi files would share a name
+    assert main(["qpt", "--channel", "ad", "--exact", "--grid", "0.1234561,0.1234562",
+                 "--out", str(tmp_path / "q.csv")]) == EXIT_CONFIG
+    assert "chi files would share a name" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 

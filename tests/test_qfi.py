@@ -5,13 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
+from scipy.optimize import minimize
 
 from conftest import bell_state, rand_herm
 from qmetro.channels import (ChannelError, KrausChannel, PhaseChannelFamily,
                              amplitude_damping, depolarizing, evolve,
                              general_pauli, random_channel, rotate_kraus)
 from qmetro.linalg import herm_from_params, projector
-from qmetro.qfi import (QfiError, _bloch_grid, _inner, channel_qfi_minimax,
+from qmetro.qfi import (SIMPLEX_BUDGET, SIMPLEX_XATOL, QfiError, _bloch_grid,
+                        _inner, _simplex_min, channel_qfi_minimax,
                         channel_qfi_supremum, closed_form_qfi, cramer_rao,
                         qfi_from_matrix_elements, sld_qfi,
                         two_probe_collective_ad_qfi, two_probe_sld_oracle)
@@ -373,6 +375,48 @@ def test_inner_on_full_grid():
     # the bare search compares its polish with the stacked grid value
     single = [_inner(ks, dks, ket[:, None])[0] for ket in kets]
     assert vals.tolist() == single
+
+
+# ------------------------------------------------------------------ simplex
+
+def simplex_objectives():
+    """Fresh test objectives by name; "noise" keeps state between calls."""
+    rng = np.random.default_rng(7)
+    return {
+        "quadratic": lambda x: np.sum((x - [0.3, -1.2, 0.7][:len(x)]) ** 2),
+        "rosenbrock": lambda x: np.sum(100 * (x[1:] - x[:-1] ** 2) ** 2
+                                       + (1 - x[:-1]) ** 2),
+        # piecewise constant: ties in the ordering, contractions and shrinks
+        "terraces": lambda x: np.floor(4 * np.linalg.norm(x - 0.5)),
+        # unbounded below: the budget runs out, for n = 2 in the middle of a step
+        "cone": lambda x: -np.linalg.norm(x),
+        # a new value on every call, even at the same point: the simplex never
+        # converges, and the budget often runs out in the middle of a shrink
+        "noise": lambda x: rng.random(),
+    }
+
+
+# exact zeros take the 0.00025 branch of the initial simplex; other
+# coordinates are at least 1e-3, so that no start has already converged
+SIMPLEX_STARTS = st.integers(2, 3).flatmap(lambda n: st.lists(
+    st.one_of(st.just(0.0), st.floats(1e-3, 3), st.floats(-3, -1e-3)),
+    min_size=n, max_size=n))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(sorted(simplex_objectives())), SIMPLEX_STARTS,
+       st.sampled_from([1e-12, 1e-14]))
+def test_simplex_matches_reference_nelder_mead(name, x0, fatol):
+    f = simplex_objectives()[name]
+    calls = []
+    x = _simplex_min(lambda v: calls.append(1) or f(v), x0, fatol)
+    ref = minimize(simplex_objectives()[name], x0, method="Nelder-Mead",
+                   options={"xatol": SIMPLEX_XATOL, "fatol": fatol,
+                            "maxfev": SIMPLEX_BUDGET * len(x0)})
+    assert x.tobytes() == ref.x.tobytes()
+    assert len(calls) == ref.nfev
+    if name in ("cone", "noise"):
+        assert ref.nfev == SIMPLEX_BUDGET * len(x0)
 
 
 # ------------------------------------------------------------ two-probe QFI
