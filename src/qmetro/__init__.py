@@ -26,7 +26,7 @@ from .circuits import (CircuitError, FlaggedOutputReport, VarianceReport,
 from .estimation import (SCHEMES, EstimationError, MeasurementModel,
                          TrialEnsemble, ErrorReport, classical_fisher,
                          error_curve, estimate_phase, model_for,
-                         probabilities, run_experiment, sample_counts)
+                         probabilities, run_experiment)
 from .optics import (ModeSpace, OpticalElement, OpticalNetwork, OpticsError,
                      apply_network, build_ad_network, build_pauli_network,
                      damping_plate_angle, element_unitary, extract_channel,

@@ -153,15 +153,6 @@ def classical_fisher(model, phi):
     return float((dp[mask] ** 2 / p[mask]).sum())
 
 
-def sample_counts(model, phi, events, seed):
-    """One multinomial acquisition. seed may be an int or a sequence of ints."""
-    if events < 1:
-        raise EstimationError("events must be at least 1")
-    p = probabilities(model, phi)
-    rng = np.random.default_rng(seed)
-    return rng.multinomial(events, p / p.sum())
-
-
 def _contrast(model):
     eta = model.noise_param
     if model.scheme in ("ad_single_assisted", "ad_single_bare"):

@@ -220,17 +220,48 @@ def _bloch_vector(theta, beta):
 @lru_cache(maxsize=None)
 def _bloch_grid():
     """The bare search's grid in scan order: theta and beta of each point, its
-    ket, and the lexicographic rank of its Bloch vector rounded to 9 digits
-    (equal vectors share a rank)."""
+    Bloch vector, and the lexicographic rank of that vector rounded to 9
+    digits (equal vectors share a rank)."""
     thetas, betas = (a.ravel() for a in np.meshgrid(
         np.linspace(0, np.pi, BLOCH_GRID),
         np.linspace(0, 2 * np.pi, BLOCH_GRID, endpoint=False), indexing="ij"))
-    rank = np.unique(np.round(_bloch_vector(thetas, betas).T, 9), axis=0,
-                     return_inverse=True)[1].ravel()
-    grid = (thetas, betas, _bloch_ket(thetas, betas).T, rank)
+    vectors = _bloch_vector(thetas, betas).T
+    rank = np.unique(np.round(vectors, 9), axis=0, return_inverse=True)[1].ravel()
+    grid = (thetas, betas, vectors, rank)
     for a in grid:
         a.flags.writeable = False
     return grid
+
+
+def _bloch_information(ks, dks, r0):
+    """SLD information of the output at the pure inputs with Bloch vectors r0
+    (n, 3), which for a pure input is _inner's minimum over Kraus
+    representations (Fujiwara & Imai, J. Phys. A 41, 255304 (2008); Escher,
+    de Matos Filho & Davidovich, Nat. Phys. 7, 406 (2011)).
+
+    rho -> sum_i K_i rho K_i^dag is the affine Bloch map r = M r0 + c, and its
+    phase derivative dr = dM r0 + dc comes from sum_i dK_i rho K_i^dag + h.c.;
+    both are read off t_nab = sum_i tr(sigma_a X_i sigma_b K_i^dag), X = K or
+    dK. A qubit state's information is |dr|^2 + (r.dr)^2 / (1 - |r|^2), the
+    second term dropped where 1 - |r|^2 <= SUPPORT_CUTOFF (pure output).
+    """
+    t = np.einsum('aij,nmjk,bkl,mil->nab', PAULIS, np.stack([ks, dks]),
+                  PAULIS, ks.conj()).real
+    # rho = (I + r0.sigma) / 2 halves both sums; the derivative's two terms
+    # are complex conjugates, which doubles its real part back
+    t[0] /= 2
+    r, dr = r0 @ t[:, 1:, 1:].swapaxes(1, 2) + t[:, None, 1:, 0]
+    gap = 1 - np.einsum('ni,ni->n', r, r)
+    mixed = gap > SUPPORT_CUTOFF
+    return (np.einsum('ni,ni->n', dr, dr)
+            + mixed * np.einsum('ni,ni->n', r, dr) ** 2 / np.where(mixed, gap, 1.0))
+
+
+def _grid_pick(vals):
+    """Index of the grid maximum; degenerate maxima go to the lexicographically
+    smallest Bloch vector among them."""
+    near = np.flatnonzero(vals >= vals.max() - 1e-12)
+    return near[np.argmin(_bloch_grid()[3][near])]
 
 
 def channel_qfi_minimax(fam, extended=True, phi0=0.0):
@@ -238,9 +269,12 @@ def channel_qfi_minimax(fam, extended=True, phi0=0.0):
 
     extended=True: the ancilla-assisted value, evaluated at the balanced
     maximally entangled probe (S = I/sqrt(2) in _inner). extended=False:
-    maximum over pure single-probe inputs of the inner representation minimum
-    (stacked over a BLOCH_GRID x BLOCH_GRID Bloch grid, then simplex
-    refinement).
+    maximum over pure single-probe inputs of the inner representation minimum.
+    For a pure input that minimum is the SLD information of the qubit output,
+    so the BLOCH_GRID x BLOCH_GRID grid is scored in closed form from one
+    affine Bloch map (_bloch_information); the simplex then polishes the
+    grid's best point with single-ket _inner solves, and the value is the
+    _inner minimum at the polished ket.
     """
     ks, dks = fam.composite(phi0)
     if extended:
@@ -250,13 +284,8 @@ def channel_qfi_minimax(fam, extended=True, phi0=0.0):
     def loss(ang):
         return -_inner(ks, dks, _bloch_ket(*ang)[:, None], minimizer=False)[0]
 
-    thetas, betas, kets, rank = _bloch_grid()
-    # in 16 slices, so that the stacked (n, m, m) temporaries stay under 1 MB
-    vals = np.concatenate([_inner(ks, dks, part[..., None], minimizer=False)[0]
-                           for part in np.array_split(kets, 16)])
-    # degenerate maxima: the lexicographically smallest Bloch vector among them
-    near = np.flatnonzero(vals >= vals.max() - 1e-12)
-    pick = near[np.argmin(rank[near])]
+    thetas, betas, vectors, _ = _bloch_grid()
+    pick = _grid_pick(_bloch_information(ks, dks, vectors))
     ket = _bloch_ket(*_simplex_min(loss, (thetas[pick], betas[pick]), fatol=1e-12))
     value, h = _inner(ks, dks, ket[:, None])
     return QfiResult(value=float(value), optimal_input=np.outer(ket, ket.conj()),

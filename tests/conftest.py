@@ -16,3 +16,51 @@ def bell_state():
     psi = np.zeros(4, dtype=complex)
     psi[0] = psi[3] = 1 / np.sqrt(2)
     return np.outer(psi, psi.conj())
+
+
+def params_from_herm(h):
+    """Inverse of qmetro.linalg.herm_from_params; h must be Hermitian."""
+    h = np.asarray(h)
+    m = h.shape[0]
+    if np.abs(h - h.conj().T).max() > 1e-12:
+        raise ValueError("matrix is not Hermitian")
+    out = np.empty(m * m)
+    out[:m] = np.diag(h).real
+    k = m
+    for a in range(m):
+        for b in range(a + 1, m):
+            out[k] = h[a, b].real
+            out[k + 1] = h[a, b].imag
+            k += 2
+    return out
+
+
+def partial_trace(m, dims, keep):
+    """Trace out the tensor factors not listed in keep.
+
+    dims lists the factor dimensions whose product is the matrix size; keep is
+    an iterable of factor indices to retain, in their original order.
+    """
+    m = np.asarray(m)
+    dims = list(dims)
+    n = len(dims)
+    if m.shape != (int(np.prod(dims)),) * 2:
+        raise ValueError(f"matrix shape {m.shape} does not factor as {dims}")
+    keep = sorted(set(keep))
+    if not all(0 <= k < n for k in keep):
+        raise ValueError(f"keep indices {keep} out of range for {n} factors")
+    t = m.reshape(dims + dims)
+    for q in reversed(range(n)):
+        if q not in keep:
+            t = np.trace(t, axis1=q, axis2=q + (t.ndim // 2))
+    d_keep = int(np.prod([dims[k] for k in keep], dtype=int))
+    return t.reshape(d_keep, d_keep)
+
+
+def is_density_matrix(rho, tol=1e-9):
+    rho = np.asarray(rho)
+    if np.abs(rho - rho.conj().T).max() > tol:
+        return False
+    if abs(np.trace(rho).real - 1) > tol:
+        return False
+    return np.linalg.eigvalsh(rho).min() > -tol

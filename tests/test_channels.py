@@ -4,14 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from conftest import bell_state, rand_herm, rand_rho
+from conftest import bell_state, partial_trace, rand_herm, rand_rho
 from qmetro.channels import (ChannelError, GeneratorH, KrausChannel,
                              PhaseChannelFamily, amplitude_damping,
                              choi_matrix, depolarizing, evolve,
                              extend_with_ancilla, general_pauli,
                              kraus_from_choi, phase_unitary, random_channel,
                              rotate_kraus)
-from qmetro.linalg import PAULI_X, partial_trace, projector
+from qmetro.linalg import PAULI_X, projector
 
 PLUS = projector(np.array([1, 1]) / np.sqrt(2))
 

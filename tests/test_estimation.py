@@ -5,8 +5,7 @@ from qmetro.estimation import (DEFAULT_VISIBILITY, SCHEMES, EstimationError,
                                classical_fisher, default_events,
                                error_curve, estimate_phase,
                                is_two_probe, model_for, probabilities,
-                               probability_derivatives, run_experiment,
-                               sample_counts)
+                               probability_derivatives, run_experiment)
 from qmetro.cli import format_csv
 from qmetro.qfi import closed_form_qfi, two_probe_collective_ad_qfi
 
@@ -141,26 +140,25 @@ def test_fisher_matches_channel_information():
 
 # -------------------------------------------------------------- acquisition
 
-def test_sample_counts_deterministic():
+def test_run_experiment_counts_deterministic():
     m = model_for("ad_single_assisted", 0.4, visibility=1.0)
-    a = sample_counts(m, 0.1, 5000, seed=7)
-    b = sample_counts(m, 0.1, 5000, seed=7)
+    a, b, c = (run_experiment(m, 0.1, 5000, repetitions=2, seed=s, bootstrap=2)[0].counts
+               for s in (7, 7, 8))
     assert np.array_equal(a, b)
-    assert a.sum() == 5000
-    c = sample_counts(m, 0.1, 5000, seed=8)
+    assert (a.sum(axis=1) == 5000).all()
     assert not np.array_equal(a, c)
 
 
-def test_sample_counts_rejects_empty():
+def test_run_experiment_rejects_empty():
     m = model_for("ad_single_assisted", 0.4)
     with pytest.raises(EstimationError):
-        sample_counts(m, 0.0, 0, seed=0)
+        run_experiment(m, 0.0, 0, seed=0)
 
 
-def test_sample_counts_law_of_large_numbers():
+def test_run_experiment_law_of_large_numbers():
     m = model_for("depol_single_assisted", 0.3, visibility=0.99)
     events = 1_000_000
-    counts = sample_counts(m, 0.25, events, seed=5)
+    counts = run_experiment(m, 0.25, events, repetitions=2, seed=5, bootstrap=2)[0].counts
     p = probabilities(m, 0.25)
     sigma = np.sqrt(np.maximum(p * (1 - p) * events, 1.0))
     assert (np.abs(counts - p * events) < 5 * sigma).all()

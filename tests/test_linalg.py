@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bell_state, rand_herm, rand_rho
+from conftest import (bell_state, is_density_matrix, params_from_herm,
+                      partial_trace, rand_herm, rand_rho)
 from qmetro.linalg import (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, PAULIS,
-                           herm_from_params, is_density_matrix, nearest_psd,
-                           params_from_herm, partial_trace, pauli_basis,
+                           herm_from_params, nearest_psd, pauli_basis,
                            projector, substream_states, substreams)
 
 

@@ -11,9 +11,11 @@ from conftest import bell_state, rand_herm
 from qmetro.channels import (ChannelError, KrausChannel, PhaseChannelFamily,
                              amplitude_damping, depolarizing, evolve,
                              general_pauli, random_channel, rotate_kraus)
-from qmetro.linalg import herm_from_params, projector
+from qmetro.linalg import PAULIS, herm_from_params, projector
+from qmetro import qfi
 from qmetro.qfi import (SIMPLEX_BUDGET, SIMPLEX_XATOL, QfiError, _bloch_grid,
-                        _inner, _simplex_min, channel_qfi_minimax,
+                        _bloch_information, _bloch_ket, _grid_pick, _inner,
+                        _simplex_min, channel_qfi_minimax,
                         channel_qfi_supremum, closed_form_qfi, cramer_rao,
                         qfi_from_matrix_elements, sld_qfi,
                         two_probe_collective_ad_qfi, two_probe_sld_oracle)
@@ -266,12 +268,17 @@ def test_minimax_independent_of_phase_point(ch, phi0):
         assert abs(here - channel_qfi_minimax(fam, extended).value) < 1e-6
 
 
-# 16 pairs: the bare search over a 16-operator composition takes ~0.3 s
+def composed(first, second):
+    """second after first: the Kraus products B_j A_i."""
+    return KrausChannel((second.kraus[:, None] @ first.kraus[None]).reshape(-1, 2, 2))
+
+
+# 16 pairs, each with up to 16 Kraus products
 @settings(max_examples=16, deadline=None, derandomize=True, database=None)
 @given(NOISY_CHANNELS, NOISY_CHANNELS)
 def test_later_noise_never_adds_information(first, second):
-    # data processing: N2 after N1 has the Kraus products B_j A_i
-    both = KrausChannel((second.kraus[:, None] @ first.kraus[None]).reshape(-1, 2, 2))
+    # data processing: the composed channel carries no more information
+    both = composed(first, second)
     before, after = ([channel_qfi_minimax(fam, extended=True).value,
                       channel_qfi_minimax(fam, extended=False).value,
                       channel_qfi_supremum(fam).value]
@@ -323,6 +330,14 @@ def _objective(ks, dks, h, s):
                    for dk, row in zip(dks, h))
 
 
+@lru_cache(maxsize=None)
+def _grid_kets():
+    """The (4096, 2) kets of the bare search's Bloch grid, in scan order."""
+    kets = _bloch_ket(*_bloch_grid()[:2]).T
+    kets.flags.writeable = False
+    return kets
+
+
 def _probes(rng):
     """Probe matrices S of both shapes _inner takes: kets (d, 1), and square
     roots of rank-1, rank-2 and maximally mixed states (d, d)."""
@@ -340,7 +355,7 @@ def test_inner_matches_lstsq_reference(ch, seed, phi):
     ks, dks = PhaseChannelFamily(ch).composite(phi)
     rng = np.random.default_rng(seed)
     # kets of the minimax's Bloch grid as one stack, then single probes of both shapes
-    grid = _bloch_grid()[2]
+    grid = _grid_kets()
     kets = grid[rng.integers(0, len(grid), 48), :, None]
     cases = list(zip(kets, *_inner(ks, dks, kets)))
     cases += [(s, *_inner(ks, dks, s)) for s in _probes(rng)]
@@ -368,13 +383,57 @@ def test_inner_on_full_grid():
     # four Kraus operators on a qubit: the Gram matrix has rank 2 at every ket,
     # and at a few grid kets round-off leaves both null eigenvalues tiny and positive
     ks, dks = PhaseChannelFamily(depolarizing(0.5)).composite(0.0)
-    kets = _bloch_grid()[2]
+    kets = _grid_kets()
     vals = _inner(ks, dks, kets[..., None], minimizer=False)[0]
     ref = [_rotation_lstsq(ks, dks, ket[:, None])[0] for ket in kets]
     assert np.abs(vals - ref).max() <= 1e-12
-    # the bare search compares its polish with the stacked grid value
+    # a stack of kets is solved exactly as one ket at a time
     single = [_inner(ks, dks, ket[:, None])[0] for ket in kets]
     assert vals.tolist() == single
+
+
+# up to 16 Kraus operators
+NOISE_PRODUCTS = st.tuples(NOISY_CHANNELS, NOISY_CHANNELS).map(lambda c: composed(*c))
+
+
+@settings(max_examples=24, deadline=None, derandomize=True, database=None)
+@given(st.one_of(PROBE_FAMILIES, NOISE_PRODUCTS), st.integers(0, 2 ** 32 - 1),
+       st.floats(0, 2 * np.pi))
+def test_bloch_grid_matches_inner(ch, seed, phi):
+    ks, dks = PhaseChannelFamily(ch).composite(phi)
+    vals = _bloch_information(ks, dks, _bloch_grid()[2])
+    # the stacked inner solve over the grid, 256 kets at a time
+    ref = np.concatenate([_inner(ks, dks, part[..., None], minimizer=False)[0]
+                          for part in np.array_split(_grid_kets(), 16)])
+    assert np.abs(vals - ref).max() <= 1e-11
+    # the polish starts where the inner solve over the grid would have started
+    pick = _grid_pick(vals)
+    assert pick == _grid_pick(ref)
+    rng = np.random.default_rng(seed)
+    for i in [pick, *rng.integers(0, len(vals), 4)]:
+        assert abs(vals[i] - _inner(ks, dks, _grid_kets()[i, :, None])[0]) <= 1e-11
+    # independent route at random kets: the SLD information of the output
+    for g in rng.standard_normal((4, 2, 2)):
+        ket = (g[0] + 1j * g[1]) / np.linalg.norm(g)
+        r0 = [np.trace(p @ np.outer(ket, ket.conj())).real for p in PAULIS[1:]]
+        sld, _ = sld_qfi(*evolve(np.outer(ket, ket.conj()), ks, dks))
+        assert abs(_bloch_information(ks, dks, np.array([r0]))[0] - sld.value) <= 1e-10
+
+
+def test_bare_search_solves_single_kets_only(monkeypatch):
+    # the grid is scored in the Bloch picture; the inner solve sees one ket at a time
+    shapes = []
+
+    def spy(ks, dks, s, minimizer=True):
+        shapes.append(s.shape)
+        return _inner(ks, dks, s, minimizer)
+
+    monkeypatch.setattr(qfi, "_inner", spy)
+    for ch in (amplitude_damping(0.5), depolarizing(0.5),
+               composed(general_pauli([0.6, 0.1, 0.2, 0.1]), depolarizing(0.3))):
+        shapes.clear()
+        channel_qfi_minimax(PhaseChannelFamily(ch), extended=False)
+        assert shapes and set(shapes) == {(2, 1)}
 
 
 # ------------------------------------------------------------------ simplex
