@@ -23,7 +23,7 @@ from .circuits import (CircuitError, FlaggedOutputReport, VarianceReport,
                        build_flagged_channel, conjugation_residual,
                        flagged_variance, variance_consistency_check,
                        verify_flagged_output)
-from .estimation import (SCHEMES, EstimationError, MeasurementModel,
+from .estimation import (SCHEMES, EstimationError, MeasurementModel, Scheme,
                          TrialEnsemble, ErrorReport, classical_fisher,
                          error_curve, estimate_phase, model_for,
                          probabilities, run_experiment)
@@ -34,7 +34,7 @@ from .optics import (ModeSpace, OpticalElement, OpticalNetwork, OpticsError,
                      solve_pauli_angles)
 from .qfi import (ConvergenceError, QfiError, QfiResult, SldOperator,
                   channel_qfi_minimax, channel_qfi_supremum, closed_form_qfi,
-                  cramer_rao, qfi_from_matrix_elements, sld_qfi,
+                  qfi_from_matrix_elements, sld_qfi,
                   two_probe_collective_ad_qfi, two_probe_sld_oracle)
 from .tomography import (ChiMatrix, FidelityReport, QptDataset,
                          TomographyError, born_probabilities, chi_apply,

@@ -80,7 +80,7 @@ def verify_flagged_output(p, phi):
     offdiag[np.ix_([0, 2], [0, 2])] = 0
     offdiag[np.ix_([1, 3], [1, 3])] = 0
 
-    q = (p / 2) / (1 - p / 2) if p < 2 else 1.0
+    q = (p / 2) / (1 - p / 2)
     cond_pred = (1 - q) * probe + q * np.eye(2) / 2
     cond_res = float(np.abs(block0 / w0 - cond_pred).max()) if w0 > 0 else 0.0
 

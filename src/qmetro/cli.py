@@ -40,6 +40,10 @@ MAX_GRID_POINTS = 10_000
 # more repetitions are rejected before the counts array is allocated; 20x the
 # largest count the acceptance criteria use (50 000)
 MAX_REPETITIONS = 1_000_000
+# larger event and shot counts are rejected before any sampling: the qpt
+# uncertainty redraws every count from a Poisson law, and numpy refuses a mean
+# above about 9.2e18 (the int64 range less ten standard deviations)
+MAX_COUNTS = 10 ** 18
 
 
 class ConfigError(ValueError):
@@ -73,6 +77,13 @@ def parse_grid(text):
 def _check_noise_range(values):
     if np.any(values < 0) or np.any(values > 1):
         raise ConfigError("noise values must lie in [0, 1]")
+
+
+def _check_count(name, value, low, high):
+    if value < low:
+        raise ConfigError(f"{name} must be at least {low}")
+    if value > high:
+        raise ConfigError(f"{name} must be at most {high}")
 
 
 def _check_seed(seed):
@@ -130,26 +141,24 @@ def cmd_qfi_curve(args):
 def cmd_error_curve(args):
     grid = parse_grid(args.grid)
     _check_noise_range(grid)
-    if args.reps < 2:
-        raise ConfigError("repetitions must be at least 2")
-    if args.reps > MAX_REPETITIONS:
-        raise ConfigError(f"repetitions must be at most {MAX_REPETITIONS}")
-    if args.events is not None and args.events < 1:
-        raise ConfigError("events must be at least 1")
+    _check_count("repetitions", args.reps, 2, MAX_REPETITIONS)
+    if args.events is not None:
+        _check_count("events", args.events, 1, MAX_COUNTS)
     if not np.isfinite(args.phi):
         raise ConfigError(f"phi must be finite, got {args.phi}")
     _check_seed(args.seed)
     rows = error_curve(args.scheme, grid, visibility=args.visibility,
                        events=args.events, repetitions=args.reps,
                        seed=args.seed, phi_true=args.phi)
-    # theory curves for the scheme pair, at the same visibility
-    stem = args.scheme.rsplit("_", 1)[0]
+    # theory curves for the assisted and bare schemes with this one's noise
+    # and probe count, at the same visibility
+    spec = SCHEMES[args.scheme]
+    theory = {f"theory_{'assisted' if s.assisted else 'bare'}": name
+              for name, s in SCHEMES.items() if (s.noise, s.probes) == (spec.noise, spec.probes)}
     for row in rows:
-        for variant in ("assisted", "bare"):
-            model = model_for(f"{stem}_{variant}", row["noise"], args.visibility)
-            fisher = classical_fisher(model, 0.0)
-            row[f"theory_{variant}"] = (1 / np.sqrt(fisher)
-                                        if fisher > 0 else float("inf"))
+        for column, name in theory.items():
+            fisher = classical_fisher(model_for(name, row["noise"], args.visibility), 0.0)
+            row[column] = 1 / np.sqrt(fisher) if fisher > 0 else float("inf")
     header = ["noise", "sqrt_nu_dphi", "bootstrap_std", "cr_bound",
               "theory_assisted", "theory_bare", "shot_noise"]
     _emit_rows(header, rows, args)
@@ -159,12 +168,9 @@ def cmd_error_curve(args):
 def cmd_qpt(args):
     grid = parse_grid(args.grid)
     _check_noise_range(grid)
-    if args.shots < 1:
-        raise ConfigError("shots must be at least 1")
-    if args.resamples < 2:
-        raise ConfigError("resamples must be at least 2")
+    _check_count("shots", args.shots, 1, MAX_COUNTS)
+    _check_count("resamples", args.resamples, 2, MAX_REPETITIONS)
     _check_seed(args.seed)
-    extended = not args.single
     stem = args.out[:-4] if args.out.endswith(".csv") else args.out
     tags = [f"{stem}_noise{noise:g}" for noise in grid]
     if len(set(tags)) < len(tags):
@@ -173,15 +179,14 @@ def cmd_qpt(args):
     rows = []
     for noise, tag in zip(grid, tags):
         ch = NOISE[args.channel](noise)
-        if extended:
+        if not args.single:
             ch = extend_with_ancilla(ch)
         chi_th = chi_theory(ch)
         if args.exact:
-            chi_exp = reconstruct_from_probabilities(born_probabilities(ch, extended))
+            chi_exp = reconstruct_from_probabilities(born_probabilities(ch))
             std = 0.0
         else:
-            data = simulate_qpt(ch, extended=extended, shots=args.shots,
-                                seed=args.seed)
+            data = simulate_qpt(ch, shots=args.shots, seed=args.seed)
             chi_exp = reconstruct_chi(data)
             std = poisson_uncertainty(data, chi_ref=chi_th,
                                       resamples=args.resamples, seed=args.seed)

@@ -13,44 +13,44 @@ import numpy as np
 from .channels import NOISE, PhaseChannelFamily, evolve
 from .linalg import projector, substreams
 
-SCHEMES = (
-    "ad_single_assisted",
-    "depol_single_assisted",
-    "ad_two_probe_assisted",
-    "ad_single_bare",
-    "depol_single_bare",
-    "ad_two_probe_bare",
-)
-
-DEFAULT_VISIBILITY = {
-    "ad_single_assisted": 0.9969,
-    "ad_single_bare": 0.9969,
-    "depol_single_assisted": 0.9928,
-    "depol_single_bare": 0.9928,
-    "ad_two_probe_assisted": 0.9699,
-    "ad_two_probe_bare": 0.9699,
-}
-
-_OUTCOME_LABELS = {
-    "ad_single_assisted": ("(HU+iVD)/sqrt2", "(HU-iVD)/sqrt2", "HD", "VU"),
-    "depol_single_assisted": ("(HU+iVD)/sqrt2", "(HU-iVD)/sqrt2", "err_a", "err_b"),
-    "ad_two_probe_assisted": ("plus", "minus", "double_decay", "decay_01", "decay_10"),
-    "ad_single_bare": ("(H+iV)/sqrt2", "(H-iV)/sqrt2"),
-    "depol_single_bare": ("(H+iV)/sqrt2", "(H-iV)/sqrt2"),
-    "ad_two_probe_bare": ("(HH-iVV)/sqrt2", "(HH+iVV)/sqrt2", "decay_01", "decay_10"),
-}
-
 
 class EstimationError(ValueError):
     pass
 
 
-def is_two_probe(scheme):
-    return "two_probe" in scheme
+@dataclass(frozen=True)
+class Scheme:
+    """One readout scheme: the `channels.NOISE` family it runs under, the
+    probes it sends through the channel, whether an entangled ancilla assists,
+    the interference visibility of its optical setup, and its outcome labels."""
+
+    noise: str
+    probes: int
+    assisted: bool
+    visibility: float
+    outcome_labels: tuple
+
+    @property
+    def default_events(self):
+        """Events per repetition when a run does not set them."""
+        return 2000 if self.probes == 2 else 20000
 
 
-def default_events(scheme):
-    return 2000 if is_two_probe(scheme) else 20000
+# one interference visibility per optical setup, shared by both variants
+SCHEMES = {
+    "ad_single_assisted": Scheme(
+        "ad", 1, True, 0.9969, ("(HU+iVD)/sqrt2", "(HU-iVD)/sqrt2", "HD", "VU")),
+    "depol_single_assisted": Scheme(
+        "depol", 1, True, 0.9928, ("(HU+iVD)/sqrt2", "(HU-iVD)/sqrt2", "err_a", "err_b")),
+    "ad_two_probe_assisted": Scheme(
+        "ad", 2, True, 0.9699, ("plus", "minus", "double_decay", "decay_01", "decay_10")),
+    "ad_single_bare": Scheme(
+        "ad", 1, False, 0.9969, ("(H+iV)/sqrt2", "(H-iV)/sqrt2")),
+    "depol_single_bare": Scheme(
+        "depol", 1, False, 0.9928, ("(H+iV)/sqrt2", "(H-iV)/sqrt2")),
+    "ad_two_probe_bare": Scheme(
+        "ad", 2, False, 0.9699, ("(HH-iVV)/sqrt2", "(HH+iVV)/sqrt2", "decay_01", "decay_10")),
+}
 
 
 @dataclass(frozen=True)
@@ -68,15 +68,20 @@ class MeasurementModel:
             raise EstimationError(f"visibility must lie in [0, 1], got {self.visibility}")
 
     @property
+    def spec(self):
+        """The scheme's record in `SCHEMES`."""
+        return SCHEMES[self.scheme]
+
+    @property
     def outcome_labels(self):
-        return _OUTCOME_LABELS[self.scheme]
+        return self.spec.outcome_labels
 
 
 def model_for(scheme, noise_param, visibility=None):
     if scheme not in SCHEMES:
         raise EstimationError(f"unknown scheme {scheme!r}")
     if visibility is None:
-        visibility = DEFAULT_VISIBILITY[scheme]
+        visibility = SCHEMES[scheme].visibility
     return MeasurementModel(scheme, float(noise_param), float(visibility))
 
 
@@ -99,10 +104,10 @@ _BARE_SETUPS = _bare_setups()
 
 
 def _bare_probs(model, phi, derivative=False):
-    n_probes = 2 if is_two_probe(model.scheme) else 1
-    rho_in, projs = _BARE_SETUPS[n_probes]
-    fam = PhaseChannelFamily(NOISE[model.scheme.split("_")[0]](model.noise_param))
-    ks, dks = fam.composite(phi, n_probes)
+    spec = model.spec
+    rho_in, projs = _BARE_SETUPS[spec.probes]
+    fam = PhaseChannelFamily(NOISE[spec.noise](model.noise_param))
+    ks, dks = fam.composite(phi, spec.probes)
     out = evolve(rho_in, ks, dks)[1] if derivative else evolve(rho_in, ks)
     return np.array([np.trace(pj @ out).real for pj in projs])
 
@@ -155,11 +160,8 @@ def classical_fisher(model, phi):
 
 def _contrast(model):
     eta = model.noise_param
-    if model.scheme in ("ad_single_assisted", "ad_single_bare"):
-        k = np.sqrt(1 - eta)
-    else:
-        k = 1 - eta
-    return model.visibility * k
+    single_ad = model.spec.noise == "ad" and model.spec.probes == 1
+    return model.visibility * (np.sqrt(1 - eta) if single_ad else 1 - eta)
 
 
 def _arcsine(model, counts):
@@ -174,7 +176,7 @@ def _arcsine(model, counts):
         raise EstimationError("zero contrast: the phase is invisible at these parameters")
     arg = np.clip((counts[..., 0] - counts[..., 1]) / (total * denom), -1.0, 1.0)
     estimates = np.arcsin(arg)
-    if is_two_probe(model.scheme):
+    if model.spec.probes == 2:
         # outcome 0 loses weight as the phase grows, and the doubled phase
         # halves on inversion
         estimates = -estimates / 2
@@ -191,9 +193,6 @@ def estimate_phase(model, counts):
 class TrialEnsemble:
     counts: np.ndarray     # (repetitions, n_outcomes)
     estimates: np.ndarray  # (repetitions,)
-    nu: float              # mean events per repetition
-    repetitions: int
-    seed: object
 
 
 @dataclass(frozen=True)
@@ -218,7 +217,7 @@ def run_experiment(model, phi_true=0.0, events=None, repetitions=100, seed=0,
     if repetitions < 2:
         raise EstimationError("need at least 2 repetitions")
     if events is None:
-        events = default_events(model.scheme)
+        events = model.spec.default_events
     if events < 1:
         raise EstimationError("events must be at least 1")
     base = _seed_list(seed)
@@ -241,12 +240,10 @@ def run_experiment(model, phi_true=0.0, events=None, repetitions=100, seed=0,
         sqrt_nu_dphi=float(stat),
         bootstrap_std=float(stats.std(ddof=1)),
         cr_bound=float(1 / np.sqrt(fisher)) if fisher > 0 else float("inf"),
-        shot_noise=1 / np.sqrt(2) if is_two_probe(model.scheme) else 1.0,
+        shot_noise=1 / np.sqrt(model.spec.probes),
         clamped=int(clamped.sum()),
     )
-    ensemble = TrialEnsemble(counts=counts, estimates=estimates, nu=float(events),
-                             repetitions=repetitions, seed=seed)
-    return ensemble, report
+    return TrialEnsemble(counts, estimates), report
 
 
 def error_curve(scheme, noise_grid, visibility=None, events=None, repetitions=100,

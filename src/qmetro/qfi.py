@@ -358,11 +358,3 @@ def qfi_from_matrix_elements(rho, kind):
             total += (2 * abs(rho[i, j])) ** 2 / pop
     return total
 
-
-def cramer_rao(j, nu):
-    """Phase-deviation lower bound 1/sqrt(nu * J)."""
-    if j <= 0:
-        raise QfiError(f"information must be positive, got {j}")
-    if nu < 1:
-        raise QfiError("repetition count must be at least 1")
-    return 1 / np.sqrt(nu * j)

@@ -2,6 +2,7 @@
 two-outcome measurement settings, multinomial counts, linear-inversion chi
 reconstruction with positivity projection, and process fidelity.
 """
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -23,30 +24,62 @@ class TomographyError(ValueError):
     pass
 
 
-def product_states(extended=True):
-    """Pure product states, 16 for probe+ancilla or 4 for one qubit: both the
-    preparations and the first member of each two-outcome projector pair (the
-    complement is implied)."""
+@dataclass(frozen=True)
+class _Design:
+    """Process tomography on a d-dimensional probe: a qubit (d = 2) or a qubit
+    with its ancilla (d = 4)."""
+
+    states: np.ndarray   # (d*d, d, d) preparations and measured projectors
+    basis: np.ndarray    # (d*d, d, d) Pauli operator basis of chi
+    inverse: np.ndarray  # outcome-0 probabilities -> chi, as a complex matrix
+
+
+@lru_cache(maxsize=None)
+def _design(d):
+    """The design on a d-dimensional probe, built once per dimension."""
+    if d not in (2, 4):
+        raise TomographyError(f"unsupported probe dimension {d}: the design covers "
+                              "a qubit (2) or a qubit with its ancilla (4)")
     single = [projector(k) for k in INPUT_KETS]
-    if not extended:
-        return np.stack(single)
-    return np.stack([np.kron(a, b) for a in single for b in single])
+    states = np.stack(single if d == 2 else [np.kron(a, b) for a in single for b in single])
+    basis = pauli_basis(d // 2)
+    # T[l, m, a, b] = Tr(P_m B_a rho_l B_b^dag); the projectors are the states
+    t = np.einsum('mij,ajk,lkn,bin->lmab', states, basis, states, basis.conj(),
+                  optimize=True)
+    amat = t.reshape(len(states) ** 2, len(basis) ** 2)
+    if np.linalg.cond(amat) > 1e9:
+        raise TomographyError("singular design matrix: input states or bases "
+                              "are not informationally complete")
+    inverse = np.linalg.inv(amat)
+    # shared by every caller, and `product_states` hands the states out
+    states.flags.writeable = inverse.flags.writeable = False
+    return _Design(states, basis, inverse)
+
+
+def product_states(d):
+    """Pure product states of the design on a d-dimensional probe, 4 for one
+    qubit or 16 for probe+ancilla: both the preparations and the first member
+    of each two-outcome projector pair (the complement is implied)."""
+    return _design(d).states
 
 
 @dataclass(frozen=True)
 class ChiMatrix:
     """Process matrix in the Pauli (product) operator basis."""
 
-    dim_basis: int
     mat: np.ndarray
 
     def __post_init__(self):
         mat = np.asarray(self.mat, dtype=complex)
-        if mat.shape != (self.dim_basis, self.dim_basis):
-            raise TomographyError(f"chi must be {self.dim_basis}x{self.dim_basis}")
+        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+            raise TomographyError(f"chi must be square, got shape {mat.shape}")
         if np.abs(mat - mat.conj().T).max() > 1e-10:
             raise TomographyError("chi must be Hermitian")
         object.__setattr__(self, "mat", mat)
+
+    @property
+    def dim_basis(self):
+        return len(self.mat)
 
     @property
     def tp_residual(self):
@@ -66,29 +99,27 @@ class ChiMatrix:
     @classmethod
     def from_json(cls, obj):
         n = obj["dim_basis"]
-        mat = (np.array(obj["re"]) + 1j * np.array(obj["im"])).reshape(n, n)
-        return cls(n, mat)
+        return cls((np.array(obj["re"]) + 1j * np.array(obj["im"])).reshape(n, n))
 
 
-def _basis_for(dim):
-    if dim == 2:
-        return pauli_basis(1)
-    if dim == 4:
-        return pauli_basis(2)
-    raise TomographyError(f"unsupported channel dimension {dim}")
+def _probe_dim(n):
+    """Probe dimension d of an n x n table or chi matrix (n = d*d); 0 when n
+    is not a square, which `_design` rejects."""
+    d = math.isqrt(n)
+    return d if d * d == n else 0
 
 
 def chi_theory(ch):
     """Exact chi matrix of a Kraus channel, via Pauli expansion of each operator."""
-    basis = _basis_for(ch.dim)
     d = ch.dim
+    basis = _design(d).basis
     c = np.array([[np.trace(b.conj().T @ k) / d for b in basis] for k in ch.kraus])
-    return ChiMatrix(len(basis), c.T @ c.conj())
+    return ChiMatrix(c.T @ c.conj())
 
 
 def chi_apply(chi, rho):
     """Apply a chi-form process to a state."""
-    basis = _basis_for(2 if chi.dim_basis == 4 else 4)
+    basis = _design(_probe_dim(chi.dim_basis)).basis
     return np.einsum('ab,aij,jk,blk->il', chi.mat, basis, np.asarray(rho, dtype=complex),
                      basis.conj(), optimize=True)
 
@@ -99,7 +130,6 @@ class QptDataset:
     `product_states` design: a 16 x 16 table with the ancilla, 4 x 4 without."""
 
     counts: np.ndarray             # (n_inputs, n_bases, 2) nonnegative ints
-    shots_per_setting: int
 
     def __post_init__(self):
         counts = np.asarray(self.counts)
@@ -108,17 +138,15 @@ class QptDataset:
         object.__setattr__(self, "counts", counts)
 
 
-def born_probabilities(ch, extended=True):
+def born_probabilities(ch):
     """Exact outcome-0 probabilities, shape (n_inputs, n_bases)."""
-    states = product_states(extended)
-    if states.shape[1] != ch.dim:
-        raise TomographyError(f"channel dimension {ch.dim} does not match extended={extended}")
+    states = _design(ch.dim).states
     outs = evolve(states, ch.kraus)
     p = np.einsum('mij,lji->lm', states, outs).real
     return np.clip(p, 0.0, 1.0)
 
 
-def simulate_qpt(ch, extended=True, shots=20000, seed=0):
+def simulate_qpt(ch, shots=20000, seed=0):
     """Draw two-outcome counts for every setting.
 
     Each (input, setting) pair uses its own deterministic substream, so the
@@ -126,52 +154,29 @@ def simulate_qpt(ch, extended=True, shots=20000, seed=0):
     """
     if shots < 1:
         raise TomographyError("shots must be at least 1")
-    p = born_probabilities(ch, extended)
+    p = born_probabilities(ch)
     # setting (l, m) draws from default_rng([seed, l, m]), seeded in one batch
     pairs = np.indices(p.shape).reshape(2, -1).T
     n0 = np.array([rng.binomial(shots, q)
                    for rng, q in zip(substreams([seed], pairs), p.ravel())])
     counts = np.stack([n0, shots - n0], axis=-1).reshape(*p.shape, 2)
-    return QptDataset(counts, shots)
-
-
-# probe dimension of the design by the shape of its probability table
-_DESIGN_DIMS = {(4, 4): 2, (16, 16): 4}
-
-
-@lru_cache(maxsize=None)
-def _design_inverse(d):
-    """Inverse of the linear map chi -> outcome-0 probabilities of the
-    `product_states` design on a d-dimensional probe, chi as a complex matrix."""
-    basis = _basis_for(d)
-    states = product_states(d == 4)
-    # T[l, m, a, b] = Tr(P_m B_a rho_l B_b^dag); the projectors are the states
-    t = np.einsum('mij,ajk,lkn,bin->lmab', states, basis, states, basis.conj(),
-                  optimize=True)
-    amat = t.reshape(len(states) ** 2, len(basis) ** 2)
-    if np.linalg.cond(amat) > 1e9:
-        raise TomographyError("singular design matrix: input states or bases "
-                              "are not informationally complete")
-    inv = np.linalg.inv(amat)
-    inv.flags.writeable = False
-    return inv
+    return QptDataset(counts)
 
 
 def reconstruct_from_probabilities(probs):
     """Linear inversion of an (n_inputs, n_bases) table of outcome-0
     probabilities, then clip to positive semidefinite and rescale the trace."""
-    probs = np.asarray(probs, dtype=float)
-    d = _DESIGN_DIMS.get(probs.shape)
-    if d is None:
-        raise TomographyError(f"probabilities must have shape (4, 4) or (16, 16), "
-                              f"got {probs.shape}")
-    nb = d * d
-    x = (_design_inverse(d) @ probs.ravel()).reshape(nb, nb)
+    probs = np.atleast_2d(np.asarray(probs, dtype=float))
+    design = _design(_probe_dim(len(probs)))
+    nb = len(design.basis)
+    if probs.shape != (nb, nb):
+        raise TomographyError(f"probabilities must have shape {(nb, nb)}, got {probs.shape}")
+    x = (design.inverse @ probs.ravel()).reshape(nb, nb)
     chi = nearest_psd((x + x.conj().T) / 2)
     tr = np.trace(chi).real
     if tr <= 0:
         raise TomographyError("reconstructed chi has nonpositive trace")
-    return ChiMatrix(nb, chi / tr)
+    return ChiMatrix(chi / tr)
 
 
 def _frequencies(counts):
@@ -189,8 +194,6 @@ def reconstruct_chi(data):
 class FidelityReport:
     value: float
     imag_residual: float
-    chi_exp: ChiMatrix
-    chi_th: ChiMatrix
 
 
 def process_fidelity(exp, th):
@@ -200,8 +203,7 @@ def process_fidelity(exp, th):
     if na <= 0 or nb <= 0:
         raise TomographyError("zero-norm chi matrix")
     ov = np.trace(th.mat.conj().T @ exp.mat) / np.sqrt(na * nb)
-    report = FidelityReport(value=float(ov.real), imag_residual=float(abs(ov.imag)),
-                            chi_exp=exp, chi_th=th)
+    report = FidelityReport(value=float(ov.real), imag_residual=float(abs(ov.imag)))
     if report.imag_residual > 1e-8:
         raise TomographyError(f"fidelity has imaginary residual {report.imag_residual:.2e}")
     return report

@@ -159,6 +159,19 @@ def test_error_curve_repetition_cap(monkeypatch, capsys):
                                        "must be at most 1000000\n")
 
 
+def test_error_curve_event_cap(monkeypatch, capsys):
+    # the Monte-Carlo is replaced, so no call draws any counts
+    seen = []
+    monkeypatch.setattr(cli, "error_curve",
+                        lambda *a, events, **kw: seen.append(events) or [])
+    base = ["error-curve", "--scheme", "ad_single_bare", "--grid", "0.5"]
+    assert main(base + ["--events", str(cli.MAX_COUNTS)]) == EXIT_OK
+    assert main(base + ["--events", "100000000000000000000"]) == EXIT_CONFIG
+    assert seen == [cli.MAX_COUNTS]
+    assert capsys.readouterr().err == ("error: invalid configuration: events "
+                                       "must be at most 1000000000000000000\n")
+
+
 def test_error_curve_rejects_negative_seed(capsys):
     argv = ["error-curve", "--scheme", "ad_single_bare", "--grid", "0.2",
             "--seed", "-1"]
@@ -217,6 +230,32 @@ def test_qpt_deterministic(tmp_path):
 def test_qpt_rejects_bad_shots():
     assert main(["qpt", "--channel", "ad", "--grid", "0.5", "--shots", "0",
                  "--out", "/tmp/unused.csv"]) == EXIT_CONFIG
+
+
+def test_qpt_shot_cap(tmp_path, capsys):
+    # numpy's Poisson redraw refuses a mean above about 9.2e18, so the cap
+    # sits below it: at the cap the sampled run completes
+    argv = ["qpt", "--channel", "ad", "--grid", "0.5", "--single", "--resamples", "2",
+            "--out", str(tmp_path / "qpt.csv")]
+    assert main(argv + ["--shots", str(cli.MAX_COUNTS)]) == EXIT_OK
+    for shots in ("9223372036854775807", "100000000000000000000"):
+        assert main(argv + ["--shots", shots]) == EXIT_CONFIG
+        assert capsys.readouterr().err == ("error: invalid configuration: shots "
+                                           "must be at most 1000000000000000000\n")
+
+
+def test_qpt_resample_cap(monkeypatch, tmp_path, capsys):
+    # the bootstrap is replaced, so no call allocates its fidelities
+    seen = []
+    monkeypatch.setattr(cli, "poisson_uncertainty",
+                        lambda data, chi_ref, resamples, seed: seen.append(resamples) or 0.0)
+    argv = ["qpt", "--channel", "ad", "--grid", "0.5", "--single", "--shots", "100",
+            "--out", str(tmp_path / "qpt.csv")]
+    assert main(argv + ["--resamples", str(cli.MAX_REPETITIONS)]) == EXIT_OK
+    assert main(argv + ["--resamples", "100000000000"]) == EXIT_CONFIG
+    assert seen == [cli.MAX_REPETITIONS]
+    assert capsys.readouterr().err == ("error: invalid configuration: resamples "
+                                       "must be at most 1000000\n")
 
 
 def test_qpt_rejects_negative_seed(tmp_path, capsys):

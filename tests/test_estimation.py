@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from qmetro.estimation import (DEFAULT_VISIBILITY, SCHEMES, EstimationError,
-                               classical_fisher, default_events,
-                               error_curve, estimate_phase,
-                               is_two_probe, model_for, probabilities,
-                               probability_derivatives, run_experiment)
-from qmetro.cli import format_csv
+from qmetro.estimation import (SCHEMES, EstimationError, classical_fisher,
+                               error_curve, estimate_phase, model_for,
+                               probabilities, probability_derivatives,
+                               run_experiment)
+from qmetro.cli import EXIT_OK, format_csv, main
 from qmetro.qfi import closed_form_qfi, two_probe_collective_ad_qfi
 
 QUOTED_CFI = {
@@ -85,27 +84,64 @@ def test_model_validation():
 
 def test_default_visibility_table():
     # one interference visibility per optical setup, shared by both variants
-    assert DEFAULT_VISIBILITY["ad_single_assisted"] == 0.9969
-    assert DEFAULT_VISIBILITY["ad_single_bare"] == 0.9969
-    assert DEFAULT_VISIBILITY["depol_single_assisted"] == 0.9928
-    assert DEFAULT_VISIBILITY["depol_single_bare"] == 0.9928
-    assert DEFAULT_VISIBILITY["ad_two_probe_assisted"] == 0.9699
-    assert DEFAULT_VISIBILITY["ad_two_probe_bare"] == 0.9699
+    assert SCHEMES["ad_single_assisted"].visibility == 0.9969
+    assert SCHEMES["ad_single_bare"].visibility == 0.9969
+    assert SCHEMES["depol_single_assisted"].visibility == 0.9928
+    assert SCHEMES["depol_single_bare"].visibility == 0.9928
+    assert SCHEMES["ad_two_probe_assisted"].visibility == 0.9699
+    assert SCHEMES["ad_two_probe_bare"].visibility == 0.9699
     m = model_for("ad_single_assisted", 0.3)
     assert m.visibility == 0.9969
 
 
 def test_default_events():
-    assert default_events("ad_single_assisted") == 20000
-    assert default_events("ad_two_probe_bare") == 2000
-    assert is_two_probe("ad_two_probe_assisted")
-    assert not is_two_probe("depol_single_bare")
+    assert SCHEMES["ad_single_assisted"].default_events == 20000
+    assert SCHEMES["ad_two_probe_bare"].default_events == 2000
+    assert SCHEMES["ad_two_probe_assisted"].probes == 2
+    assert SCHEMES["depol_single_bare"].probes == 1
+
+
+def test_scheme_names_match_records():
+    # the records, not the names, drive the code; the names must still say
+    # what the records hold
+    assert list(SCHEMES) == ["ad_single_assisted", "depol_single_assisted",
+                             "ad_two_probe_assisted", "ad_single_bare",
+                             "depol_single_bare", "ad_two_probe_bare"]
+    for name, spec in SCHEMES.items():
+        probes = {1: "single", 2: "two_probe"}[spec.probes]
+        variant = "assisted" if spec.assisted else "bare"
+        assert name == f"{spec.noise}_{probes}_{variant}"
 
 
 def test_outcome_label_arity():
     for scheme in SCHEMES:
         m = model_for(scheme, 0.1)
+        assert m.outcome_labels == SCHEMES[scheme].outcome_labels
         assert len(m.outcome_labels) == len(probabilities(m, 0.0))
+
+
+def test_runs_follow_the_scheme_record():
+    for scheme, spec in SCHEMES.items():
+        m = model_for(scheme, 0.3)
+        assert m.spec is spec
+        assert m.visibility == spec.visibility
+        ensemble, rep = run_experiment(m, repetitions=3, seed=1, bootstrap=2)
+        assert (ensemble.counts.sum(axis=1) == spec.default_events).all()
+        assert rep.shot_noise == 1 / np.sqrt(spec.probes)
+        assert rep.shot_noise == (1 / np.sqrt(2) if "two_probe" in scheme else 1.0)
+
+
+@pytest.mark.parametrize("scheme", list(SCHEMES))
+def test_error_curve_theory_columns_come_from_the_scheme_pair(scheme, tmp_path):
+    out = tmp_path / "err.csv"
+    assert main(["error-curve", "--scheme", scheme, "--grid", "0.3", "--visibility", "1",
+                 "--events", "10", "--reps", "2", "--out", str(out)]) == EXIT_OK
+    header, row = out.read_text().split("\n")[:2]
+    row = dict(zip(header.split(","), map(float, row.split(","))))
+    stem = scheme.rsplit("_", 1)[0]
+    for variant in ("assisted", "bare"):
+        assert row[f"theory_{variant}"] == pytest.approx(
+            1 / np.sqrt(QUOTED_CFI[f"{stem}_{variant}"](0.3)), rel=1e-5)
 
 
 # ------------------------------------------------------------ Fisher values
@@ -222,7 +258,7 @@ def test_run_experiment_recovers_phase():
     ensemble, _ = run_experiment(m, phi_true=0.5, events=2000, repetitions=50,
                                  seed=3, bootstrap=20)
     assert abs(ensemble.estimates.mean() - 0.5) < 0.05
-    assert ensemble.nu == 2000
+    assert (ensemble.counts.sum(axis=1) == 2000).all()
     assert ensemble.counts.shape == (50, 5)
 
 
@@ -260,7 +296,7 @@ def test_run_experiment_matches_per_repetition_loop(scheme, noise, repetitions, 
     base = [seed] if np.isscalar(seed) else list(seed)
     p = probabilities(m, 0.1)
     counts = np.array([np.random.default_rng(base + [r]).multinomial(
-        default_events(scheme), p / p.sum()) for r in range(repetitions)])
+        SCHEMES[scheme].default_events, p / p.sum()) for r in range(repetitions)])
     assert np.array_equal(ensemble.counts, counts)
     assert np.array_equal(ensemble.estimates, [estimate_phase(m, c) for c in counts])
 
@@ -280,6 +316,23 @@ def test_run_experiment_counts_clamped_estimates():
     _, rep = run_experiment(m, phi_true=0.0, events=500, repetitions=50, seed=1,
                             bootstrap=5)
     assert rep.clamped == 0
+
+
+def test_cr_bound_values():
+    # the bound is 1/sqrt(F) per event; F = 1 - eta for the bare single probe
+    # and 8(1 - eta)^2 / (2 - 2 eta + eta^2) for the assisted two-probe scheme
+    def bound(scheme, noise):
+        m = model_for(scheme, noise, visibility=1.0)
+        return run_experiment(m, events=100, repetitions=2, bootstrap=2)[1].cr_bound
+
+    assert bound("ad_single_bare", 0.0) == pytest.approx(1.0, abs=1e-12)
+    assert bound("ad_two_probe_assisted", 0.0) == pytest.approx(0.5, abs=1e-12)
+    assert abs(bound("ad_single_bare", 0.55) / np.sqrt(20000) - 1.054e-2) < 1e-5
+    # no information, or no events, gives no bound
+    with pytest.raises(EstimationError):
+        bound("ad_single_bare", 1.0)
+    with pytest.raises(EstimationError):
+        run_experiment(model_for("ad_single_bare", 0.0), events=0)
 
 
 def test_run_experiment_validation():

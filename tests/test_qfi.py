@@ -16,7 +16,7 @@ from qmetro import qfi
 from qmetro.qfi import (SIMPLEX_BUDGET, SIMPLEX_XATOL, QfiError, _bloch_grid,
                         _bloch_information, _bloch_ket, _grid_pick, _inner,
                         _simplex_min, channel_qfi_minimax,
-                        channel_qfi_supremum, closed_form_qfi, cramer_rao,
+                        channel_qfi_supremum, closed_form_qfi,
                         qfi_from_matrix_elements, sld_qfi,
                         two_probe_collective_ad_qfi, two_probe_sld_oracle)
 
@@ -559,15 +559,3 @@ def test_matrix_element_validation():
         qfi_from_matrix_elements(np.eye(2) / 2, "ad_assisted")
     with pytest.raises(QfiError):
         qfi_from_matrix_elements(np.eye(2) / 2, "unknown")
-
-
-# ----------------------------------------------------------------- CR bound
-
-def test_cramer_rao():
-    assert cramer_rao(1, 1) == 1.0
-    assert cramer_rao(4, 1) == 0.5
-    assert abs(cramer_rao(0.45, 20000) - 1.054e-2) < 1e-5
-    with pytest.raises(QfiError):
-        cramer_rao(0.0, 100)
-    with pytest.raises(QfiError):
-        cramer_rao(1.0, 0)

@@ -85,15 +85,57 @@ def test_born_probabilities_shape_and_range():
 
 
 def test_born_probabilities_dimension_check():
+    # the design follows the channel: a qubit channel gets the 4 x 4 table
+    assert born_probabilities(amplitude_damping(0.5)).shape == (4, 4)
     with pytest.raises(TomographyError):
-        born_probabilities(amplitude_damping(0.5), extended=True)
+        born_probabilities(random_channel(3, 2, np.random.default_rng(0)))
 
 
 def test_product_states_are_states():
-    for extended in (False, True):
-        for rho in product_states(extended):
+    for d in (2, 4):
+        states = product_states(d)
+        assert states.shape == (d * d, d, d)
+        for rho in states:
             assert abs(np.trace(rho) - 1) < 1e-12
             assert np.linalg.eigvalsh(rho).min() > -1e-12
+        # built once per dimension and shared, so nobody may write to it
+        assert product_states(d) is states
+        assert not states.flags.writeable
+
+
+@pytest.mark.parametrize("d", [2, 4])
+def test_design_follows_the_input_dimension(d):
+    # every entry point takes the channel, table or chi alone
+    rng = np.random.default_rng(d)
+    ch = random_channel(d, 2, rng)
+    p = born_probabilities(ch)
+    assert p.shape == (d * d, d * d)
+    data = simulate_qpt(ch, shots=100, seed=1)
+    assert data.counts.shape == (d * d, d * d, 2)
+    assert reconstruct_chi(data).dim_basis == d * d
+    chi = chi_theory(ch)
+    assert chi.dim_basis == d * d
+    assert np.abs(reconstruct_from_probabilities(p).mat - chi.mat).max() < 1e-10
+    rho = rand_rho(rng, d)
+    assert np.abs(chi_apply(chi, rho) - ch.apply(rho)).max() < 1e-10
+
+
+def test_unsupported_probe_dimension():
+    qutrit = random_channel(3, 2, np.random.default_rng(1))
+    for call in (born_probabilities, chi_theory,
+                 lambda ch: simulate_qpt(ch, shots=10)):
+        with pytest.raises(TomographyError, match="unsupported probe dimension 3"):
+            call(qutrit)
+    with pytest.raises(TomographyError, match="unsupported probe dimension 3"):
+        reconstruct_from_probabilities(np.full((9, 9), 0.5))
+    with pytest.raises(TomographyError, match="unsupported probe dimension 3"):
+        chi_apply(ChiMatrix(np.eye(9) / 9), np.eye(3) / 3)
+
+
+def test_chi_matrix_shape():
+    assert ChiMatrix(np.eye(16) / 16).dim_basis == 16
+    with pytest.raises(TomographyError):
+        ChiMatrix(np.ones((4, 2)))
 
 
 # ----------------------------------------------------------- reconstruction
@@ -103,7 +145,7 @@ def test_product_states_are_states():
 def test_reconstruct_exact_probabilities_is_identity(seed, d, n_kraus):
     # d = 2 is the single-qubit design, d = 4 the probe with its ancilla
     ch = random_channel(d, n_kraus, np.random.default_rng(seed))
-    chi = reconstruct_from_probabilities(born_probabilities(ch, d == 4))
+    chi = reconstruct_from_probabilities(born_probabilities(ch))
     assert np.abs(chi.mat - chi_theory(ch).mat).max() < 1e-10
 
 
@@ -121,12 +163,12 @@ def test_simulate_qpt_deterministic():
     assert not np.array_equal(a.counts, c.counts)
 
 
-@pytest.mark.parametrize("extended,seed", [(True, 0), (False, 7), (True, 2 ** 33 + 5)])
-def test_simulate_qpt_matches_per_setting_streams(extended, seed):
+@pytest.mark.parametrize("ancilla,seed", [(True, 0), (False, 7), (True, 2 ** 33 + 5)])
+def test_simulate_qpt_matches_per_setting_streams(ancilla, seed):
     # setting (l, m) draws from default_rng([seed, l, m]), bit for bit
-    ch = AD_HALF if extended else amplitude_damping(0.5)
-    data = simulate_qpt(ch, extended=extended, shots=900, seed=seed)
-    p = born_probabilities(ch, extended)
+    ch = AD_HALF if ancilla else amplitude_damping(0.5)
+    data = simulate_qpt(ch, shots=900, seed=seed)
+    p = born_probabilities(ch)
     n0 = [[np.random.default_rng([seed, l, m]).binomial(900, p[l, m])
            for m in range(p.shape[1])] for l in range(p.shape[0])]
     assert np.array_equal(data.counts[:, :, 0], n0)
@@ -136,15 +178,16 @@ def test_simulate_qpt_matches_per_setting_streams(extended, seed):
 def test_simulate_qpt_count_totals():
     data = simulate_qpt(AD_HALF, shots=777, seed=0)
     assert data.counts.shape == (16, 16, 2)
+    # every setting spends all its shots
     assert (data.counts.sum(axis=2) == 777).all()
-    assert data.shots_per_setting == 777
 
 
 def test_simulate_qpt_frequencies_converge():
     probs = born_probabilities(AD_HALF)
-    data = simulate_qpt(AD_HALF, shots=1_000_000, seed=9)
-    freq = data.counts[:, :, 0] / data.shots_per_setting
-    sigma = np.sqrt(np.maximum(probs * (1 - probs), 1e-12) / data.shots_per_setting)
+    shots = 1_000_000
+    data = simulate_qpt(AD_HALF, shots=shots, seed=9)
+    freq = data.counts[:, :, 0] / shots
+    sigma = np.sqrt(np.maximum(probs * (1 - probs), 1e-12) / shots)
     assert (np.abs(freq - probs) < 5 * sigma + 1e-6).all()
 
 
@@ -162,7 +205,7 @@ def test_reconstruction_counts_shape_check():
     data = simulate_qpt(AD_HALF, shots=100, seed=0)
     with pytest.raises(TomographyError):
         QptDataset = type(data)
-        QptDataset(-data.counts, data.shots_per_setting)
+        QptDataset(-data.counts)
 
 
 # ----------------------------------------------------------------- fidelity
@@ -225,7 +268,7 @@ def test_poisson_uncertainty_matches_per_resample_streams():
     data = simulate_qpt(AD_HALF, shots=2000, seed=11)
     chi_th = chi_theory(AD_HALF)
     fids = [process_fidelity(reconstruct_chi(QptDataset(
-        np.random.default_rng([3, r]).poisson(data.counts), 2000)), chi_th).value
+        np.random.default_rng([3, r]).poisson(data.counts))), chi_th).value
         for r in range(12)]
     assert poisson_uncertainty(data, chi_ref=chi_th, resamples=12, seed=3) == np.std(fids)
 
