@@ -16,6 +16,11 @@ DUALITY_GAP_TOL = 1e-6
 BLOCH_GRID = 64
 SIMPLEX_XATOL = 1e-10
 SIMPLEX_BUDGET = 200  # evaluations per coordinate
+NEWTON_STEPS = 16  # most steps of the bare polish
+NEWTON_HALVINGS = 40  # step scales 1, 1/2, ... each line search tries
+NEWTON_FLOOR = 1e-8  # least curvature magnitude, as a fraction of the value
+NEWTON_RTOL = 1e-15  # least predicted gain, as a fraction of the value
+RIDGE_RTOL = 1e-8  # largest sigma_2 / sigma_1 of a ridge ket's K_i psi (m >= 3)
 
 
 class QfiError(ValueError):
@@ -233,28 +238,146 @@ def _bloch_grid():
     return grid
 
 
-def _bloch_information(ks, dks, r0):
-    """SLD information of the output at the pure inputs with Bloch vectors r0
-    (n, 3), which for a pure input is _inner's minimum over Kraus
-    representations (Fujiwara & Imai, J. Phys. A 41, 255304 (2008); Escher,
-    de Matos Filho & Davidovich, Nat. Phys. 7, 406 (2011)).
+def _bloch_map(ks, dks):
+    """The affine Bloch map of rho -> sum_i K_i rho K_i^dag and its phase
+    derivative: (a, b), stacked (2, 3, 3) and (2, 3), such that the input with
+    Bloch vector r0 has output r = a[0] r0 + b[0] and dr = a[1] r0 + b[1].
 
-    rho -> sum_i K_i rho K_i^dag is the affine Bloch map r = M r0 + c, and its
-    phase derivative dr = dM r0 + dc comes from sum_i dK_i rho K_i^dag + h.c.;
-    both are read off t_nab = sum_i tr(sigma_a X_i sigma_b K_i^dag), X = K or
-    dK. A qubit state's information is |dr|^2 + (r.dr)^2 / (1 - |r|^2), the
-    second term dropped where 1 - |r|^2 <= SUPPORT_CUTOFF (pure output).
+    Both are read off t_nab = sum_i tr(sigma_a X_i sigma_b K_i^dag), X = K or
+    dK; the derivative is sum_i dK_i rho K_i^dag + h.c.
     """
     t = np.einsum('aij,nmjk,bkl,mil->nab', PAULIS, np.stack([ks, dks]),
                   PAULIS, ks.conj()).real
     # rho = (I + r0.sigma) / 2 halves both sums; the derivative's two terms
     # are complex conjugates, which doubles its real part back
     t[0] /= 2
-    r, dr = r0 @ t[:, 1:, 1:].swapaxes(1, 2) + t[:, None, 1:, 0]
+    return t[:, 1:, 1:], t[:, 1:, 0]
+
+
+def _bloch_information(bmap, r0):
+    """SLD information of the output at the pure inputs with Bloch vectors r0
+    (n, 3), which for a pure input with a mixed output is _inner's minimum
+    over Kraus representations (Fujiwara & Imai, J. Phys. A 41, 255304 (2008);
+    Escher, de Matos Filho & Davidovich, Nat. Phys. 7, 406 (2011)).
+
+    bmap is _bloch_map's (a, b). A qubit state's information is
+    |dr|^2 + (r.dr)^2 / (1 - |r|^2), the second term dropped where
+    1 - |r|^2 <= SUPPORT_CUTOFF (pure output).
+    """
+    a, b = bmap
+    r, dr = r0 @ a.swapaxes(1, 2) + b[:, None]
     gap = 1 - np.einsum('ni,ni->n', r, r)
     mixed = gap > SUPPORT_CUTOFF
     return (np.einsum('ni,ni->n', dr, dr)
             + mixed * np.einsum('ni,ni->n', r, dr) ** 2 / np.where(mixed, gap, 1.0))
+
+
+def _bloch_derivatives(bmap, theta, beta):
+    """Gradient (2,) and Hessian (2, 2) of _bloch_information in (theta, beta)
+    at the input _bloch_vector(theta, beta).
+
+    With q = |dr|^2, p = r.dr and g = 1 - |r|^2 the information is
+    q + p^2 / g. Each of q, p and |r|^2 is a dot product u.v of two affine
+    images of the input, so its derivatives come from the dot products of
+    the input's Bloch vector and its first and second angle derivatives.
+    """
+    st, ct, sb, cb = np.sin(theta), np.cos(theta), np.sin(beta), np.cos(beta)
+    # rows: r0, d/dtheta, d/dbeta, d2/dtheta2, d2/dtheta dbeta, d2/dbeta2
+    x = np.array([[st * cb, st * sb, ct], [ct * cb, ct * sb, -st],
+                  [-st * sb, st * cb, 0], [-st * cb, -st * sb, -ct],
+                  [-ct * sb, ct * cb, 0], [-st * cb, -st * sb, 0]])
+    a, b = bmap
+    r, dr = x @ a.swapaxes(1, 2)
+    r[0] += b[0]
+    dr[0] += b[1]
+    second = np.array([[3, 4], [4, 5]])
+
+    def dot(u, v):
+        """u.v with its gradient and Hessian in the angles."""
+        w = u @ v.T
+        first = w[1:3, 1:3]
+        return (w[0, 0], w[0, 1:3] + w[1:3, 0],
+                w[0, second] + w[second, 0] + first + first.T)
+
+    _, grad, hess = dot(dr, dr)
+    p, dp, ddp = dot(r, dr)
+    rr, drr, ddrr = dot(r, r)
+    gap = 1 - rr
+    if gap > SUPPORT_CUTOFF:
+        # p^2 / g with dg = -drr: its gradient is w (2 dp + w drr) and its
+        # Hessian 2 v v^T / g + 2 w ddp + w^2 ddrr, with w = p / g, v = dp + w drr
+        w = p / gap
+        v = dp + w * drr
+        grad = grad + w * (2 * dp + w * drr)
+        hess = hess + 2 * np.outer(v, v) / gap + 2 * w * ddp + w * w * ddrr
+    return grad, hess
+
+
+def _bloch_polish(bmap, theta, beta, value):
+    """Newton ascent of _bloch_information from (theta, beta), where it has
+    the given value; returns the final (theta, beta).
+
+    Each step scales the gradient in the Hessian's eigenbasis by the inverse
+    curvature magnitudes, floored at NEWTON_FLOOR * value: a Newton step
+    where the information is concave, an ascent step elsewhere, and a
+    bounded step along flat directions (beta on the equator of a
+    phase-covariant channel, where the Hessian is singular). The step is
+    capped at one grid spacing, and the line search tries it at scales
+    1, 1/2, ..., 2^-(NEWTON_HALVINGS - 1) in one stacked evaluation and keeps
+    the best, so the value never decreases. The polish stops when the
+    predicted gain falls to NEWTON_RTOL * value, when no scale improves on
+    the current value, or after NEWTON_STEPS steps.
+    """
+    x = np.array([theta, beta])
+    scales = 0.5 ** np.arange(NEWTON_HALVINGS)
+    for _ in range(NEWTON_STEPS):
+        if not value > 0:
+            break
+        grad, hess = _bloch_derivatives(bmap, *x)
+        w, v = np.linalg.eigh(hess)
+        gv = grad @ v
+        ratio = gv / np.maximum(np.abs(w), NEWTON_FLOOR * value)
+        if gv @ ratio <= 2 * NEWTON_RTOL * value:
+            break
+        step = v @ ratio
+        step *= min(1.0, 2 * np.pi / BLOCH_GRID / np.linalg.norm(step))
+        trials = x + scales[:, None] * step
+        vals = _bloch_information(bmap, _bloch_vector(*trials.T).T)
+        best = np.argmax(vals)
+        if vals[best] < value:
+            break
+        x, value = trials[best], vals[best]
+    return x
+
+
+def _ridge_kets(ks):
+    """Pure inputs whose output is pure: every K_i psi is parallel, so
+    _inner's Gram matrix has rank 1 there, and the information is singular.
+
+    Such a psi is a null vector of the pencil s K_2 - t K_1 at a root of the
+    quadratic det(s K_2 - t K_1) = a t^2 + b t s + c s^2, a = det K_1 and
+    c = det K_2. Its roots are taken in homogeneous form, (t, s) = (q, a) and
+    (c, q) with q = -(b +- sqrt(b^2 - 4ac)) / 2, so that a singular K_1 or K_2
+    (an infinite or zero eigenvalue) needs no special case. With m = 2 operators both kets are
+    candidates; with m >= 3 a ket is kept only where every K_i psi is
+    parallel (second singular value at most RIDGE_RTOL of the first), which
+    holds only at common eigenvectors of the pencils, so usually none is.
+    """
+    if len(ks) < 2:
+        return []
+    k1, k2 = ks[0], ks[1]
+    a, c = np.linalg.det(k1), np.linalg.det(k2)
+    b = -(k2[0, 0] * k1[1, 1] + k2[1, 1] * k1[0, 0]
+          - k2[0, 1] * k1[1, 0] - k2[1, 0] * k1[0, 1])
+    root = np.sqrt(b * b - 4 * a * c + 0j)
+    q = -(b + root if abs(b + root) >= abs(b - root) else b - root) / 2
+    roots = np.array([[q, a], [c, q]])
+    pencils = roots[:, 1, None, None] * k2 - roots[:, 0, None, None] * k1
+    kets = np.linalg.svd(pencils)[2][:, -1].conj()
+    if len(ks) > 2:
+        sv = np.linalg.svd(np.einsum('mij,nj->nmi', ks, kets), compute_uv=False)
+        kets = kets[sv[:, 1] <= RIDGE_RTOL * sv[:, 0]]
+    return list(kets)
 
 
 def _grid_pick(vals):
@@ -270,24 +393,28 @@ def channel_qfi_minimax(fam, extended=True, phi0=0.0):
     extended=True: the ancilla-assisted value, evaluated at the balanced
     maximally entangled probe (S = I/sqrt(2) in _inner). extended=False:
     maximum over pure single-probe inputs of the inner representation minimum.
-    For a pure input that minimum is the SLD information of the qubit output,
-    so the BLOCH_GRID x BLOCH_GRID grid is scored in closed form from one
-    affine Bloch map (_bloch_information); the simplex then polishes the
-    grid's best point with single-ket _inner solves, and the value is the
-    _inner minimum at the polished ket.
+    For a pure input with a mixed output that minimum is the SLD information
+    of the qubit output, so one affine Bloch map (_bloch_map) scores the
+    BLOCH_GRID x BLOCH_GRID grid in closed form (_bloch_information), and
+    Newton steps on that information with its analytic gradient and Hessian
+    polish the grid's best point (_bloch_polish). Where the output is pure
+    the information is singular, and the minimum can peak there on a ridge
+    narrower than the grid; those inputs are the pencil kets of _ridge_kets.
+    The polished ket and every ridge ket are scored with single-ket _inner
+    solves, and the best one gives the value, the input and the generator.
     """
     ks, dks = fam.composite(phi0)
     if extended:
         value, h = _inner(ks, dks, np.eye(2) / np.sqrt(2))
         return QfiResult(value=float(value), optimal_h=GeneratorH(h))
 
-    def loss(ang):
-        return -_inner(ks, dks, _bloch_ket(*ang)[:, None], minimizer=False)[0]
-
+    bmap = _bloch_map(ks, dks)
     thetas, betas, vectors, _ = _bloch_grid()
-    pick = _grid_pick(_bloch_information(ks, dks, vectors))
-    ket = _bloch_ket(*_simplex_min(loss, (thetas[pick], betas[pick]), fatol=1e-12))
-    value, h = _inner(ks, dks, ket[:, None])
+    vals = _bloch_information(bmap, vectors)
+    pick = _grid_pick(vals)
+    ket = _bloch_ket(*_bloch_polish(bmap, thetas[pick], betas[pick], vals[pick]))
+    value, h, ket = max(((*_inner(ks, dks, k[:, None]), k)
+                         for k in [ket, *_ridge_kets(ks)]), key=lambda c: c[0])
     return QfiResult(value=float(value), optimal_input=np.outer(ket, ket.conj()),
                      optimal_h=GeneratorH(h))
 

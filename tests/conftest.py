@@ -1,4 +1,10 @@
 import numpy as np
+from hypothesis import settings
+
+# every property is replayed from the same derandomized examples, with no
+# deadline and no example database; each test sets only its max_examples
+settings.register_profile("qmetro", deadline=None, derandomize=True, database=None)
+settings.load_profile("qmetro")
 
 
 def rand_rho(rng, d):

@@ -191,8 +191,7 @@ def test_evolve_stack_matches_per_state():
 # random phase families: (seed, number of Kraus operators, phase)
 FAMILIES = st.tuples(st.integers(0, 2 ** 32 - 1), st.integers(1, 4),
                      st.floats(-np.pi, np.pi))
-KERNEL_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True,
-                           database=None)
+KERNEL_SETTINGS = settings(max_examples=40)
 
 
 def draw(case):
@@ -322,7 +321,7 @@ def test_choi_round_trip():
         kraus_from_choi(-np.eye(4))
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([2, 4]), st.integers(1, 4))
 def test_choi_round_trip_property(seed, d, n):
     # optics.extract_channel turns a Choi matrix into Kraus form this way

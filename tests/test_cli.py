@@ -380,7 +380,13 @@ def test_supplement_verify_numeric_failure(monkeypatch, capsys):
 # tomography substreams were seeded in one batch); a refactor
 # that changes a printed digit changes the digest. The qfi-curve JSON prints
 # the minimax values at full precision, so its two digests were re-recorded
-# with that solve (no value moved by more than 3.4e-16).
+# with that solve (no value moved by more than 3.4e-16), and again when Newton
+# steps on the Bloch information and the ridge kets replaced the bare search's
+# Nelder-Mead polish (no value moved by more than 4.5e-16): ad
+# 1e2029ea000150be08210ba9ac7434c1c43215e0ac68d4fdf7e24071fd412217 ->
+# cd46b4be52bb8342c7b2ae698dd771222cf0a0523738f97ceb8a4dcb618bce4a, depol
+# bae26636bed9f10058154c3cfa77fec4df29687d0d3891f269ecfc563a252e96 ->
+# 4e4f64ee5a25e161d1ca9ab0a2652ebeaba8e9880ea425a16316addf094f49fa.
 GOLDEN_CSV = {
     ("qfi-curve", "--channel", "ad", "--minimax", "--grid", "0.1,0.45,0.9"):
         "1dc76f674d88812b2cad3a1bb99a1459d7dbac743477ab971c13723fe935ef44",
@@ -388,10 +394,10 @@ GOLDEN_CSV = {
         "5409c6ec891ae7facfae31b2aeabac88d708ff0c5da99f4d3ccb28f8e3bb3aaa",
     ("qfi-curve", "--channel", "ad", "--minimax", "--format", "json",
      "--grid", "0.1,0.45,0.9"):
-        "1e2029ea000150be08210ba9ac7434c1c43215e0ac68d4fdf7e24071fd412217",
+        "cd46b4be52bb8342c7b2ae698dd771222cf0a0523738f97ceb8a4dcb618bce4a",
     ("qfi-curve", "--channel", "depol", "--minimax", "--format", "json",
      "--grid", "0.1,0.45,0.9"):
-        "bae26636bed9f10058154c3cfa77fec4df29687d0d3891f269ecfc563a252e96",
+        "4e4f64ee5a25e161d1ca9ab0a2652ebeaba8e9880ea425a16316addf094f49fa",
     ("error-curve", "--scheme", "ad_single_assisted"):
         "a898343fa436f0e89ec1077b29580b1ac9322e674fb854e4b89c11223acf0f49",
     ("error-curve", "--scheme", "depol_single_assisted"):

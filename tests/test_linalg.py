@@ -104,7 +104,7 @@ SEED_TAILS = st.integers(1, 2).flatmap(lambda k: st.lists(
     st.tuples(*[st.integers(0, 2 ** 32 - 1)] * k), min_size=1, max_size=8))
 
 
-@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@settings(max_examples=120)
 @given(SEED_BASES, SEED_TAILS)
 def test_substreams_match_default_rng(base, tail):
     rows = [base + list(row) for row in tail]

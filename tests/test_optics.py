@@ -225,7 +225,7 @@ def test_pauli_angles_random_weights():
         assert np.abs(pauli_angle_residuals(p, angles)).max() < 1e-10
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(st.integers(0, 2 ** 32 - 1), st.sets(st.integers(0, 3), max_size=2))
 def test_pauli_angles_solve_dirichlet_weights(seed, zeros):
     # Dirichlet weights, on the faces where one or two branches vanish too

@@ -140,7 +140,7 @@ def test_chi_matrix_shape():
 
 # ----------------------------------------------------------- reconstruction
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([2, 4]), st.integers(1, 4))
 def test_reconstruct_exact_probabilities_is_identity(seed, d, n_kraus):
     # d = 2 is the single-qubit design, d = 4 the probe with its ancilla
