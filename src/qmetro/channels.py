@@ -79,7 +79,7 @@ class KrausChannel:
             raise ChannelError("Kraus operators must share a square shape")
         ks.flags.writeable = False
         object.__setattr__(self, "kraus", ks)
-        if self.completeness_residual() > COMPLETENESS_TOL:
+        if not self.completeness_residual() <= COMPLETENESS_TOL:
             raise ChannelError(
                 f"Kraus completeness violated: residual {self.completeness_residual():.2e}")
 
@@ -129,7 +129,7 @@ def general_pauli(p):
     p = np.asarray(p, dtype=float)
     if p.shape != (4,):
         raise ChannelError("need exactly four probabilities")
-    if p.min() < -1e-12 or abs(p.sum() - 1) > 1e-12:
+    if not p.min() >= -1e-12 or not abs(p.sum() - 1) <= 1e-12:
         raise ChannelError(f"invalid probability vector {p}")
     keep = p > 0
     return KrausChannel(np.sqrt(p[keep])[:, None, None] * PAULIS[keep],
@@ -178,6 +178,8 @@ class PhaseChannelFamily:
         ancilla of the probes' joint dimension."""
         if n_probes < 1:
             raise ChannelError("n_probes must be at least 1")
+        if not np.isfinite(phi):
+            raise ChannelError(f"phi must be finite, got {phi}")
         ks1, dks1 = self.kraus_at(phi), self.dkraus_at(phi)
         ks, dks = ks1, dks1
         for _ in range(n_probes - 1):
@@ -197,8 +199,8 @@ class GeneratorH:
         h = np.asarray(self.h, dtype=complex)
         if h.ndim != 2 or h.shape[0] != h.shape[1]:
             raise ChannelError("h must be square")
-        if np.abs(h - h.conj().T).max() > 1e-12:
-            raise ChannelError("h must be Hermitian")
+        if not np.abs(h - h.conj().T).max() <= 1e-12:
+            raise ChannelError("h must be finite and Hermitian")
         object.__setattr__(self, "h", h)
 
 

@@ -314,7 +314,7 @@ def build_pauli_network(p):
     branches are made incoherent. Postselected with probability 1/2.
     """
     p = np.asarray(p, dtype=float)
-    if p.shape != (4,) or p.min() < -1e-12 or abs(p.sum() - 1) > 1e-9:
+    if p.shape != (4,) or not p.min() >= -1e-12 or not abs(p.sum() - 1) <= 1e-9:
         raise OpticsError(f"invalid probability vector {p}")
     th1, th2, th3, th4, th5, th6 = solve_pauli_angles(p)
     elements = (

@@ -7,15 +7,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channels import (GeneratorH, PhaseChannelFamily, amplitude_damping, evolve,
-                       rotate_kraus)
+from .channels import GeneratorH, PhaseChannelFamily, amplitude_damping, evolve
 from .linalg import PAULIS
 
 SUPPORT_CUTOFF = 1e-10
 DUALITY_GAP_TOL = 1e-6
 BLOCH_GRID = 64
-SIMPLEX_XATOL = 1e-10
-SIMPLEX_BUDGET = 200  # evaluations per coordinate
 NEWTON_STEPS = 16  # most steps of the bare polish
 NEWTON_HALVINGS = 40  # step scales 1, 1/2, ... each line search tries
 NEWTON_FLOOR = 1e-8  # least curvature magnitude, as a fraction of the value
@@ -28,8 +25,9 @@ class QfiError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """The supremum's spectral bound exceeds its primal value by more than
-    DUALITY_GAP_TOL."""
+    """No candidate of the supremum is certified: at each one the spectral
+    bound exceeds the value by more than DUALITY_GAP_TOL, or falls below it
+    by more than round-off."""
 
 
 @dataclass(frozen=True)
@@ -53,8 +51,8 @@ def sld_qfi(rho, drho):
     """
     rho = np.asarray(rho, dtype=complex)
     drho = np.asarray(drho, dtype=complex)
-    if np.abs(rho - rho.conj().T).max() > 1e-9 or np.abs(drho - drho.conj().T).max() > 1e-9:
-        raise QfiError("rho and drho must be Hermitian")
+    if not all(np.abs(a - a.conj().T).max() <= 1e-9 for a in (rho, drho)):
+        raise QfiError("rho and drho must be finite and Hermitian")
     w, v = np.linalg.eigh(rho)
     m = v.conj().T @ drho @ v
     denom = w[:, None] + w[None, :]
@@ -138,78 +136,6 @@ def _inner(ks, dks, s, minimizer=True):
     value = 4 * np.einsum('...mi,...mi->...', r.conj(), r).real
     value = value * (value > 64 * np.finfo(float).eps * vv)
     return value, (-(e @ x @ eh) if minimizer else None)
-
-
-class _BudgetSpent(Exception):
-    """The simplex asked for more evaluations than its budget."""
-
-
-def _simplex_min(f, x0, fatol):
-    """Nelder-Mead minimizer of f from x0 with xatol SIMPLEX_XATOL, the given
-    fatol and a budget of SIMPLEX_BUDGET * n evaluations.
-
-    It repeats the reference implementation that tests/test_qfi.py compares
-    it with, step for step, so both return the same point bit for bit: the
-    initial simplex moves each coordinate by 5 % (a zero one to 0.00025), the
-    coefficients are reflection 1, expansion 2, contraction and shrink 1/2,
-    vertices are ordered by np.argsort, and both tolerances are tested before
-    each step. The evaluation that would exceed the budget abandons its step;
-    vertices a shrink already moved stay moved, with their old values.
-    """
-    x0 = np.asarray(x0, dtype=float)
-    n = len(x0)
-    left = SIMPLEX_BUDGET * n
-
-    def fun(x):
-        nonlocal left
-        if left == 0:
-            raise _BudgetSpent
-        left -= 1
-        return f(x)
-
-    def ordered(sim, fsim):
-        ind = np.argsort(fsim)
-        return sim[ind], fsim[ind]
-
-    sim = np.tile(x0, (n + 1, 1))
-    for k in range(n):
-        sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
-    fsim = np.array([fun(x) for x in sim], dtype=float)
-    # ordered twice, as in the reference: argsort need not keep ties in place
-    sim, fsim = ordered(*ordered(sim, fsim))
-    while left > 0:
-        if (np.max(np.abs(sim[1:] - sim[0])) <= SIMPLEX_XATOL
-                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
-            break
-        try:
-            xbar = np.add.reduce(sim[:-1], 0) / n
-            xr = 2 * xbar - sim[-1]
-            fxr = fun(xr)
-            if fxr < fsim[0]:
-                xe = 3 * xbar - 2 * sim[-1]
-                fxe = fun(xe)
-                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-            elif fxr < fsim[-2]:
-                sim[-1], fsim[-1] = xr, fxr
-            else:
-                if fxr < fsim[-1]:  # contract outside
-                    xc = 1.5 * xbar - 0.5 * sim[-1]
-                    fxc = fun(xc)
-                    shrink = not fxc <= fxr
-                else:  # contract inside
-                    xc = 0.5 * xbar + 0.5 * sim[-1]
-                    fxc = fun(xc)
-                    shrink = not fxc < fsim[-1]
-                if not shrink:
-                    sim[-1], fsim[-1] = xc, fxc
-                else:
-                    for j in range(1, n + 1):
-                        sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
-                        fsim[j] = fun(sim[j])
-        except _BudgetSpent:
-            pass
-        sim, fsim = ordered(sim, fsim)
-    return sim[0]
 
 
 def _bloch_ket(theta, beta):
@@ -313,36 +239,35 @@ def _bloch_derivatives(bmap, theta, beta):
     return grad, hess
 
 
-def _bloch_polish(bmap, theta, beta, value):
-    """Newton ascent of _bloch_information from (theta, beta), where it has
-    the given value; returns the final (theta, beta).
+def _newton_ascent(derivatives, values, x, value, cap, steps):
+    """Newton ascent from x, where the function has the given value; returns
+    the final x. derivatives(x) gives the gradient and Hessian at x, and
+    values(xs) the function at each row of xs.
 
     Each step scales the gradient in the Hessian's eigenbasis by the inverse
     curvature magnitudes, floored at NEWTON_FLOOR * value: a Newton step
-    where the information is concave, an ascent step elsewhere, and a
-    bounded step along flat directions (beta on the equator of a
-    phase-covariant channel, where the Hessian is singular). The step is
-    capped at one grid spacing, and the line search tries it at scales
+    where the function is concave, an ascent step elsewhere, and a bounded
+    step along flat directions, where the Hessian is singular. The step is
+    capped at length cap, and the line search tries it at scales
     1, 1/2, ..., 2^-(NEWTON_HALVINGS - 1) in one stacked evaluation and keeps
-    the best, so the value never decreases. The polish stops when the
+    the best, so the value never decreases. The ascent stops when the
     predicted gain falls to NEWTON_RTOL * value, when no scale improves on
-    the current value, or after NEWTON_STEPS steps.
+    the current value, or after the given number of steps.
     """
-    x = np.array([theta, beta])
     scales = 0.5 ** np.arange(NEWTON_HALVINGS)
-    for _ in range(NEWTON_STEPS):
+    for _ in range(steps):
         if not value > 0:
             break
-        grad, hess = _bloch_derivatives(bmap, *x)
+        grad, hess = derivatives(x)
         w, v = np.linalg.eigh(hess)
         gv = grad @ v
         ratio = gv / np.maximum(np.abs(w), NEWTON_FLOOR * value)
         if gv @ ratio <= 2 * NEWTON_RTOL * value:
             break
         step = v @ ratio
-        step *= min(1.0, 2 * np.pi / BLOCH_GRID / np.linalg.norm(step))
+        step *= min(1.0, cap / np.linalg.norm(step))
         trials = x + scales[:, None] * step
-        vals = _bloch_information(bmap, _bloch_vector(*trials.T).T)
+        vals = values(trials)
         best = np.argmax(vals)
         if vals[best] < value:
             break
@@ -387,6 +312,21 @@ def _grid_pick(vals):
     return near[np.argmin(_bloch_grid()[3][near])]
 
 
+def _bare_kets(ks, dks):
+    """The bare search's candidates: the grid's best point, polished by Newton
+    steps of at most one grid spacing on the Bloch information, and the
+    ridge kets."""
+    bmap = _bloch_map(ks, dks)
+    thetas, betas, vectors, _ = _bloch_grid()
+    vals = _bloch_information(bmap, vectors)
+    pick = _grid_pick(vals)
+    top = _newton_ascent(lambda x: _bloch_derivatives(bmap, *x),
+                         lambda xs: _bloch_information(bmap, _bloch_vector(*xs.T).T),
+                         np.array([thetas[pick], betas[pick]]), vals[pick],
+                         2 * np.pi / BLOCH_GRID, NEWTON_STEPS)
+    return [_bloch_ket(*top), *_ridge_kets(ks)]
+
+
 def channel_qfi_minimax(fam, extended=True, phi0=0.0):
     """Channel QFI by minimizing over equivalent Kraus representations.
 
@@ -396,68 +336,125 @@ def channel_qfi_minimax(fam, extended=True, phi0=0.0):
     For a pure input with a mixed output that minimum is the SLD information
     of the qubit output, so one affine Bloch map (_bloch_map) scores the
     BLOCH_GRID x BLOCH_GRID grid in closed form (_bloch_information), and
-    Newton steps on that information with its analytic gradient and Hessian
-    polish the grid's best point (_bloch_polish). Where the output is pure
-    the information is singular, and the minimum can peak there on a ridge
-    narrower than the grid; those inputs are the pencil kets of _ridge_kets.
-    The polished ket and every ridge ket are scored with single-ket _inner
-    solves, and the best one gives the value, the input and the generator.
+    Newton steps on that information polish the grid's best point. Where the
+    output is pure the information is singular, and the minimum can peak
+    there on a ridge narrower than the grid; those inputs are the pencil kets
+    of _ridge_kets. The polished ket and every ridge ket (_bare_kets) are
+    scored with single-ket _inner solves, and the best one gives the value,
+    the input and the generator.
     """
     ks, dks = fam.composite(phi0)
     if extended:
         value, h = _inner(ks, dks, np.eye(2) / np.sqrt(2))
         return QfiResult(value=float(value), optimal_h=GeneratorH(h))
 
-    bmap = _bloch_map(ks, dks)
-    thetas, betas, vectors, _ = _bloch_grid()
-    vals = _bloch_information(bmap, vectors)
-    pick = _grid_pick(vals)
-    ket = _bloch_ket(*_bloch_polish(bmap, thetas[pick], betas[pick], vals[pick]))
-    value, h, ket = max(((*_inner(ks, dks, k[:, None]), k)
-                         for k in [ket, *_ridge_kets(ks)]), key=lambda c: c[0])
+    value, h, ket = max(((*_inner(ks, dks, k[:, None]), k) for k in _bare_kets(ks, dks)),
+                        key=lambda c: c[0])
     return QfiResult(value=float(value), optimal_input=np.outer(ket, ket.conj()),
                      optimal_h=GeneratorH(h))
 
 
-def _ball_state(v):
-    """Qubit state whose Bloch vector is v pulled radially into the unit ball."""
-    r = v / max(1.0, np.linalg.norm(v))
-    return (PAULIS[0] + np.tensordot(r, PAULIS[1:], axes=1)) / 2
+# dL/dx_p of the factor L(x) = [[x_0, 0], [x_1 + i x_2, x_3]] of a qubit state
+# L L^dag / |x|^2; tr(L L^dag) = |x|^2, and every qubit state has such a factor
+_FACTOR_BASIS = np.array([[[1, 0], [0, 0]], [[0, 0], [1, 0]],
+                          [[0, 0], [1j, 0]], [[0, 0], [0, 1]]])
+
+
+def _alpha(ks, dks, h):
+    """alpha(h) = sum_i dtK_i^dag dtK_i with dtK_i = dK_i - i sum_j h_ij K_j,
+    stacked over the leading axes of h."""
+    rot = dks - 1j * np.einsum('...ij,jkl->...ikl', h, ks)
+    return np.einsum('...ilk,...ilm->...km', rot.conj(), rot)
+
+
+def _certificate(ks, dks, s):
+    """(value, gap, h, s) at the probe S: _inner's value and generator h, and
+    the duality gap 4 lambda_max(alpha(h)) - value, the spectral bound being
+    an upper bound on the supremum at every h.
+
+    At a ket psi, h is free on P P^dag, P spanning the Gram matrix's kernel
+    (singular values of the K_i psi stack above RIDGE_RTOL of the largest
+    count as its rank). Every h + c P P^dag has the same value, and alpha psi
+    = r0 + c r1 there, so the c that best cancels r0 + c r1 across psi is the
+    only one that can make psi alpha's top eigenvector.
+    """
+    value, h = _inner(ks, dks, s)
+    if s.shape[1] == 1:
+        psi = s[:, 0]
+        u, sv, _ = np.linalg.svd(ks @ psi)
+        p = u[:, np.count_nonzero(sv > RIDGE_RTOL * sv[0]):]
+        pp = p @ p.conj().T
+        # the rotated operators at h + c pp are rot_i - i c Q_i, with Q_i psi = 0
+        rot = dks - 1j * np.einsum('ij,jkl->ikl', h, ks)
+        r = np.einsum('nilk,il->nk', np.stack(
+            [rot, -1j * np.einsum('ij,jkl->ikl', pp, ks)]).conj(), rot @ psi)
+        r0, r1 = r - np.outer(r @ psi.conj(), psi)
+        h = h - np.vdot(r1, r0).real / max(np.vdot(r1, r1).real, np.finfo(float).tiny) * pp
+    return value, 4 * np.linalg.eigvalsh(_alpha(ks, dks, h))[-1] - value, h, s
 
 
 def channel_qfi_supremum(fam, phi0=0.0):
     """Channel QFI maximized over all (arbitrarily entangled) probe-ancilla inputs.
 
-    tr(rho alpha(h)), with alpha(h) = sum_i dtK_i^dag dtK_i and
-    dtK_i = dK_i - i sum_j h_ij K_j, is convex in h and linear in the probe's
+    tr(rho alpha(h)) (_alpha) is convex in h and linear in the probe's
     reduced state rho. By Sion's minimax theorem the worst-representation
     spectral bound min_h 4 lambda_max(alpha(h)) therefore equals the maximum
-    over the Bloch ball of the inner minimum _inner with S = sqrt(rho), the
-    same solve that channel_qfi_minimax makes at rho = I/2 (extended) and on
-    the Bloch sphere (bare). That maximum is concave in rho, so a single
-    simplex ascent from I/2 finds it.
+    over qubit states of the inner minimum F(rho), _inner at any S with
+    S S^dag = rho: the solve channel_qfi_minimax makes at rho = I/2
+    (extended) and at pure states (bare) (Fujiwara & Imai, J. Phys. A 41,
+    255304 (2008)). F is concave in rho.
 
-    The spectral bound at the returned h is the dual value; a duality gap
-    above DUALITY_GAP_TOL raises ConvergenceError. That also happens when the
-    maximizing rho is pure, where the inner minimizer h need not be the minimax
-    one. optimal_input is the maximizing reduced state; any purification of it
-    with the ancilla attains the value.
+    The bare search's kets (_bare_kets) are certified first (_certificate).
+    When none is, _newton_ascent climbs F from I/2 over x in R^4 with
+    S = L(x) / |x| (_FACTOR_BASIS), which reaches every state with no
+    boundary to stall on, for up to 4 * NEWTON_STEPS steps of length up to 0.5
+    (|x| = sqrt 2 at the start). Its gradient is Danskin's,
+    8 (A x - (F / 4) x) / |x|^2 with x.Ax = tr(L L^dag alpha(h*)) at _inner's
+    generator h*, and its Hessian is central differences of that gradient.
+    The best certified candidate gives the value, the state and the
+    generator; when none is certified, ConvergenceError reports the least
+    gap. optimal_input is the maximizing reduced state; any purification of
+    it with the ancilla attains the value.
     """
     ks, dks = fam.composite(phi0)
 
-    def root(v):
-        w, u = np.linalg.eigh(_ball_state(v))
-        return (u * np.sqrt(np.clip(w, 0, None))) @ u.conj().T
+    def root(xs):
+        return np.tensordot(xs, _FACTOR_BASIS, axes=1) / np.linalg.norm(
+            xs, axis=-1)[..., None, None]
 
-    top = _simplex_min(lambda v: -_inner(ks, dks, root(v), minimizer=False)[0],
-                       np.zeros(3), fatol=1e-14)
-    value, h = _inner(ks, dks, root(top))
-    rot = rotate_kraus(fam, h, phi0)
-    dual = 4 * np.linalg.eigvalsh(np.einsum('ilk,ilm->km', rot.conj(), rot))[-1]
-    if dual - value > DUALITY_GAP_TOL:
-        raise ConvergenceError(
-            f"duality gap {dual - value:.2e} exceeds {DUALITY_GAP_TOL:g}")
-    return QfiResult(value=float(value), optimal_input=_ball_state(top),
+    def values(xs):
+        return _inner(ks, dks, root(xs), minimizer=False)[0]
+
+    def gradients(xs):
+        a = np.einsum('pij,qkj,nki->npq', _FACTOR_BASIS, _FACTOR_BASIS.conj(),
+                      _alpha(ks, dks, _inner(ks, dks, root(xs))[1])).real
+        ax = np.einsum('npq,nq->np', a, xs)
+        rr = np.einsum('np,np->n', xs, xs)[:, None]
+        return 8 * (ax - np.einsum('np,np->n', xs, ax)[:, None] / rr * xs) / rr
+
+    def derivatives(x):
+        grads = gradients(x + np.vstack([np.zeros(4), 1e-5 * np.eye(4), -1e-5 * np.eye(4)]))
+        hess = (grads[1:5] - grads[5:]) / 2e-5
+        # F is constant along x, so only curvature across x counts
+        across = np.eye(4) - np.outer(x, x) / (x @ x)
+        return grads[0], across @ (hess + hess.T) @ across / 2
+
+    # a gap below -1e-9 would break weak duality, so it is round-off, not a
+    # certificate; NaN fails both tests
+    scored = [_certificate(ks, dks, k[:, None]) for k in _bare_kets(ks, dks)]
+    if not any(-1e-9 <= c[1] <= DUALITY_GAP_TOL for c in scored):
+        # in x a straight ridge of F bends, so Newton takes more steps than
+        # the bare polish: up to 46 on two-operator channels
+        x0 = np.array([1.0, 0, 0, 1])
+        top = _newton_ascent(derivatives, values, x0, values(x0[None])[0], 0.5,
+                             4 * NEWTON_STEPS)
+        scored.append(_certificate(ks, dks, root(top)))
+    found = [c for c in scored if -1e-9 <= c[1] <= DUALITY_GAP_TOL]
+    if not found:
+        raise ConvergenceError(f"duality gap {min(c[1] for c in scored):.2e} "
+                               f"exceeds {DUALITY_GAP_TOL:g}")
+    value, _, h, s = max(found, key=lambda c: c[0])
+    return QfiResult(value=float(value), optimal_input=s @ s.conj().T,
                      optimal_h=GeneratorH(h))
 
 

@@ -73,8 +73,8 @@ class ChiMatrix:
         mat = np.asarray(self.mat, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise TomographyError(f"chi must be square, got shape {mat.shape}")
-        if np.abs(mat - mat.conj().T).max() > 1e-10:
-            raise TomographyError("chi must be Hermitian")
+        if not np.abs(mat - mat.conj().T).max() <= 1e-10:
+            raise TomographyError("chi must be finite and Hermitian")
         object.__setattr__(self, "mat", mat)
 
     @property
@@ -200,11 +200,11 @@ def process_fidelity(exp, th):
     """Normalized Hilbert-Schmidt overlap of two chi matrices."""
     na = np.trace(exp.mat.conj().T @ exp.mat).real
     nb = np.trace(th.mat.conj().T @ th.mat).real
-    if na <= 0 or nb <= 0:
+    if not (na > 0 and nb > 0):
         raise TomographyError("zero-norm chi matrix")
     ov = np.trace(th.mat.conj().T @ exp.mat) / np.sqrt(na * nb)
     report = FidelityReport(value=float(ov.real), imag_residual=float(abs(ov.imag)))
-    if report.imag_residual > 1e-8:
+    if not report.imag_residual <= 1e-8:
         raise TomographyError(f"fidelity has imaginary residual {report.imag_residual:.2e}")
     return report
 

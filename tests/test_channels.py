@@ -11,6 +11,7 @@ from qmetro.channels import (ChannelError, GeneratorH, KrausChannel,
                              extend_with_ancilla, general_pauli,
                              kraus_from_choi, phase_unitary, random_channel,
                              rotate_kraus)
+from qmetro import optics, qfi, tomography
 from qmetro.linalg import PAULI_X, projector
 
 PLUS = projector(np.array([1, 1]) / np.sqrt(2))
@@ -290,6 +291,39 @@ def test_generator_h_validation():
         GeneratorH(np.zeros((2, 3)))
     h = GeneratorH([[1, 1j], [-1j, 0]])
     assert h.h.dtype == complex
+
+
+def _json_with(bad):
+    obj = amplitude_damping(0.3).to_json()
+    obj["kraus"][0][0][1][1] = bad
+    return obj
+
+
+NON_FINITE_ENTRY_POINTS = {
+    "KrausChannel": (ChannelError, lambda bad: KrausChannel([[[1, 0], [0, bad]]])),
+    "KrausChannel.from_json": (ChannelError, lambda bad: KrausChannel.from_json(_json_with(bad))),
+    "general_pauli": (ChannelError, lambda bad: general_pauli([1, bad, 0, 0])),
+    "GeneratorH": (ChannelError, lambda bad: GeneratorH([[1, 0], [0, bad]])),
+    "composite": (ChannelError, lambda bad: PhaseChannelFamily(depolarizing(0.3)).composite(bad)),
+    "bare minimax": (ChannelError, lambda bad: qfi.channel_qfi_minimax(
+        PhaseChannelFamily(depolarizing(0.3)), extended=False, phi0=bad)),
+    "channel_qfi_supremum": (ChannelError, lambda bad: qfi.channel_qfi_supremum(
+        PhaseChannelFamily(amplitude_damping(0.3)), phi0=bad)),
+    "sld_qfi": (qfi.QfiError, lambda bad: qfi.sld_qfi(np.diag([bad, 0.5]), np.zeros((2, 2)))),
+    "ChiMatrix": (tomography.TomographyError, lambda bad: tomography.ChiMatrix(np.diag([bad, 0.5]))),
+    "build_pauli_network": (optics.OpticsError, lambda bad: optics.build_pauli_network([1, bad, 0, 0])),
+}
+
+
+# arithmetic on inf warns on its way to the guard
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("name", sorted(NON_FINITE_ENTRY_POINTS))
+def test_non_finite_input_raises_the_module_error(name, bad):
+    # every guard reads `not x <= tol`, which NaN fails as well
+    error, call = NON_FINITE_ENTRY_POINTS[name]
+    with pytest.raises(error):
+        call(bad)
 
 
 def test_choi_matches_kraus_loop():

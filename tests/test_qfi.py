@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
-from scipy.optimize import minimize
+from scipy.optimize import differential_evolution
 
 from conftest import bell_state, rand_herm
 from qmetro.channels import (ChannelError, KrausChannel, PhaseChannelFamily,
@@ -13,10 +13,9 @@ from qmetro.channels import (ChannelError, KrausChannel, PhaseChannelFamily,
                              general_pauli, random_channel, rotate_kraus)
 from qmetro.linalg import PAULIS, herm_from_params, projector
 from qmetro import qfi
-from qmetro.qfi import (SIMPLEX_BUDGET, SIMPLEX_XATOL, QfiError, _bloch_derivatives,
-                        _bloch_grid, _bloch_information, _bloch_ket, _bloch_map,
-                        _bloch_vector, _grid_pick, _inner, _ridge_kets,
-                        _simplex_min, channel_qfi_minimax,
+from qmetro.qfi import (DUALITY_GAP_TOL, QfiError, _bloch_derivatives, _bloch_grid,
+                        _bloch_information, _bloch_ket, _bloch_map, _bloch_vector,
+                        _grid_pick, _inner, _ridge_kets, channel_qfi_minimax,
                         channel_qfi_supremum, closed_form_qfi,
                         qfi_from_matrix_elements, sld_qfi,
                         two_probe_collective_ad_qfi, two_probe_sld_oracle)
@@ -219,20 +218,82 @@ def test_supremum_against_frozen_oracles():
         assert abs(val - expected) < 1e-6, ch.label
 
 
+def spectral_bound(fam, h, phi=0.0):
+    """4 lambda_max(alpha(h)), an upper bound on the supremum at every h."""
+    rot = rotate_kraus(fam, h, phi)
+    return 4 * np.linalg.eigvalsh(sum(r.conj().T @ r for r in rot))[-1]
+
+
+def assert_input_attains(fam, rho, value, phi, tol):
+    """A purification of rho with the ancilla has output SLD information value.
+
+    At a ridge ket the output is pure only at phi itself, and the SLD
+    information there drops the vanishing eigenvalue's term; at the phase
+    points next to it the output is mixed and the information tends to the
+    value, within 1e-6.
+    """
+    ridge = _ridge_kets(fam.composite(phi)[0])
+    at_ridge = any(abs(ket.conj() @ rho @ ket - 1) <= 1e-12 for ket in ridge)
+    w, v = np.linalg.eigh(rho)
+    psi = sum(np.sqrt(max(w[k], 0)) * np.kron(v[:, k], np.eye(2)[k]) for k in range(2))
+    for d in (-1e-3, 1e-3) if at_ridge else (0.0,):
+        sld, _ = sld_qfi(*evolve(np.outer(psi, psi.conj()),
+                                 *fam.composite(phi + d, ancilla=True)))
+        assert abs(sld.value - value) <= (1e-6 if at_ridge else tol)
+
+
+def assert_supremum_certified(fam, res, phi=0.0):
+    # dual side, two-sided: the spectral bound at the returned generator
+    gap = spectral_bound(fam, res.optimal_h, phi) - res.value
+    assert -1e-9 <= gap <= DUALITY_GAP_TOL
+    # primal side: a purification of the returned state attains the value
+    assert_input_attains(fam, res.optimal_input, res.value, phi, 1e-8)
+
+
 def test_supremum_certificate():
     for ch, _ in SUPREMUM_CASES:
         fam = PhaseChannelFamily(ch)
-        res = channel_qfi_supremum(fam)
-        # dual side: the spectral bound at the returned generator
-        rot = rotate_kraus(fam, res.optimal_h)
-        dual = 4 * np.linalg.eigvalsh(sum(r.conj().T @ r for r in rot))[-1]
-        assert res.value - 1e-9 <= dual <= res.value + 1e-6, ch.label
-        # primal side: a purification of the returned state attains the value
-        w, v = np.linalg.eigh(res.optimal_input)
-        psi = sum(np.sqrt(max(w[k], 0)) * np.kron(v[:, k], np.eye(2)[k]) for k in range(2))
-        rho0 = np.outer(psi, psi.conj())
-        sld, _ = sld_qfi(*evolve(rho0, *fam.composite(0.0, ancilla=True)))
-        assert abs(sld.value - res.value) < 1e-8, ch.label
+        assert_supremum_certified(fam, channel_qfi_supremum(fam))
+
+
+def _ball_information(ks, dks, p):
+    """_inner at the square root of the state with Bloch vector p[0] times the
+    unit vector at angles (p[1], p[2])."""
+    r = p[0] * _bloch_vector(p[1], p[2])
+    w, u = np.linalg.eigh((PAULIS[0] + np.tensordot(r, PAULIS[1:], axes=1)) / 2)
+    return _inner(ks, dks, (u * np.sqrt(np.clip(w, 0, None))) @ u.conj().T,
+                  minimizer=False)[0]
+
+
+# (Kraus count, seed, where the optimum lies, value) of random_channel(2, n,
+# default_rng(seed)) at phi = 0: two pure optima, where the inner minimizer
+# need not be the minimax generator (a ridge ket, and the bare search's
+# optimum), and an interior optimum at |r| = 0.864
+SUPREMUM_HARD_CASES = [(2, 7, "ridge", 0.38677531070564575),
+                       (2, 13, "bare", 0.5633096809467416),
+                       (3, 18, "interior", 0.7553209861230274)]
+
+
+@pytest.mark.parametrize("n, seed, where, expected", SUPREMUM_HARD_CASES)
+def test_supremum_hard_cases(n, seed, where, expected):
+    fam = PhaseChannelFamily(random_channel(2, n, np.random.default_rng(seed)))
+    res = channel_qfi_supremum(fam)
+    assert abs(res.value - expected) <= 1e-12
+    assert_supremum_certified(fam, res)
+    # above: the spectral bound at the returned generator
+    assert expected - 1e-12 <= spectral_bound(fam, res.optimal_h) <= expected + DUALITY_GAP_TOL
+    # below: a value some input attains
+    ks, dks = fam.composite(0.0)
+    if where == "interior":
+        low = -differential_evolution(lambda p: -_ball_information(ks, dks, p),
+                                      [(0, 1), (0, np.pi), (0, 2 * np.pi)],
+                                      seed=0, popsize=5, tol=1e-3).fun
+        assert abs(np.linalg.norm([np.trace(p @ res.optimal_input).real
+                                   for p in PAULIS[1:]]) - 0.864) <= 1e-3
+    else:
+        low = channel_qfi_minimax(fam, extended=False).value
+        assert np.trace(res.optimal_input @ res.optimal_input).real >= 1 - 1e-12
+    assert expected - 1e-9 <= low <= expected + 1e-12
 
 
 def test_supremum_exceeds_balanced_value_for_damping():
@@ -250,15 +311,6 @@ NOISY_CHANNELS = st.one_of(
     st.floats(0, 1).map(amplitude_damping),
     st.floats(0, 1).map(depolarizing),
 )
-
-
-@settings(max_examples=24)
-@given(NOISY_CHANNELS)
-def test_supremum_bounds_balanced_and_bare(ch):
-    fam = PhaseChannelFamily(ch)
-    sup = channel_qfi_supremum(fam).value
-    assert channel_qfi_minimax(fam, extended=True).value <= sup + 1e-9
-    assert channel_qfi_minimax(fam, extended=False).value <= sup + 1e-9
 
 
 @settings(max_examples=24)
@@ -295,6 +347,16 @@ PROBE_FAMILIES = st.one_of(
     st.tuples(st.integers(0, 2 ** 32 - 1), st.integers(1, 4)).map(
         lambda c: random_channel(2, c[1], np.random.default_rng(c[0]))),
 )
+
+
+@settings(max_examples=40)
+@given(PROBE_FAMILIES, st.floats(0, 2 * np.pi))
+def test_supremum_bounds_balanced_and_bare(ch, phi):
+    fam = PhaseChannelFamily(ch)
+    res = channel_qfi_supremum(fam, phi)
+    assert channel_qfi_minimax(fam, extended=True, phi0=phi).value <= res.value + 1e-12
+    assert channel_qfi_minimax(fam, extended=False, phi0=phi).value <= res.value + 1e-12
+    assert_supremum_certified(fam, res, phi)
 
 
 @lru_cache(maxsize=None)
@@ -425,18 +487,14 @@ def test_bloch_grid_matches_inner(ch, seed, phi):
 
 def test_bare_search_solves_single_kets_only(monkeypatch):
     # the grid is scored and polished in the Bloch picture; the inner solve
-    # sees one ket at a time, and the simplex is never asked
+    # sees one ket at a time
     shapes = []
 
     def spy(ks, dks, s, minimizer=True):
         shapes.append(s.shape)
         return _inner(ks, dks, s, minimizer)
 
-    def no_simplex(*args, **kwargs):
-        raise AssertionError("the bare search called _simplex_min")
-
     monkeypatch.setattr(qfi, "_inner", spy)
-    monkeypatch.setattr(qfi, "_simplex_min", no_simplex)
     for ch in (amplitude_damping(0.5), depolarizing(0.5),
                composed(general_pauli([0.6, 0.1, 0.2, 0.1]), depolarizing(0.3))):
         shapes.clear()
@@ -485,56 +543,8 @@ def test_bare_search_certificate(ch, phi):
     ridge = _ridge_kets(ks)
     for ket in ridge:
         assert res.value >= _inner(ks, dks, ket[:, None])[0] - 1e-12
-    # the returned input attains the value: the SLD information of its output.
-    # At a ridge ket the output is pure only at phi itself, and the SLD
-    # information there drops the vanishing eigenvalue's term; at the phase
-    # points next to it the output is mixed and the information tends to the value.
-    at_ridge = any(abs(ket.conj() @ res.optimal_input @ ket - 1) <= 1e-12 for ket in ridge)
-    for d in (-1e-3, 1e-3) if at_ridge else (0.0,):
-        sld, _ = sld_qfi(*evolve(res.optimal_input, *fam.composite(phi + d)))
-        assert abs(sld.value - res.value) <= (1e-6 if at_ridge else 1e-10)
-
-
-# ------------------------------------------------------------------ simplex
-
-def simplex_objectives():
-    """Fresh test objectives by name; "noise" keeps state between calls."""
-    rng = np.random.default_rng(7)
-    return {
-        "quadratic": lambda x: np.sum((x - [0.3, -1.2, 0.7][:len(x)]) ** 2),
-        "rosenbrock": lambda x: np.sum(100 * (x[1:] - x[:-1] ** 2) ** 2
-                                       + (1 - x[:-1]) ** 2),
-        # piecewise constant: ties in the ordering, contractions and shrinks
-        "terraces": lambda x: np.floor(4 * np.linalg.norm(x - 0.5)),
-        # unbounded below: the budget runs out, for n = 2 in the middle of a step
-        "cone": lambda x: -np.linalg.norm(x),
-        # a new value on every call, even at the same point: the simplex never
-        # converges, and the budget often runs out in the middle of a shrink
-        "noise": lambda x: rng.random(),
-    }
-
-
-# exact zeros take the 0.00025 branch of the initial simplex; other
-# coordinates are at least 1e-3, so that no start has already converged
-SIMPLEX_STARTS = st.integers(2, 3).flatmap(lambda n: st.lists(
-    st.one_of(st.just(0.0), st.floats(1e-3, 3), st.floats(-3, -1e-3)),
-    min_size=n, max_size=n))
-
-
-@settings(max_examples=80)
-@given(st.sampled_from(sorted(simplex_objectives())), SIMPLEX_STARTS,
-       st.sampled_from([1e-12, 1e-14]))
-def test_simplex_matches_reference_nelder_mead(name, x0, fatol):
-    f = simplex_objectives()[name]
-    calls = []
-    x = _simplex_min(lambda v: calls.append(1) or f(v), x0, fatol)
-    ref = minimize(simplex_objectives()[name], x0, method="Nelder-Mead",
-                   options={"xatol": SIMPLEX_XATOL, "fatol": fatol,
-                            "maxfev": SIMPLEX_BUDGET * len(x0)})
-    assert x.tobytes() == ref.x.tobytes()
-    assert len(calls) == ref.nfev
-    if name in ("cone", "noise"):
-        assert ref.nfev == SIMPLEX_BUDGET * len(x0)
+    # the returned input attains the value: the SLD information of its output
+    assert_input_attains(fam, res.optimal_input, res.value, phi, 1e-10)
 
 
 # ------------------------------------------------------------ two-probe QFI

@@ -1,13 +1,15 @@
 """The benchmark harness under qbench/ patches qmetro functions by name; every
-name it lists must still exist on the package. The package itself imports
-only numpy."""
+name it lists must still exist on the package, and its workloads must still
+import against it. The package itself imports only numpy."""
 import importlib
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-QBENCH = Path(__file__).resolve().parent.parent / "qbench"
+ROOT = Path(__file__).resolve().parent.parent
+QBENCH = ROOT / "qbench"
 
 
 def test_tracing_targets_resolve(monkeypatch):
@@ -22,6 +24,14 @@ def test_tracing_targets_resolve(monkeypatch):
             assert meth in vars(getattr(owner, cls_name)), f"{module}.{attr}"
         else:
             assert callable(getattr(owner, attr, None)), f"{module}.{attr}"
+
+
+def test_benchmark_workloads_import(monkeypatch):
+    # workloads binds qmetro names (qfi.ConvergenceError among them) at import
+    monkeypatch.syspath_prepend(str(QBENCH))
+    workloads = importlib.import_module("workloads")
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]
+    assert list(workloads.WORKLOADS) == [w["name"] for w in declared]
 
 
 def test_cli_import_loads_no_scipy():
