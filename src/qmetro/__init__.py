@@ -37,8 +37,8 @@ from .qfi import (ConvergenceError, QfiError, QfiResult, SldOperator,
                   qfi_from_matrix_elements, sld_qfi,
                   two_probe_collective_ad_qfi, two_probe_sld_oracle)
 from .tomography import (ChiMatrix, FidelityReport, QptDataset,
-                         TomographyError, born_probabilities, chi_apply,
-                         chi_theory, poisson_uncertainty, process_fidelity,
+                         TomographyError, born_probabilities, chi_theory,
+                         poisson_uncertainty, process_fidelity,
                          product_states, reconstruct_chi,
                          reconstruct_from_probabilities, simulate_qpt)
 

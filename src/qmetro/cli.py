@@ -11,6 +11,7 @@ path included), 3 when an optimizer, reconstruction, or verification tolerance
 fails.
 """
 import argparse
+import functools
 import json
 import sys
 
@@ -275,7 +276,9 @@ def cmd_supplement_verify(args):
 
 # -------------------------------------------------------------------- parser
 
+@functools.lru_cache(maxsize=None)
 def build_parser():
+    """Built once and shared by every `main` call; it holds no command functions."""
     parser = argparse.ArgumentParser(
         prog="qmetro",
         description="Simulation toolkit for noisy-channel phase metrology.")
@@ -293,7 +296,6 @@ def build_parser():
     p.add_argument("--minimax", action="store_true",
                    help="include optimizer columns")
     add_common(p)
-    p.set_defaults(func=cmd_qfi_curve)
 
     p = sub.add_parser("error-curve",
                        help="Monte-Carlo phase error vs the Cramer-Rao bound")
@@ -305,7 +307,6 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--phi", type=float, default=0.0)
     add_common(p)
-    p.set_defaults(func=cmd_error_curve)
 
     p = sub.add_parser("qpt", help="simulated process tomography")
     p.add_argument("--channel", choices=("ad", "depol"), required=True)
@@ -318,7 +319,6 @@ def build_parser():
     p.add_argument("--exact", action="store_true",
                    help="reconstruct from exact probabilities")
     p.add_argument("--out", required=True, help="summary CSV path")
-    p.set_defaults(func=cmd_qpt)
 
     p = sub.add_parser("optics-verify",
                        help="check the polarization network constructions")
@@ -327,22 +327,21 @@ def build_parser():
     for flag in ("--p0", "--p1", "--p2", "--p3"):
         p.add_argument(flag, type=float, default=None)
     add_common(p, fmt=False)
-    p.set_defaults(func=cmd_optics_verify)
 
     p = sub.add_parser("supplement-verify",
                        help="flagged-channel identities and variances")
     p.add_argument("--grid", default="0:0.9:0.1")
     add_common(p, fmt=False)
-    p.set_defaults(func=cmd_supplement_verify)
 
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # looked up per call, so a replaced command function takes effect
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except (ConfigError, EstimationError) as exc:
         print(f"error: invalid configuration: {exc}", file=sys.stderr)
         return EXIT_CONFIG

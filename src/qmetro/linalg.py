@@ -43,9 +43,10 @@ def herm_from_params(x, m):
 
 
 def nearest_psd(h):
-    """Frobenius-nearest positive-semidefinite matrix to Hermitian h."""
+    """Frobenius-nearest positive-semidefinite matrix to Hermitian h, for each
+    matrix of a stack (..., n, n)."""
     w, v = np.linalg.eigh(h)
-    return (v * np.clip(w, 0, None)) @ v.conj().T
+    return (v * np.clip(w, 0, None)[..., None, :]) @ np.swapaxes(v, -1, -2).conj()
 
 
 def projector(ket):

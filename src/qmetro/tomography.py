@@ -9,7 +9,7 @@ from functools import lru_cache
 import numpy as np
 
 from .channels import evolve
-from .linalg import nearest_psd, pauli_basis, projector, substreams
+from .linalg import _CHUNK_ROWS, nearest_psd, pauli_basis, projector, substreams
 
 # preparation kets; the measurement settings project onto the same set
 INPUT_KETS = (
@@ -63,6 +63,12 @@ def product_states(d):
     return _design(d).states
 
 
+def _require_hermitian(mats):
+    """Raise unless every matrix of the stack is finite and Hermitian (NaN fails)."""
+    if not np.abs(mats - np.swapaxes(mats, -1, -2).conj()).max() <= 1e-10:
+        raise TomographyError("chi must be finite and Hermitian")
+
+
 @dataclass(frozen=True)
 class ChiMatrix:
     """Process matrix in the Pauli (product) operator basis."""
@@ -73,8 +79,7 @@ class ChiMatrix:
         mat = np.asarray(self.mat, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise TomographyError(f"chi must be square, got shape {mat.shape}")
-        if not np.abs(mat - mat.conj().T).max() <= 1e-10:
-            raise TomographyError("chi must be finite and Hermitian")
+        _require_hermitian(mat)
         object.__setattr__(self, "mat", mat)
 
     @property
@@ -102,26 +107,12 @@ class ChiMatrix:
         return cls((np.array(obj["re"]) + 1j * np.array(obj["im"])).reshape(n, n))
 
 
-def _probe_dim(n):
-    """Probe dimension d of an n x n table or chi matrix (n = d*d); 0 when n
-    is not a square, which `_design` rejects."""
-    d = math.isqrt(n)
-    return d if d * d == n else 0
-
-
 def chi_theory(ch):
     """Exact chi matrix of a Kraus channel, via Pauli expansion of each operator."""
     d = ch.dim
     basis = _design(d).basis
     c = np.array([[np.trace(b.conj().T @ k) / d for b in basis] for k in ch.kraus])
     return ChiMatrix(c.T @ c.conj())
-
-
-def chi_apply(chi, rho):
-    """Apply a chi-form process to a state."""
-    basis = _design(_probe_dim(chi.dim_basis)).basis
-    return np.einsum('ab,aij,jk,blk->il', chi.mat, basis, np.asarray(rho, dtype=complex),
-                     basis.conj(), optimize=True)
 
 
 @dataclass(frozen=True)
@@ -163,26 +154,35 @@ def simulate_qpt(ch, shots=20000, seed=0):
     return QptDataset(counts)
 
 
+def _reconstruct(probs):
+    """`reconstruct_from_probabilities` over tables (..., n_inputs, n_bases): each
+    table gets its own matrix-vector product and eigendecomposition, so each
+    chi equals the one reconstructed from its table alone, bit for bit."""
+    design = _design(math.isqrt(probs.shape[-2]))
+    nb, lead = len(design.basis), probs.shape[:-2]
+    if probs.shape[-2:] != (nb, nb):
+        raise TomographyError(f"probabilities must have shape {(nb, nb)}, got {probs.shape}")
+    x = np.matmul(design.inverse, probs.reshape(*lead, nb * nb, 1)).reshape(*lead, nb, nb)
+    chi = nearest_psd((x + np.swapaxes(x, -1, -2).conj()) / 2)
+    tr = np.trace(chi, axis1=-2, axis2=-1).real
+    if not np.min(tr) > 0:
+        raise TomographyError("reconstructed chi has nonpositive trace")
+    chi = chi / tr[..., None, None]
+    _require_hermitian(chi)
+    return chi
+
+
 def reconstruct_from_probabilities(probs):
     """Linear inversion of an (n_inputs, n_bases) table of outcome-0
     probabilities, then clip to positive semidefinite and rescale the trace."""
-    probs = np.atleast_2d(np.asarray(probs, dtype=float))
-    design = _design(_probe_dim(len(probs)))
-    nb = len(design.basis)
-    if probs.shape != (nb, nb):
-        raise TomographyError(f"probabilities must have shape {(nb, nb)}, got {probs.shape}")
-    x = (design.inverse @ probs.ravel()).reshape(nb, nb)
-    chi = nearest_psd((x + x.conj().T) / 2)
-    tr = np.trace(chi).real
-    if tr <= 0:
-        raise TomographyError("reconstructed chi has nonpositive trace")
-    return ChiMatrix(chi / tr)
+    return ChiMatrix(_reconstruct(np.atleast_2d(np.asarray(probs, dtype=float))))
 
 
 def _frequencies(counts):
-    """Outcome-0 frequency per setting; 0.5 where a setting drew no counts."""
-    totals = counts.sum(axis=2)
-    return np.where(totals > 0, counts[:, :, 0], 0.5) / np.where(totals > 0, totals, 1)
+    """Outcome-0 frequency per setting of count tables (..., n_inputs, n_bases,
+    2); 0.5 where a setting drew no counts."""
+    totals = counts.sum(axis=-1)
+    return np.where(totals > 0, counts[..., 0], 0.5) / np.where(totals > 0, totals, 1)
 
 
 def reconstruct_chi(data):
@@ -196,17 +196,25 @@ class FidelityReport:
     imag_residual: float
 
 
+def _overlap(a, b):
+    """Normalized Hilbert-Schmidt overlaps of chi matrices a and b, which
+    broadcast over their leading axes; returns (value, imag_residual) arrays."""
+    def inner(x, y):
+        return np.trace(np.matmul(np.swapaxes(x, -1, -2).conj(), y), axis1=-2, axis2=-1)
+
+    na, nb = inner(a, a).real, inner(b, b).real
+    if not (np.min(na) > 0 and np.min(nb) > 0):
+        raise TomographyError("zero-norm chi matrix")
+    ov = inner(b, a) / np.sqrt(na * nb)
+    residual = np.abs(ov.imag)
+    if not np.max(residual) <= 1e-8:
+        raise TomographyError(f"fidelity has imaginary residual {np.max(residual):.2e}")
+    return ov.real, residual
+
+
 def process_fidelity(exp, th):
     """Normalized Hilbert-Schmidt overlap of two chi matrices."""
-    na = np.trace(exp.mat.conj().T @ exp.mat).real
-    nb = np.trace(th.mat.conj().T @ th.mat).real
-    if not (na > 0 and nb > 0):
-        raise TomographyError("zero-norm chi matrix")
-    ov = np.trace(th.mat.conj().T @ exp.mat) / np.sqrt(na * nb)
-    report = FidelityReport(value=float(ov.real), imag_residual=float(abs(ov.imag)))
-    if not report.imag_residual <= 1e-8:
-        raise TomographyError(f"fidelity has imaginary residual {report.imag_residual:.2e}")
-    return report
+    return FidelityReport(*map(float, _overlap(exp.mat, th.mat)))
 
 
 def poisson_uncertainty(data, chi_ref, resamples=50, seed=0):
@@ -214,9 +222,10 @@ def poisson_uncertainty(data, chi_ref, resamples=50, seed=0):
     counts."""
     if resamples < 2:
         raise TomographyError("need at least 2 resamples")
-    fids = np.empty(resamples)
-    # resample r draws from default_rng([seed, r])
-    for r, rng in enumerate(substreams([seed], np.arange(resamples))):
-        chi = reconstruct_from_probabilities(_frequencies(rng.poisson(data.counts)))
-        fids[r] = process_fidelity(chi, chi_ref).value
-    return float(np.std(fids))
+    fids = []
+    # resample r draws from default_rng([seed, r]); stacks of a few thousand tables
+    for start in range(0, resamples, _CHUNK_ROWS):
+        rows = np.arange(start, min(start + _CHUNK_ROWS, resamples))
+        counts = np.stack([rng.poisson(data.counts) for rng in substreams([seed], rows)])
+        fids.append(_overlap(_reconstruct(_frequencies(counts)), chi_ref.mat)[0])
+    return float(np.std(np.concatenate(fids)))

@@ -1,5 +1,10 @@
+import math
+
 import numpy as np
 from hypothesis import settings
+
+from qmetro.linalg import pauli_basis
+from qmetro.tomography import TomographyError
 
 # every property is replayed from the same derandomized examples, with no
 # deadline and no example database; each test sets only its max_examples
@@ -22,6 +27,16 @@ def bell_state():
     psi = np.zeros(4, dtype=complex)
     psi[0] = psi[3] = 1 / np.sqrt(2)
     return np.outer(psi, psi.conj())
+
+
+def chi_apply(chi, rho):
+    """Apply a chi-form process, in the Pauli product basis, to a state."""
+    d = math.isqrt(chi.dim_basis)
+    if d not in (2, 4) or d * d != chi.dim_basis:
+        raise TomographyError(f"unsupported probe dimension {d}")
+    basis = pauli_basis(d // 2)
+    return np.einsum('ab,aij,jk,blk->il', chi.mat, basis, np.asarray(rho, dtype=complex),
+                     basis.conj(), optimize=True)
 
 
 def params_from_herm(h):

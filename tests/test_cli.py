@@ -53,6 +53,32 @@ def test_format_csv_six_significant_digits():
     assert text == "a,b\n0.333333,1.23457e+07\n"
 
 
+def test_cached_parser_keeps_no_state_between_calls(tmp_path, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    curve = ["qfi-curve", "--channel", "ad", "--grid", "0.5"]
+    assert main(curve + ["--format", "json"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["rows"][0]["noise"] == 0.5
+    assert main(curve) == EXIT_OK
+    assert capsys.readouterr().out.startswith("noise,qfi_assisted_closed,qfi_bare_closed\n")
+    for argv in (["--single", "--exact"], ["--exact"]):
+        out = tmp_path / "qpt.csv"
+        assert main(["qpt", "--channel", "ad", "--out", str(out)] + argv) == EXIT_OK
+    chi = json.loads((tmp_path / "qpt_noise0.5_chi_exp.json").read_text())
+    assert chi["dim_basis"] == 16 and len(chi["re"]) == 256
+    with pytest.raises(SystemExit) as err:
+        main(curve + ["--reps", "3"])
+    assert err.value.code == 2
+    capsys.readouterr()
+    assert main(curve) == EXIT_OK
+
+
+def test_commands_are_looked_up_per_call(monkeypatch):
+    # the cached parser must not pin the command functions it was built with
+    cli.build_parser()
+    monkeypatch.setattr(cli, "cmd_supplement_verify", lambda args: 7)
+    assert main(["supplement-verify"]) == 7
+
+
 # ----------------------------------------------------------------- qfi-curve
 
 def test_qfi_curve_stdout(capsys):

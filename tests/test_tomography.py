@@ -4,15 +4,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from conftest import rand_herm, rand_rho
+from conftest import chi_apply, rand_herm, rand_rho
 from qmetro.channels import (KrausChannel, amplitude_damping, depolarizing,
                              extend_with_ancilla, general_pauli,
                              random_channel)
 from qmetro.tomography import (ChiMatrix, QptDataset, TomographyError,
-                               born_probabilities, chi_apply, chi_theory,
-                               poisson_uncertainty, process_fidelity,
-                               product_states, reconstruct_chi,
-                               reconstruct_from_probabilities, simulate_qpt)
+                               _frequencies, _overlap, _reconstruct,
+                               _require_hermitian, born_probabilities,
+                               chi_theory, poisson_uncertainty,
+                               process_fidelity, product_states,
+                               reconstruct_chi, reconstruct_from_probabilities,
+                               simulate_qpt)
 
 AD_HALF = extend_with_ancilla(amplitude_damping(0.5))
 DEPOL_04 = extend_with_ancilla(depolarizing(0.4))
@@ -153,6 +155,81 @@ def test_reconstruct_exact_probabilities_is_identity(seed, d, n_kraus):
 def test_reconstruct_rejects_wrong_shape(shape):
     with pytest.raises(TomographyError):
         reconstruct_from_probabilities(np.full(shape, 0.5))
+
+
+@settings(max_examples=40)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([2, 4]), st.integers(1, 6),
+       st.sampled_from([1, 10, 20000]))
+def test_stacked_kernels_match_single_tables_bit_for_bit(seed, d, size, shots):
+    # count tables around a random channel's probabilities; about a fifth of
+    # the settings drew no counts and read as frequency 0.5
+    rng = np.random.default_rng(seed)
+    ch = random_channel(d, 2, rng)
+    ref = chi_theory(ch)
+    totals = rng.integers(0, shots + 1, (size, d * d, d * d))
+    totals[rng.random(totals.shape) < 0.2] = 0
+    n0 = rng.binomial(totals, born_probabilities(ch))
+    counts = np.stack([n0, totals - n0], axis=-1)
+    probs = _frequencies(counts)
+    chis = _reconstruct(probs)
+    value, residual = _overlap(chis, ref.mat)
+    for i in range(size):
+        assert np.array_equal(probs[i], _frequencies(counts[i]))
+        single = reconstruct_from_probabilities(probs[i])
+        assert np.array_equal(chis[i], single.mat)
+        fid = process_fidelity(single, ref)
+        assert (value[i], residual[i]) == (fid.value, fid.imag_residual)
+
+
+def _raised(call):
+    with pytest.raises(TomographyError) as err:
+        call()
+    return str(err.value)
+
+
+# a stack with one bad member, mid-stack so that neither end decides a check,
+# fails with the message of that member alone
+STACK = np.stack([chi_theory(random_channel(2, 2, np.random.default_rng(s))).mat
+                  for s in range(5)])
+
+
+def test_reconstruct_stack_with_one_nonpositive_trace():
+    probs = np.stack([born_probabilities(random_channel(2, 2, np.random.default_rng(s)))
+                      for s in range(5)])
+    probs[2] = 0
+    single = _raised(lambda: reconstruct_from_probabilities(probs[2]))
+    assert single == "reconstructed chi has nonpositive trace"
+    assert _raised(lambda: _reconstruct(probs)) == single
+
+
+@pytest.mark.parametrize("fault,message", [
+    ("zero norm", "zero-norm chi matrix"),
+    ("nan", "zero-norm chi matrix"),
+    ("imaginary overlap", "fidelity has imaginary residual 7.07e-01"),
+])
+def test_overlap_stack_with_one_bad_member(fault, message):
+    stack, ref = STACK.copy(), STACK[0]
+    if fault == "zero norm":
+        stack[2] = 0
+        assert _raised(lambda: process_fidelity(ChiMatrix(stack[2]), ChiMatrix(ref))) == message
+    elif fault == "nan":
+        stack[2, 1, 2] = np.nan
+    else:
+        stack[2] = (1 + 1j) * ref
+    assert _raised(lambda: _overlap(stack[2], ref)) == message
+    assert _raised(lambda: _overlap(stack, ref)) == message
+
+
+@pytest.mark.parametrize("fault", ["nan", "not hermitian"])
+def test_hermitian_check_stack_with_one_bad_member(fault):
+    stack = STACK.copy()
+    if fault == "nan":
+        stack[2, 1, 2] = np.nan
+    else:
+        stack[2, 0, 1] += 1e-9
+    single = _raised(lambda: ChiMatrix(stack[2]))
+    assert single == "chi must be finite and Hermitian"
+    assert _raised(lambda: _require_hermitian(stack)) == single
 
 
 def test_simulate_qpt_deterministic():
