@@ -17,8 +17,7 @@ process following a tunable phase rotation) and provides:
 from .channels import (NOISE, ChannelError, GeneratorH, KrausChannel,
                        PhaseChannelFamily, amplitude_damping, choi_matrix,
                        depolarizing, evolve, extend_with_ancilla,
-                       general_pauli, kraus_from_choi, phase_unitary,
-                       random_channel, rotate_kraus)
+                       general_pauli, kraus_from_choi, phase_unitary)
 from .circuits import (CircuitError, FlaggedOutputReport, VarianceReport,
                        build_flagged_channel, conjugation_residual,
                        flagged_variance, variance_consistency_check,
@@ -28,10 +27,9 @@ from .estimation import (SCHEMES, EstimationError, MeasurementModel, Scheme,
                          error_curve, estimate_phase, model_for,
                          probabilities, run_experiment)
 from .optics import (ModeSpace, OpticalElement, OpticalNetwork, OpticsError,
-                     apply_network, build_ad_network, build_pauli_network,
-                     damping_plate_angle, element_unitary, extract_channel,
-                     jones_hwp, jones_qwp, pauli_angle_residuals,
-                     solve_pauli_angles)
+                     build_ad_network, build_pauli_network, damping_plate_angle,
+                     element_unitary, extract_channel, jones_hwp, jones_qwp,
+                     pauli_angle_residuals, solve_pauli_angles)
 from .qfi import (ConvergenceError, QfiError, QfiResult, SldOperator,
                   channel_qfi_minimax, channel_qfi_supremum, closed_form_qfi,
                   qfi_from_matrix_elements, sld_qfi,

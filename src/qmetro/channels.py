@@ -204,17 +204,6 @@ class GeneratorH:
         object.__setattr__(self, "h", h)
 
 
-def rotate_kraus(fam, h, phi0=0.0):
-    """First-order rotated Kraus derivatives dK_i - i sum_j h_ij K_j at phi0,
-    stacked (m, d, d)."""
-    hmat = h.h if isinstance(h, GeneratorH) else np.asarray(h, dtype=complex)
-    ks, dks = fam.composite(phi0)
-    m = len(ks)
-    if hmat.shape != (m, m):
-        raise ChannelError(f"h must be {m}x{m} for this family")
-    return dks - 1j * np.einsum('ij,jkl->ikl', hmat, ks)
-
-
 def choi_matrix(ch):
     """Choi matrix C[i*d+k, j*d+l] = channel(|i><j|)[k, l]."""
     d = ch.dim
@@ -237,10 +226,3 @@ def kraus_from_choi(choi, tol=1e-10):
         raise ChannelError(f"Choi matrix is not positive: min eigenvalue {w.min():.2e}")
     keep = w > tol
     return np.sqrt(w[keep])[:, None, None] * v.T[keep].reshape(-1, d, d).swapaxes(-1, -2)
-
-
-def random_channel(dim, n_kraus, rng):
-    """Random CPTP channel from a Haar-ish Ginibre isometry."""
-    g = rng.standard_normal((n_kraus * dim, dim)) + 1j * rng.standard_normal((n_kraus * dim, dim))
-    q, _ = np.linalg.qr(g)
-    return KrausChannel(q.reshape(n_kraus, dim, dim), label=f"random({dim},{n_kraus})")

@@ -214,22 +214,6 @@ def _through(net, small):
     return np.trace(out.reshape(lead + (2, n, 2, n)), axis1=-3, axis2=-1)
 
 
-def apply_network(net, rho_in):
-    """Send a polarization state through the network.
-
-    Returns (rho_out, success_probability); the output is renormalized and the
-    postselection losses are reported in the probability, never hidden.
-    """
-    rho_in = np.asarray(rho_in, dtype=complex)
-    if rho_in.shape != (2, 2):
-        raise OpticsError("input must be 2x2 for this network")
-    out = _through(net, rho_in)
-    success = np.trace(out).real
-    if success < 1e-15:
-        raise OpticsError("postselection removed the entire state")
-    return out / success, float(success)
-
-
 def extract_channel(net):
     """Recover the polarization channel a network realizes.
 

@@ -360,10 +360,18 @@ _FACTOR_BASIS = np.array([[[1, 0], [0, 0]], [[0, 0], [1, 0]],
                           [[0, 0], [1j, 0]], [[0, 0], [0, 1]]])
 
 
+def _rotated(ks, dks, h):
+    """The rotated derivatives dtK_i = dK_i - i sum_j h_ij K_j, stacked over
+    the leading axes of h."""
+    if np.shape(h)[-2:] != (len(ks),) * 2:
+        raise QfiError(f"h must be {len(ks)}x{len(ks)} for {len(ks)} Kraus operators")
+    return dks - 1j * np.einsum('...ij,jkl->...ikl', h, ks)
+
+
 def _alpha(ks, dks, h):
-    """alpha(h) = sum_i dtK_i^dag dtK_i with dtK_i = dK_i - i sum_j h_ij K_j,
+    """alpha(h) = sum_i dtK_i^dag dtK_i over the `_rotated` derivatives,
     stacked over the leading axes of h."""
-    rot = dks - 1j * np.einsum('...ij,jkl->...ikl', h, ks)
+    rot = _rotated(ks, dks, h)
     return np.einsum('...ilk,...ilm->...km', rot.conj(), rot)
 
 
@@ -385,7 +393,7 @@ def _certificate(ks, dks, s):
         p = u[:, np.count_nonzero(sv > RIDGE_RTOL * sv[0]):]
         pp = p @ p.conj().T
         # the rotated operators at h + c pp are rot_i - i c Q_i, with Q_i psi = 0
-        rot = dks - 1j * np.einsum('ij,jkl->ikl', h, ks)
+        rot = _rotated(ks, dks, h)
         r = np.einsum('nilk,il->nk', np.stack(
             [rot, -1j * np.einsum('ij,jkl->ikl', pp, ks)]).conj(), rot @ psi)
         r0, r1 = r - np.outer(r @ psi.conj(), psi)

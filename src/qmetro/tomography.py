@@ -162,6 +162,8 @@ def _reconstruct(probs):
     nb, lead = len(design.basis), probs.shape[:-2]
     if probs.shape[-2:] != (nb, nb):
         raise TomographyError(f"probabilities must have shape {(nb, nb)}, got {probs.shape}")
+    if not np.isfinite(probs).all():  # before the eigendecomposition sees them
+        raise TomographyError("probability table holds a NaN or an inf")
     x = np.matmul(design.inverse, probs.reshape(*lead, nb * nb, 1)).reshape(*lead, nb, nb)
     chi = nearest_psd((x + np.swapaxes(x, -1, -2).conj()) / 2)
     tr = np.trace(chi, axis1=-2, axis2=-1).real

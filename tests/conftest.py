@@ -3,7 +3,9 @@ import math
 import numpy as np
 from hypothesis import settings
 
+from qmetro.channels import KrausChannel
 from qmetro.linalg import pauli_basis
+from qmetro.optics import OpticsError, _through
 from qmetro.tomography import TomographyError
 
 # every property is replayed from the same derandomized examples, with no
@@ -16,6 +18,29 @@ def rand_rho(rng, d):
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     m = g @ g.conj().T
     return m / np.trace(m)
+
+
+def random_channel(dim, n_kraus, rng):
+    """Random CPTP channel from a Haar-ish Ginibre isometry."""
+    g = rng.standard_normal((n_kraus * dim, dim)) + 1j * rng.standard_normal((n_kraus * dim, dim))
+    q, _ = np.linalg.qr(g)
+    return KrausChannel(q.reshape(n_kraus, dim, dim), label=f"random({dim},{n_kraus})")
+
+
+def apply_network(net, rho_in):
+    """Send a polarization state through an optical network.
+
+    Returns (rho_out, success_probability); the output is renormalized and the
+    postselection losses are reported in the probability, never hidden.
+    """
+    rho_in = np.asarray(rho_in, dtype=complex)
+    if rho_in.shape != (2, 2):
+        raise OpticsError("input must be 2x2 for this network")
+    out = _through(net, rho_in)
+    success = np.trace(out).real
+    if success < 1e-15:
+        raise OpticsError("postselection removed the entire state")
+    return out / success, float(success)
 
 
 def rand_herm(rng, d):

@@ -2,16 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import expm
 
-from conftest import bell_state, partial_trace, rand_herm, rand_rho
+from conftest import bell_state, partial_trace, rand_rho, random_channel
 from qmetro.channels import (ChannelError, GeneratorH, KrausChannel,
                              PhaseChannelFamily, amplitude_damping,
                              choi_matrix, depolarizing, evolve,
                              extend_with_ancilla, general_pauli,
-                             kraus_from_choi, phase_unitary, random_channel,
-                             rotate_kraus)
-from qmetro import optics, qfi, tomography
+                             kraus_from_choi, phase_unitary)
+from qmetro import estimation, optics, qfi, tomography
 from qmetro.linalg import PAULI_X, projector
 
 PLUS = projector(np.array([1, 1]) / np.sqrt(2))
@@ -266,24 +264,6 @@ def test_phase_family_completeness_at_all_phases():
         assert np.abs(acc - np.eye(2)).max() < 1e-10
 
 
-def test_rotate_kraus():
-    fam = PhaseChannelFamily(depolarizing(0.4))
-    m = len(fam.noise.kraus)
-    dks = fam.dkraus_at(0.0)
-    for a, b in zip(rotate_kraus(fam, np.zeros((m, m))), dks):
-        assert np.abs(a - b).max() < 1e-14
-    # any Hermitian h generates a unitary mixing that preserves completeness
-    rng = np.random.default_rng(6)
-    h = rand_herm(rng, m)
-    u = expm(1j * h)
-    ks = fam.kraus_at(0.3)
-    mixed = [sum(u[i, j] * ks[j] for j in range(m)) for i in range(m)]
-    acc = sum(k.conj().T @ k for k in mixed)
-    assert np.abs(acc - np.eye(2)).max() < 1e-10
-    with pytest.raises(ChannelError):
-        rotate_kraus(fam, np.zeros((3, 3)))
-
-
 def test_generator_h_validation():
     with pytest.raises(ChannelError):
         GeneratorH(np.array([[0, 1], [0, 0]], dtype=complex))
@@ -311,6 +291,10 @@ NON_FINITE_ENTRY_POINTS = {
         PhaseChannelFamily(amplitude_damping(0.3)), phi0=bad)),
     "sld_qfi": (qfi.QfiError, lambda bad: qfi.sld_qfi(np.diag([bad, 0.5]), np.zeros((2, 2)))),
     "ChiMatrix": (tomography.TomographyError, lambda bad: tomography.ChiMatrix(np.diag([bad, 0.5]))),
+    "reconstruct_from_probabilities": (tomography.TomographyError, lambda bad: (
+        tomography.reconstruct_from_probabilities(np.where(np.eye(4), bad, 0.5)))),
+    "run_experiment": (estimation.EstimationError, lambda bad: estimation.run_experiment(
+        estimation.model_for("ad_single_assisted", 0.3), phi_true=bad, repetitions=2)),
     "build_pauli_network": (optics.OpticsError, lambda bad: optics.build_pauli_network([1, bad, 0, 0])),
 }
 

@@ -1,12 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.random import PCG64, Generator
 
-from qmetro.estimation import (SCHEMES, EstimationError, classical_fisher,
+from qmetro import estimation
+from qmetro.estimation import (SCHEMES, EstimationError, _binomial, _Draws,
+                               _multinomial_rows, classical_fisher,
                                error_curve, estimate_phase, model_for,
                                probabilities, probability_derivatives,
                                run_experiment)
 from qmetro.cli import EXIT_OK, format_csv, main
+from qmetro.linalg import _CHUNK_ROWS, _PCG_MULT, _Words, substream_states
 from qmetro.qfi import closed_form_qfi, two_probe_collective_ad_qfi
+
+# the sampler's uint64 wrap-around and log(0) are intended and must stay silent
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 QUOTED_CFI = {
     "ad_single_assisted": lambda x: 2 * (1 - x) / (2 - x),
@@ -299,6 +308,123 @@ def test_run_experiment_matches_per_repetition_loop(scheme, noise, repetitions, 
         SCHEMES[scheme].default_events, p / p.sum()) for r in range(repetitions)])
     assert np.array_equal(ensemble.counts, counts)
     assert np.array_equal(ensemble.estimates, [estimate_phase(m, c) for c in counts])
+
+
+def per_stream_counts(words, events, pn):
+    """The reference: one generator and one multinomial call per row."""
+    return np.array([Generator(PCG64(_Words(w))).multinomial(events, pn)
+                     for w in words]).reshape(len(words), len(pn))
+
+
+@st.composite
+def outcome_laws(draw):
+    """A scheme's outcome law, or any law with some impossible outcomes."""
+    if draw(st.booleans()):
+        model = model_for(draw(st.sampled_from(sorted(SCHEMES))),
+                          draw(st.sampled_from([0.0, 1e-3, 0.5, 0.99, 1.0]) | st.floats(0, 1)),
+                          draw(st.sampled_from([None, 1.0])))
+        p = probabilities(model, draw(st.floats(-1.6, 1.6)))
+    else:
+        p = np.array(draw(st.lists(st.just(0.0) | st.floats(1e-300, 1), min_size=2,
+                                   max_size=6).filter(any)))
+    return p / p.sum()
+
+
+EVENTS = (st.sampled_from([1, 2, 3, 30, 31, 61, 2000, 20000, 10 ** 6, 10 ** 18])
+          | st.integers(1, 10 ** 18))
+
+
+@settings(max_examples=80)
+@given(outcome_laws(), EVENTS, st.integers(1, 150), st.integers(0, 2 ** 32 - 1))
+def test_multinomial_rows_match_per_stream_multinomial(pn, events, rows, seed):
+    words = substream_states([seed], np.arange(rows))
+    assert np.array_equal(_multinomial_rows(words, events, pn),
+                          per_stream_counts(words, events, pn))
+
+
+def test_sampler_cases_reach_every_branch(monkeypatch):
+    # each case is checked against the per-row loop; the spies show that the
+    # cases together reach the flip, the early stop, inversion, all four BTPE
+    # regions (u * p4 against p1, p2 and p3) and Step 52's Stirling band
+    seen = set()
+    attempts, binomial, inversion, stirling = (
+        estimation._btpe_attempts, estimation._binomial, estimation._inversion,
+        estimation._stirling_bound)
+
+    def spy_attempts(u, v, f, i, r, q):
+        x = u * f[7]
+        for region, hit in enumerate([x <= f[0], (x > f[0]) & (x <= f[5]),
+                                      (x > f[5]) & (x <= f[6]), x > f[6]], 1):
+            if hit.any():
+                seen.add(f"region {region}")
+        return attempts(u, v, f, i, r, q)
+
+    def spy_binomial(draws, cols, n, p):
+        seen.update({"flip"} if p > 0.5 else set())
+        seen.update({"early stop"} if len(np.unique(cols)) < draws.pos.size else set())
+        return binomial(draws, cols, n, p)
+
+    monkeypatch.setattr(estimation, "_btpe_attempts", spy_attempts)
+    monkeypatch.setattr(estimation, "_binomial", spy_binomial)
+    monkeypatch.setattr(estimation, "_inversion",
+                        lambda *a: seen.add("inversion") or inversion(*a))
+    monkeypatch.setattr(estimation, "_stirling_bound",
+                        lambda *a: seen.add("stirling") or stirling(*a))
+    ad = probabilities(model_for("ad_single_assisted", 0.3), 0.2)  # VU has p = 0
+    cases = [(ad / ad.sum(), 20000, 3000), (np.array([0.2, 0.0, 0.3, 0.5]), 1, 500),
+             (np.array([0.05, 0.9, 0.05]), 40, 500), (np.array([0.3, 0.7]), 10 ** 18, 300),
+             (np.array([0.5, 0.5]), 61, 2000)]
+    for k, (pn, events, rows) in enumerate(cases):
+        words = substream_states([k], np.arange(rows))
+        assert np.array_equal(_multinomial_rows(words, events, pn),
+                              per_stream_counts(words, events, pn))
+    assert seen == {"flip", "early stop", "inversion", "region 1", "region 2",
+                    "region 3", "region 4", "stirling"}
+
+
+def _stream_whose_next_double_is(u):
+    """(state, inc) of a PCG64 stream whose next double is u: the output word
+    is placed in the stepped state (rotation 0) and stepped back."""
+    hi = 0x0123456789ABCDEF & (2 ** 58 - 1)
+    stepped = hi << 64 | ((int(u * 2 ** 53) << 11) ^ hi)
+    inc = 0xDA3E39CB94B95BDB
+    return (stepped - inc) * pow(_PCG_MULT, -1, 2 ** 128) % 2 ** 128, inc
+
+
+def test_inversion_restarts_past_its_bound_as_numpy_does():
+    # at the largest uniform below 1 the summed pmf can fall short of u, and
+    # inversion then passes its bound and starts over with a new uniform
+    state, inc = _stream_whose_next_double_is(1 - 2 ** -53)
+    restarted = 0
+    for n in range(1, 8):
+        for p in np.arange(1, 33) / 64:
+            bits = PCG64()
+            bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                          "has_uint32": 0, "uinteger": 0}
+            draws = _Draws(np.array([[state >> 64], [state & 2 ** 64 - 1], [inc >> 64],
+                                     [inc & 2 ** 64 - 1]], dtype=np.uint64), 0)
+            x = _binomial(draws, np.arange(1), np.array([n]), float(p))
+            assert x[0] == Generator(bits).binomial(n, p)
+            restarted += draws.pos[0] > 1
+    assert restarted > 0
+
+
+def test_run_experiment_crosses_a_chunk_boundary():
+    m = model_for("depol_single_assisted", 0.2)
+    repetitions = _CHUNK_ROWS + 3
+    ensemble, _ = run_experiment(m, 0.1, events=40, repetitions=repetitions, seed=[5],
+                                 bootstrap=2)
+    p = probabilities(m, 0.1)
+    assert np.array_equal(ensemble.counts, per_stream_counts(
+        substream_states([5], np.arange(repetitions)), 40, p / p.sum()))
+
+
+def test_run_experiment_rejects_non_distributions(monkeypatch):
+    m = model_for("ad_single_assisted", 0.3)
+    for p in ([0.7, 0.7, -0.4, 0.0], [0.5, np.nan, 0.5, 0.0], [2.0, -1.0, 0.0, 0.0]):
+        monkeypatch.setattr(estimation, "probabilities", lambda model, phi, p=p: np.array(p))
+        with pytest.raises(EstimationError, match="not a distribution"):
+            run_experiment(m, repetitions=2)
 
 
 def test_run_experiment_counts_clamped_estimates():

@@ -3,14 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import apply_network
 from qmetro.channels import amplitude_damping, general_pauli
 from qmetro.linalg import projector
-from qmetro.optics import (ModeSpace, OpticalNetwork, OpticsError,
-                           apply_network, bd, build_ad_network,
-                           build_pauli_network, damping_plate_angle, dephase,
-                           element_unitary, extract_channel, hwp, jones_hwp,
-                           jones_qwp, nbs, pauli_angle_residuals, phase,
-                           postselect, qwp, solve_pauli_angles)
+from qmetro.optics import (ModeSpace, OpticalNetwork, OpticsError, bd,
+                           build_ad_network, build_pauli_network,
+                           damping_plate_angle, dephase, element_unitary,
+                           extract_channel, hwp, jones_hwp, jones_qwp, nbs,
+                           pauli_angle_residuals, phase, postselect, qwp,
+                           solve_pauli_angles)
 from qmetro.tomography import chi_theory, process_fidelity
 
 PLUS = projector(np.array([1, 1]) / np.sqrt(2))

@@ -7,16 +7,16 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.optimize import differential_evolution
 
-from conftest import bell_state, rand_herm
+from conftest import bell_state, rand_herm, random_channel
 from qmetro.channels import (ChannelError, KrausChannel, PhaseChannelFamily,
                              amplitude_damping, depolarizing, evolve,
-                             general_pauli, random_channel, rotate_kraus)
+                             general_pauli)
 from qmetro.linalg import PAULIS, herm_from_params, projector
 from qmetro import qfi
 from qmetro.qfi import (DUALITY_GAP_TOL, QfiError, _bloch_derivatives, _bloch_grid,
                         _bloch_information, _bloch_ket, _bloch_map, _bloch_vector,
-                        _grid_pick, _inner, _ridge_kets, channel_qfi_minimax,
-                        channel_qfi_supremum, closed_form_qfi,
+                        _grid_pick, _inner, _ridge_kets, _rotated,
+                        channel_qfi_minimax, channel_qfi_supremum, closed_form_qfi,
                         qfi_from_matrix_elements, sld_qfi,
                         two_probe_collective_ad_qfi, two_probe_sld_oracle)
 
@@ -162,6 +162,24 @@ def test_depol_optimal_generator_pattern():
         assert abs(h[i, j]) < 1e-6
 
 
+def test_rotated_derivatives():
+    fam = PhaseChannelFamily(depolarizing(0.4))
+    m = len(fam.noise.kraus)
+    dks = fam.dkraus_at(0.0)
+    for a, b in zip(_rotated(*fam.composite(0.0), np.zeros((m, m))), dks):
+        assert np.abs(a - b).max() < 1e-14
+    # any Hermitian h generates a unitary mixing that preserves completeness
+    rng = np.random.default_rng(6)
+    h = rand_herm(rng, m)
+    u = expm(1j * h)
+    ks = fam.kraus_at(0.3)
+    mixed = [sum(u[i, j] * ks[j] for j in range(m)) for i in range(m)]
+    acc = sum(k.conj().T @ k for k in mixed)
+    assert np.abs(acc - np.eye(2)).max() < 1e-10
+    with pytest.raises(QfiError):
+        _rotated(*fam.composite(0.0), np.zeros((3, 3)))
+
+
 def test_depol_unextended_optimum_on_equator():
     res = channel_qfi_minimax(PhaseChannelFamily(depolarizing(0.4)), extended=False)
     rho = res.optimal_input
@@ -171,7 +189,7 @@ def test_depol_unextended_optimum_on_equator():
     # the rotated representation reproduces the optimum on its own probe
     w, v = np.linalg.eigh(rho)
     ket = v[:, -1]
-    rot = rotate_kraus(PhaseChannelFamily(depolarizing(0.4)), res.optimal_h)
+    rot = _rotated(*PhaseChannelFamily(depolarizing(0.4)).composite(0.0), res.optimal_h.h)
     val = 4 * sum(np.linalg.norm(r @ ket) ** 2 for r in rot)
     assert abs(val - res.value) < 1e-8
 
@@ -220,7 +238,7 @@ def test_supremum_against_frozen_oracles():
 
 def spectral_bound(fam, h, phi=0.0):
     """4 lambda_max(alpha(h)), an upper bound on the supremum at every h."""
-    rot = rotate_kraus(fam, h, phi)
+    rot = _rotated(*fam.composite(phi), h)
     return 4 * np.linalg.eigvalsh(sum(r.conj().T @ r for r in rot))[-1]
 
 
@@ -244,7 +262,7 @@ def assert_input_attains(fam, rho, value, phi, tol):
 
 def assert_supremum_certified(fam, res, phi=0.0):
     # dual side, two-sided: the spectral bound at the returned generator
-    gap = spectral_bound(fam, res.optimal_h, phi) - res.value
+    gap = spectral_bound(fam, res.optimal_h.h, phi) - res.value
     assert -1e-9 <= gap <= DUALITY_GAP_TOL
     # primal side: a purification of the returned state attains the value
     assert_input_attains(fam, res.optimal_input, res.value, phi, 1e-8)
@@ -281,7 +299,7 @@ def test_supremum_hard_cases(n, seed, where, expected):
     assert abs(res.value - expected) <= 1e-12
     assert_supremum_certified(fam, res)
     # above: the spectral bound at the returned generator
-    assert expected - 1e-12 <= spectral_bound(fam, res.optimal_h) <= expected + DUALITY_GAP_TOL
+    assert expected - 1e-12 <= spectral_bound(fam, res.optimal_h.h) <= expected + DUALITY_GAP_TOL
     # below: a value some input attains
     ks, dks = fam.composite(0.0)
     if where == "interior":

@@ -4,10 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from conftest import chi_apply, rand_herm, rand_rho
+from conftest import chi_apply, rand_herm, rand_rho, random_channel
 from qmetro.channels import (KrausChannel, amplitude_damping, depolarizing,
-                             extend_with_ancilla, general_pauli,
-                             random_channel)
+                             extend_with_ancilla, general_pauli)
 from qmetro.tomography import (ChiMatrix, QptDataset, TomographyError,
                                _frequencies, _overlap, _reconstruct,
                                _require_hermitian, born_probabilities,
