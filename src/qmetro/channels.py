@@ -88,23 +88,11 @@ class KrausChannel:
         return self.kraus.shape[-1]
 
     def completeness_residual(self):
-        s = sum(k.conj().T @ k for k in self.kraus)
+        s = np.einsum('kji,kjl->il', self.kraus.conj(), self.kraus)
         return np.abs(s - np.eye(self.dim)).max()
 
     def apply(self, rho):
         return evolve(rho, self.kraus)
-
-    def to_json(self):
-        return {
-            "label": self.label,
-            "dim": self.dim,
-            "kraus": [[k.real.tolist(), k.imag.tolist()] for k in self.kraus],
-        }
-
-    @classmethod
-    def from_json(cls, obj):
-        return cls([np.array(re) + 1j * np.array(im) for re, im in obj["kraus"]],
-                   obj.get("label", ""))
 
 
 def phase_unitary(phi):

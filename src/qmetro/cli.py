@@ -19,7 +19,7 @@ import numpy as np
 
 from .channels import (NOISE, ChannelError, PhaseChannelFamily,
                        amplitude_damping, extend_with_ancilla, general_pauli)
-from .circuits import (CircuitError, conjugation_residual, flagged_variance,
+from .circuits import (CircuitError, conjugation_residual,
                        variance_consistency_check, verify_flagged_output)
 from .estimation import (SCHEMES, EstimationError, classical_fisher,
                          error_curve, model_for)

@@ -212,12 +212,14 @@ class ErrorReport:
 # generator per row. It runs numpy's sampler (random_multinomial ->
 # random_binomial -> inversion, or BTPE of Kachitvichyanukul & Schmeiser 1988)
 # elementwise over the rows, in rounds over the rows still drawing, in C's
-# order of operations. np.log can differ from libm's log by an ulp, and every
-# log here feeds a comparison or a floor, so a decision within a relative
-# _NEAR of flipping is redone with math.log, which is libm's.
+# order of operations. The PCG64 state words of `linalg._pcg64_seed` are the
+# sampler's only state: a stream advances by exactly the uniforms it spends,
+# and a BTPE round that draws ahead for several attempts sets each stream back
+# to its state after the attempt it accepts. np.log can differ from libm's log
+# by an ulp, and every log here feeds a comparison or a floor, so a decision
+# within a relative _NEAR of flipping is redone with math.log, which is libm's.
 
 _TRIES = 4     # BTPE attempts per stream in each round after the first
-_RING = 2 * _TRIES  # doubles a stream holds drawn ahead: the prefill, or one request
 _NEAR = 1e-12
 _BLOCK = 128   # subsets of streams are padded to a multiple of this many
 
@@ -235,36 +237,6 @@ def _pad(idx):
     return idx.take(np.arange(len(idx) - len(idx) % _BLOCK + _BLOCK), mode="clip")
 
 
-class _Draws:
-    """Uniform doubles of the PCG64 streams `state` (see `linalg._pcg64_seed`),
-    drawn ahead into a ring buffer. `peek(cols, k)` shows the next k doubles
-    of each stream in cols, and `take(cols, used)` spends the first `used`."""
-
-    def __init__(self, state, ahead):
-        self.state = state
-        self.ring = np.empty((_RING, state.shape[1]))
-        self.ring[:ahead] = _pcg64_doubles(state, ahead)
-        self.pos = np.zeros(state.shape[1], dtype=np.int64)
-        self.end = np.full(state.shape[1], ahead, dtype=np.int64)
-
-    def peek(self, cols, k):
-        pos = self.pos[cols]
-        short = pos + k - self.end[cols]
-        need = short.max()
-        if need > 0:  # each short stream draws just its shortfall
-            at = _pad(np.flatnonzero(short > 0))
-            sel, short = cols[at], short[at]
-            rows = (self.end[sel] + np.arange(need)[:, None]) % _RING
-            fresh = _pcg64_doubles(self.state, need, sel, short)
-            self.ring[rows, sel] = np.where(np.arange(need)[:, None] < short, fresh,
-                                            self.ring[rows, sel])
-            self.end[sel] += short
-        return self.ring[(pos + np.arange(k)[:, None]) % _RING, cols]
-
-    def take(self, cols, used):
-        self.pos[cols] += used
-
-
 def _libm_log(x, values, near):
     """values = np.log(x), with libm's log where near holds (as in C, -inf at 0
     and NaN below it)."""
@@ -274,10 +246,9 @@ def _libm_log(x, values, near):
     return values
 
 
-def _inversion(draws, cols, n, p):
+def _inversion(state, cols, n, p):
     """numpy's random_binomial_inversion on the streams cols (p <= 0.5)."""
-    u = draws.peek(cols, 1)[0]
-    draws.take(cols, 1)
+    u = _pcg64_doubles(state, 1, cols)[0]
     x = np.zeros(len(n), dtype=np.int64)
     q = 1.0 - p
     if not q < 1.0:  # p <= 0: qn = q**n >= 1 exceeds every uniform, so X = 0
@@ -295,8 +266,7 @@ def _inversion(draws, cols, n, p):
         if fresh.size:  # past the bound: start over with a new uniform
             x[fresh] = 0
             px[fresh] = qn[fresh]
-            u[fresh] = draws.peek(cols[fresh], 1)[0]
-            draws.take(cols[fresh], 1)
+            u[fresh] = _pcg64_doubles(state, 1, cols[fresh])[0]
         go = _pad(act[x[act] > 0])
         xs = x[go]
         u[go] -= px[go]
@@ -425,33 +395,36 @@ def _btpe_attempts(u, v, f, i, r, q):
     return ok, y
 
 
-def _btpe(draws, cols, n, r):
+def _btpe(state, cols, n, r):
     """numpy's random_binomial_btpe on the streams cols (p = r <= 0.5). A
     stream tries once in the first round; a later round tries _TRIES times and
-    spends only the uniforms up to each stream's first acceptance. The tables
-    shrink to the streams still drawing after every round."""
+    then sets each stream back to its state after its first acceptance, so it
+    spends only the uniforms up to it. The tables shrink to the streams still
+    drawing after every round."""
     q = 1.0 - r
     f, i = _btpe_table(n, r)
-    uv = draws.peek(cols, 2)
-    draws.take(cols, 2)
+    uv = _pcg64_doubles(state, 2, cols)
     ok, y = _btpe_attempts(uv[:1], uv[1:], f, i, r, q)
     y = y[0]
     keep = _pad(np.flatnonzero(~ok[0]))
     at = keep
     while at.size:
         f, i = f.take(keep, axis=1), i.take(keep, axis=1)
-        uv = draws.peek(cols[at], 2 * _TRIES)
+        trail = np.empty((2 * _TRIES, 2, at.size), dtype=np.uint64)
+        uv = _pcg64_doubles(state, 2 * _TRIES, cols[at], trail)
         ok, ys = _btpe_attempts(uv[0::2], uv[1::2], f, i, r, q)
         first = ok.argmax(axis=0)
         hit = ok[first, np.arange(at.size)]
-        draws.take(cols[at], np.where(hit, 2 * first + 2, 2 * _TRIES))
+        used = np.where(hit, 2 * first + 2, 2 * _TRIES)
+        # a padded duplicate column writes the same words as its original
+        state[:2, cols[at]] = trail[used - 1, :, np.arange(at.size)].T
         y[at[hit]] = ys[first[hit], hit]
         keep = _pad(np.flatnonzero(~hit))
         at = at[keep]
     return y
 
 
-def _binomial(draws, cols, n, p):
+def _binomial(state, cols, n, p):
     """numpy's random_binomial on the streams cols: Bin(n, p) by inversion
     when n * p <= 30, else by BTPE; for p > 0.5 it draws n - Bin(n, 1 - p)."""
     flip = not p <= 0.5
@@ -462,7 +435,7 @@ def _binomial(draws, cols, n, p):
     for sub, draw in ((small, _inversion), (~small, _btpe)):
         at = _pad(np.flatnonzero(sub))
         if at.size:
-            x[at] = draw(draws, cols[at], n[at], p)
+            x[at] = draw(state, cols[at], n[at], p)
     return n - x if flip else x
 
 
@@ -472,8 +445,7 @@ def _multinomial_rows(words, events, pn):
     random_multinomial, outcome j takes Bin(left, pn[j] / remaining), a row
     stops once it has no events left, and the last outcome takes the rest."""
     rows, d = len(words), len(pn)
-    # two uniforms per binomial: the first BTPE try of every row
-    draws = _Draws(_pcg64_seed(words), min(2 * (d - 1), _RING))
+    state = _pcg64_seed(words)
     counts = np.zeros((rows, d), dtype=np.int64)
     left = np.full(rows, events, dtype=np.int64)
     live = np.arange(rows)
@@ -482,7 +454,7 @@ def _multinomial_rows(words, events, pn):
         p = pj / remaining
         if p != 0.0:
             n = left[live]
-            x = _binomial(draws, live, n, p)
+            x = _binomial(state, live, n, p)
             counts[live, j] = x
             n -= x
             left[live] = n

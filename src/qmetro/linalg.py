@@ -175,24 +175,21 @@ def _pcg64_seed(words):
     return s
 
 
-def _pcg64_doubles(s, k, idx=None, steps=None):
+def _pcg64_doubles(s, k, idx=None, trail=None):
     """The next k doubles of the streams s[:, idx] (all when idx is None), as a
     (k, len(idx)) array equal to `Generator(PCG64(...)).random(k)` per stream.
-    Only those streams advance: each by k steps, or stream j by steps[j] <= k,
-    so that its doubles past steps[j] come again from the next call."""
+    Only those streams advance, each by k steps; a (k, 2, len(idx)) uint64
+    trail, when given, receives their state words after each step."""
     sub = s if idx is None else s[:, idx]
     out = np.empty((k, sub.shape[1]))
-    trail = np.empty((k, 2, sub.shape[1]), dtype=np.uint64) if steps is not None else [None] * k
-    for row, state in zip(out, trail):
+    for step, row in enumerate(out):
         _pcg64_step(sub)
-        if state is not None:
-            state[...] = sub[:2]
+        if trail is not None:
+            trail[step] = sub[:2]
         x = sub[0] ^ sub[1]
         rot = sub[0] >> np.uint64(58)
         x = x >> rot | x << (np.uint64(64) - rot)  # a shift by 64 gives 0
         np.multiply(x >> np.uint64(11), 2.0 ** -53, out=row)
-    if steps is not None:
-        sub[:2] = trail[steps - 1, :, np.arange(sub.shape[1])].T
     if idx is not None:
         s[:2, idx] = sub[:2]
     return out

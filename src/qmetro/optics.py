@@ -62,14 +62,6 @@ class OpticalElement:
     partition: object = None  # dephase: tuple of lateral tuples, or "polarization"
     keep: tuple = None        # postselect
 
-    def to_json(self):
-        out = {"kind": self.kind}
-        for name in ("angle", "modes", "direction", "pair", "partition", "keep"):
-            val = getattr(self, name)
-            if val is not None:
-                out[name] = list(val) if isinstance(val, tuple) else val
-        return out
-
 
 def _finite(angle):
     angle = float(angle)
@@ -127,10 +119,6 @@ class OpticalNetwork:
 
     def __post_init__(self):
         object.__setattr__(self, "elements", tuple(self.elements))
-
-    def to_json(self):
-        return {"n_lateral": self.space.n_lateral,
-                "elements": [e.to_json() for e in self.elements]}
 
 
 def _select(space, modes):

@@ -86,32 +86,17 @@ class ChiMatrix:
     def dim_basis(self):
         return len(self.mat)
 
-    @property
-    def tp_residual(self):
-        # trace part of the trace-preservation constraint; the off-trace part
-        # is not enforced by the linear inversion
-        return abs(np.trace(self.mat).real - 1)
-
-    @property
-    def min_eigenvalue(self):
-        return float(np.linalg.eigvalsh(self.mat).min())
-
     def to_json(self):
         return {"dim_basis": self.dim_basis,
                 "re": self.mat.real.ravel().tolist(),
                 "im": self.mat.imag.ravel().tolist()}
-
-    @classmethod
-    def from_json(cls, obj):
-        n = obj["dim_basis"]
-        return cls((np.array(obj["re"]) + 1j * np.array(obj["im"])).reshape(n, n))
 
 
 def chi_theory(ch):
     """Exact chi matrix of a Kraus channel, via Pauli expansion of each operator."""
     d = ch.dim
     basis = _design(d).basis
-    c = np.array([[np.trace(b.conj().T @ k) / d for b in basis] for k in ch.kraus])
+    c = np.einsum('bji,mji->mbi', basis.conj(), ch.kraus).sum(-1) / d
     return ChiMatrix(c.T @ c.conj())
 
 

@@ -27,8 +27,12 @@ def test_phase_unitary_values():
 
 
 def test_completeness_enforced():
-    for ch in all_test_channels():
+    # the residual is one contraction; the loop over the operators sums in
+    # another order, so the two agree to a few ulps
+    for ch in all_test_channels() + [random_channel(4, 6, np.random.default_rng(3))]:
         assert ch.completeness_residual() < 1e-10
+        loop = sum(k.conj().T @ k for k in ch.kraus)
+        assert abs(ch.completeness_residual() - np.abs(loop - np.eye(ch.dim)).max()) < 1e-15
     with pytest.raises(ChannelError):
         KrausChannel((np.eye(2), np.eye(2)), label="broken")
 
@@ -273,15 +277,8 @@ def test_generator_h_validation():
     assert h.h.dtype == complex
 
 
-def _json_with(bad):
-    obj = amplitude_damping(0.3).to_json()
-    obj["kraus"][0][0][1][1] = bad
-    return obj
-
-
 NON_FINITE_ENTRY_POINTS = {
     "KrausChannel": (ChannelError, lambda bad: KrausChannel([[[1, 0], [0, bad]]])),
-    "KrausChannel.from_json": (ChannelError, lambda bad: KrausChannel.from_json(_json_with(bad))),
     "general_pauli": (ChannelError, lambda bad: general_pauli([1, bad, 0, 0])),
     "GeneratorH": (ChannelError, lambda bad: GeneratorH([[1, 0], [0, bad]])),
     "composite": (ChannelError, lambda bad: PhaseChannelFamily(depolarizing(0.3)).composite(bad)),
@@ -355,12 +352,3 @@ def test_random_channel_seeded():
     for ka, kb in zip(a.kraus, b.kraus):
         assert np.array_equal(np.asarray(ka), np.asarray(kb))
     assert a.completeness_residual() < 1e-10
-
-
-def test_json_round_trip():
-    ch = amplitude_damping(0.35)
-    obj = ch.to_json()
-    assert obj["label"] == "ad(0.35)" and obj["dim"] == 2
-    back = KrausChannel.from_json(obj)
-    for ka, kb in zip(ch.kraus, back.kraus):
-        assert np.abs(np.asarray(ka) - np.asarray(kb)).max() < 1e-15

@@ -1,17 +1,18 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.random import PCG64, Generator
 
 from qmetro import estimation
-from qmetro.estimation import (SCHEMES, EstimationError, _binomial, _Draws,
+from qmetro.estimation import (SCHEMES, EstimationError, _binomial,
                                _multinomial_rows, classical_fisher,
                                error_curve, estimate_phase, model_for,
                                probabilities, probability_derivatives,
                                run_experiment)
 from qmetro.cli import EXIT_OK, format_csv, main
-from qmetro.linalg import _CHUNK_ROWS, _PCG_MULT, _Words, substream_states
+from qmetro.linalg import (_CHUNK_ROWS, _PCG_MULT, _pcg64_doubles, _pcg64_seed, _Words,
+                           substream_states)
 from qmetro.qfi import closed_form_qfi, two_probe_collective_ad_qfi
 
 # the sampler's uint64 wrap-around and log(0) are intended and must stay silent
@@ -359,10 +360,10 @@ def test_sampler_cases_reach_every_branch(monkeypatch):
                 seen.add(f"region {region}")
         return attempts(u, v, f, i, r, q)
 
-    def spy_binomial(draws, cols, n, p):
+    def spy_binomial(state, cols, n, p):
         seen.update({"flip"} if p > 0.5 else set())
-        seen.update({"early stop"} if len(np.unique(cols)) < draws.pos.size else set())
-        return binomial(draws, cols, n, p)
+        seen.update({"early stop"} if len(np.unique(cols)) < state.shape[1] else set())
+        return binomial(state, cols, n, p)
 
     monkeypatch.setattr(estimation, "_btpe_attempts", spy_attempts)
     monkeypatch.setattr(estimation, "_binomial", spy_binomial)
@@ -380,6 +381,27 @@ def test_sampler_cases_reach_every_branch(monkeypatch):
                               per_stream_counts(words, events, pn))
     assert seen == {"flip", "early stop", "inversion", "region 1", "region 2",
                     "region 3", "region 4", "stirling"}
+
+
+@settings(max_examples=60)
+@given(st.lists(EVENTS, min_size=1, max_size=64),
+       st.sampled_from([1e-3, 0.25, 0.5, 0.75, 1.0]) | st.floats(0, 1, exclude_min=True),
+       st.integers(0, 2 ** 32 - 1))
+@example([2000] * 300, 0.3, 0)      # BTPE, with rounds past the first
+@example([2000] * 300, 0.9, 1)      # the flip onto BTPE
+@example([7, 40, 61] * 20, 0.2, 2)  # inversion
+@example([30, 200] * 30, 0.95, 3)   # the flip onto inversion
+def test_binomial_leaves_each_stream_where_numpy_does(n, p, seed):
+    # after one binomial each stream's next double is the one numpy draws next
+    words = substream_states([seed], np.arange(len(n)))
+    n = np.array(n, dtype=np.int64)
+    state = _pcg64_seed(words)
+    x = _binomial(state, np.arange(len(n)), n, p)
+    after = _pcg64_doubles(state, 1)[0]
+    for r, w in enumerate(words):
+        gen = Generator(PCG64(_Words(w)))
+        assert x[r] == gen.binomial(n[r], p)
+        assert after[r] == gen.random()
 
 
 def _stream_whose_next_double_is(u):
@@ -401,11 +423,14 @@ def test_inversion_restarts_past_its_bound_as_numpy_does():
             bits = PCG64()
             bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
                           "has_uint32": 0, "uinteger": 0}
-            draws = _Draws(np.array([[state >> 64], [state & 2 ** 64 - 1], [inc >> 64],
-                                     [inc & 2 ** 64 - 1]], dtype=np.uint64), 0)
-            x = _binomial(draws, np.arange(1), np.array([n]), float(p))
+            stream = np.array([[state >> 64], [state & 2 ** 64 - 1], [inc >> 64],
+                               [inc & 2 ** 64 - 1]], dtype=np.uint64)
+            once = stream.copy()
+            _pcg64_doubles(once, 1)
+            x = _binomial(stream, np.arange(1), np.array([n]), float(p))
             assert x[0] == Generator(bits).binomial(n, p)
-            restarted += draws.pos[0] > 1
+            # a restart draws a second uniform
+            restarted += not np.array_equal(stream, once)
     assert restarted > 0
 
 

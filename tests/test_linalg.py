@@ -179,9 +179,12 @@ def test_pcg64_kernel_on_substream_words():
 
 
 def test_pcg64_kernel_advances_each_stream_by_its_steps():
+    # the trail's words set each stream back to its state after steps[r] steps
     state = _pcg64_seed(substream_states([9], np.arange(6)))
     steps = np.array([1, 3, 2, 3, 1, 2])
-    first = _pcg64_doubles(state, 3, np.arange(6), steps)
+    trail = np.empty((3, 2, 6), dtype=np.uint64)
+    first = _pcg64_doubles(state, 3, np.arange(6), trail)
+    state[:2] = trail[steps - 1, :, np.arange(6)].T
     then = _pcg64_doubles(state, 1)
     for r in range(6):
         ref = np.random.default_rng([9, r]).random(4)

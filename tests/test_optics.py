@@ -289,17 +289,3 @@ def test_extract_channel_matches_single_state_runs():
 def test_extract_channel_completeness():
     ch, _ = extract_channel(build_ad_network(0.35))
     assert ch.completeness_residual() < 1e-9
-
-
-# ------------------------------------------------------------ serialization
-
-def test_network_json_round_trippable_fields():
-    net = build_ad_network(0.4)
-    obj = net.to_json()
-    assert set(obj) == {"n_lateral", "elements"}
-    assert obj["n_lateral"] == 3
-    kinds = [e["kind"] for e in obj["elements"]]
-    assert kinds[0] == "bd" and kinds[-1] == "postselect"
-    assert all(isinstance(e, dict) for e in obj["elements"])
-    import json
-    json.dumps(obj)  # must be serializable as given

@@ -7,7 +7,8 @@ from scipy.linalg import expm
 from conftest import chi_apply, rand_herm, rand_rho, random_channel
 from qmetro.channels import (KrausChannel, amplitude_damping, depolarizing,
                              extend_with_ancilla, general_pauli)
-from qmetro.tomography import (ChiMatrix, QptDataset, TomographyError,
+from qmetro.optics import build_ad_network, build_pauli_network, extract_channel
+from qmetro.tomography import (ChiMatrix, QptDataset, TomographyError, _design,
                                _frequencies, _overlap, _reconstruct,
                                _require_hermitian, born_probabilities,
                                chi_theory, poisson_uncertainty,
@@ -63,18 +64,27 @@ def test_chi_apply_matches_channel():
             assert np.abs(chi_apply(chi, rho) - ch.apply(rho)).max() < 1e-10
 
 
+def test_chi_theory_equals_the_per_operator_expansion():
+    # c[m, b] = trace(B_b^dagger K_m) / d, one operator and one basis element
+    # at a time, gives the same bits as chi_theory's single contraction
+    weights = np.random.default_rng(5).dirichlet(np.ones(4), 8)
+    channels = [f(x) for x in np.linspace(0, 1, 21) for f in (amplitude_damping, depolarizing)]
+    channels += [extend_with_ancilla(ch) for ch in channels]
+    channels += [general_pauli(p) for p in weights]
+    channels += [extract_channel(build_pauli_network(p))[0] for p in weights]
+    channels += [extract_channel(build_ad_network(x))[0] for x in np.linspace(0, 1, 6)]
+    for ch in channels:
+        d = ch.dim
+        c = np.array([[np.trace(b.conj().T @ k) / d for b in _design(d).basis]
+                      for k in ch.kraus])
+        assert np.array_equal(chi_theory(ch).mat, c.T @ c.conj())
+
+
 def test_chi_matrix_invariants():
     chi = chi_theory(AD_HALF)
     assert np.abs(chi.mat - chi.mat.conj().T).max() < 1e-12
-    assert chi.tp_residual < 1e-12
-    assert chi.min_eigenvalue > -1e-9
-
-
-def test_chi_json_round_trip():
-    chi = chi_theory(AD_HALF)
-    back = ChiMatrix.from_json(chi.to_json())
-    assert back.dim_basis == chi.dim_basis
-    assert np.abs(back.mat - chi.mat).max() < 1e-14
+    assert abs(np.trace(chi.mat).real - 1) < 1e-12
+    assert np.linalg.eigvalsh(chi.mat).min() > -1e-9
 
 
 # ----------------------------------------------------------- probabilities
@@ -273,8 +283,8 @@ def test_sampled_reconstruction_fidelity():
         chi = reconstruct_chi(data)
         fid = process_fidelity(chi, chi_theory(ch))
         assert fid.value >= 0.99
-        assert chi.min_eigenvalue > -1e-9
-        assert chi.tp_residual < 0.05
+        assert np.linalg.eigvalsh(chi.mat).min() > -1e-9
+        assert abs(np.trace(chi.mat).real - 1) < 0.05
 
 
 def test_reconstruction_counts_shape_check():

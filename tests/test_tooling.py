@@ -1,6 +1,8 @@
 """The benchmark harness under qbench/ patches qmetro functions by name; every
 name it lists must still exist on the package, and its workloads must still
-import against it. The package itself imports only numpy."""
+import against it. The package itself imports only numpy, and only what it
+uses."""
+import ast
 import importlib
 import json
 import os
@@ -41,3 +43,20 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": str(src)})
     assert out.stdout == "[]\n"
+
+
+def test_every_import_is_used():
+    # __init__ imports to re-export; every other module imports what it calls
+    unused = []
+    for path in sorted((ROOT / "src" / "qmetro").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in used:
+                        unused.append(f"{path.name}: {name}")
+    assert unused == []
