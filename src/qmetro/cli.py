@@ -194,10 +194,8 @@ def cmd_qpt(args):
         fidelity = process_fidelity(chi_exp, chi_th).value
         rows.append({"noise": float(noise), "fidelity": fidelity,
                      "fidelity_std": std})
-        with open(tag + "_chi_exp.json", "w", newline="\n") as fh:
-            json.dump(chi_exp.to_json(), fh, indent=2, sort_keys=True)
-        with open(tag + "_chi_th.json", "w", newline="\n") as fh:
-            json.dump(chi_th.to_json(), fh, indent=2, sort_keys=True)
+        _emit(chi_exp.json_text(), tag + "_chi_exp.json")
+        _emit(chi_th.json_text(), tag + "_chi_th.json")
     _emit(format_csv(["noise", "fidelity", "fidelity_std"], rows), args.out)
     if args.exact and any(1 - r["fidelity"] > 1e-10 for r in rows):
         return EXIT_NUMERIC

@@ -499,11 +499,14 @@ def run_experiment(model, phi_true=0.0, events=None, repetitions=100, seed=0,
     estimates, clamped = _arcsine(model, counts)
     sqrt_nu = np.sqrt(float(events))
     stat = estimates.std(ddof=1) * sqrt_nu
+    # resamples are drawn a block of rows at a time: the same draws in the same
+    # order as one call per resample, with at most 2**16 indices per block
     boot_rng = np.random.default_rng(base + [repetitions])
+    block = max(1, 2 ** 16 // repetitions)
     stats = np.empty(bootstrap)
-    for b in range(bootstrap):
-        idx = boot_rng.integers(0, repetitions, repetitions)
-        stats[b] = estimates[idx].std(ddof=1) * sqrt_nu
+    for b in range(0, bootstrap, block):
+        idx = boot_rng.integers(0, repetitions, (min(block, bootstrap - b), repetitions))
+        stats[b:b + block] = estimates.take(idx).std(axis=1, ddof=1) * sqrt_nu
     fisher = classical_fisher(model, phi_true)
     report = ErrorReport(
         sqrt_nu_dphi=float(stat),

@@ -77,8 +77,8 @@ class ChiMatrix:
 
     def __post_init__(self):
         mat = np.asarray(self.mat, dtype=complex)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise TomographyError(f"chi must be square, got shape {mat.shape}")
+        if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or not mat.size:
+            raise TomographyError(f"chi must be square and non-empty, got shape {mat.shape}")
         _require_hermitian(mat)
         object.__setattr__(self, "mat", mat)
 
@@ -86,10 +86,15 @@ class ChiMatrix:
     def dim_basis(self):
         return len(self.mat)
 
-    def to_json(self):
-        return {"dim_basis": self.dim_basis,
-                "re": self.mat.real.ravel().tolist(),
-                "im": self.mat.imag.ravel().tolist()}
+    def json_text(self):
+        """The chi file: the text `json.dump` writes for {"dim_basis", "re",
+        "im"} (flattened parts) with indent=2 and sorted keys, with no trailing
+        newline. `float.__repr__` is json's float format; the matrix is finite
+        and non-empty, so neither NaN nor an empty list can occur."""
+        def floats(part):
+            return "[\n    " + ",\n    ".join(map(float.__repr__, part.ravel().tolist())) + "\n  ]"
+        return (f'{{\n  "dim_basis": {self.dim_basis},\n  "im": {floats(self.mat.imag)},'
+                f'\n  "re": {floats(self.mat.real)}\n}}')
 
 
 def chi_theory(ch):

@@ -1,12 +1,19 @@
+import contextlib
 import hashlib
+import io
 import json
+import pathlib
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmetro import cli
 from qmetro.cli import (EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, ConfigError,
                         format_csv, main, parse_grid)
+from qmetro.estimation import SCHEMES
 
 
 def read_rows(path):
@@ -464,6 +471,52 @@ def test_csv_matches_recorded_digest(argv, tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_CSV[argv]
 
 
+# sha256 of the chi files the qpt cases above write, recorded before the chi
+# writer stopped going through json.dump; each file is the exact text of
+# json.dump(..., indent=2, sort_keys=True), with no trailing newline
+GOLDEN_CHI = {
+    ("qpt", "--channel", "ad", "--grid", "0.3,0.6"): {
+        "out_noise0.3_chi_exp.json": "52d8acb65f3c93cb8ff0b1300bbde3105e03f512aae763fb78483a0c06331e69",
+        "out_noise0.3_chi_th.json": "e549a7b660b8b428b4a74a7b60dd7de38158d9e3bb4b7db9f426204837183ba6",
+        "out_noise0.6_chi_exp.json": "c4a630eee619bc2b55e5efbe41e527b407b7adbc9fb31ae803a266e5afca112f",
+        "out_noise0.6_chi_th.json": "3e7e82a6bb6e66def246c6e1e66e037d1e7a718923d4d1de910e8b2865a4f628",
+    },
+    ("qpt", "--channel", "depol", "--grid", "0.3,0.6"): {
+        "out_noise0.3_chi_exp.json": "b924567fbe4b4286f37a265b1e77ec2cea874b11ea48d791439448369183e5ca",
+        "out_noise0.3_chi_th.json": "53de9bed98cf2f48c1eea341ebcde5649f75fc3d5fb72682951675916e7a03b8",
+        "out_noise0.6_chi_exp.json": "4ea575b82d6a97e3cb2556cb34fbf267de567ff841e1be661e02f1908cdb606b",
+        "out_noise0.6_chi_th.json": "8e1048d91102f984f772c73c81c83da2c9ef3285c7edc5d06bc2c8b773c6e280",
+    },
+    ("qpt", "--channel", "ad", "--grid", "0.25,0.7", "--single", "--shots", "3000",
+     "--seed", "12345", "--resamples", "20"): {
+        "out_noise0.25_chi_exp.json": "1e33ffa004ac9866f3f9940d86d532dce87a84abd3f7b457503c27658a24d7d4",
+        "out_noise0.25_chi_th.json": "c99614392e43edc9833910ca0c4958c6faaf3d34dc03b7e6255f724a02537a79",
+        "out_noise0.7_chi_exp.json": "8a0f49e000602ddc942d1bdf8ce6aa72cf81a1ff8c7780ed72c8d88272621688",
+        "out_noise0.7_chi_th.json": "7f68839c84008ceed4bc068ba777dea81433974cc3ecd1818ec77e7b4d188ad9",
+    },
+    ("qpt", "--channel", "ad", "--grid", "0.3,0.6", "--exact"): {
+        "out_noise0.3_chi_exp.json": "24da3e1beaabf9ac1b1cd22b65c68ad18b8b95169110311dd1ecebe67a486c1d",
+        "out_noise0.3_chi_th.json": "e549a7b660b8b428b4a74a7b60dd7de38158d9e3bb4b7db9f426204837183ba6",
+        "out_noise0.6_chi_exp.json": "082886b61ca83c62579e013f4ef44b72bf0a7d654bc4589c69d9e7ecec27d28c",
+        "out_noise0.6_chi_th.json": "3e7e82a6bb6e66def246c6e1e66e037d1e7a718923d4d1de910e8b2865a4f628",
+    },
+    ("qpt", "--channel", "depol", "--grid", "0.3,0.6", "--exact"): {
+        "out_noise0.3_chi_exp.json": "e984d98843b455901e92586312fcca18f1281d8405b8a349c05aaf2501361328",
+        "out_noise0.3_chi_th.json": "53de9bed98cf2f48c1eea341ebcde5649f75fc3d5fb72682951675916e7a03b8",
+        "out_noise0.6_chi_exp.json": "f13a0c9bb85cf8c55604c0d6bd2b7900f1d53533c0e5c560eae7a94d3434a520",
+        "out_noise0.6_chi_th.json": "8e1048d91102f984f772c73c81c83da2c9ef3285c7edc5d06bc2c8b773c6e280",
+    },
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_CHI), ids=" ".join)
+def test_chi_files_match_recorded_digest(argv, tmp_path):
+    assert main(list(argv) + ["--out", str(tmp_path / "out.csv")]) == EXIT_OK
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in tmp_path.glob("*.json")}
+    assert written == GOLDEN_CHI[argv]
+
+
 # error-curve stdout, recorded before the substreams were seeded in one batch:
 # a seed of 2**40 is two 32-bit words of entropy, and phi near the edge of the
 # arcsine range makes many estimates clamp
@@ -483,3 +536,98 @@ def test_error_curve_stdout_matches_recorded_digest(scheme, capsys):
     assert main(["error-curve", "--scheme", scheme, "--grid", "0.15,0.55",
                  "--reps", "300", "--seed", str(2 ** 40), "--phi", phi]) == EXIT_OK
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+# ------------------------------------------------------------ argv contract
+
+def _option(flag, good, edge):
+    """Strategies of the words [flag, value]: with a value the command accepts,
+    and with an edge value it may reject."""
+    return tuple((v if isinstance(v, st.SearchStrategy) else st.sampled_from(v))
+                 .map(lambda value: [flag, value]) for v in (good, edge))
+
+
+COUNT_EDGES = ["0", "1", str(cli.MAX_REPETITIONS + 1), "1e-320"]
+# the accepted values hold the edge values 0, 1, 1e-320 and -0.0 where the
+# option allows them, and each count cap; the edge values hold nan, inf, the
+# value one past each cap, a grid one point past its cap, and ill-formed text
+OPTIONS = {
+    "--grid": _option(
+        "--grid",
+        st.one_of(st.lists(st.sampled_from(["0.3", "0.55", "0", "1", "1e-320", "-0.0"]),
+                           min_size=1, max_size=3).map(",".join),
+                  st.sampled_from(["0:0.5:0.25", "0.1:0.2:0.1"])),
+        ["nan", "0.3,inf", "0:inf:0.5", "0:1:0", "0:1:-0.5", "1:0:0.5", "0:1", "0.3,x",
+         f"0:1:{1 / cli.MAX_GRID_POINTS}"]),
+    "--reps": _option("--reps", ["2", "3"], COUNT_EDGES),
+    "--resamples": _option("--resamples", ["2", "3"], COUNT_EDGES),
+    "--events": _option("--events", ["400", "1", str(cli.MAX_COUNTS)],
+                        ["0", str(cli.MAX_COUNTS + 1), "nan"]),
+    "--shots": _option("--shots", ["400", "1", str(cli.MAX_COUNTS)],
+                       ["0", str(cli.MAX_COUNTS + 1), "inf"]),
+    "--seed": _option("--seed", ["0", "1", str(2 ** 64)], ["-1", "-0.0"]),
+    "--visibility": _option("--visibility", ["0.9", "1"], ["0", "1e-320", "-0.0", "nan", "inf"]),
+    "--phi": _option("--phi", ["0", "0.3", "1", "1e-320", "-0.0"], ["nan", "inf"]),
+    "--eta": _option("--eta", ["0.5", "0", "1", "1e-320", "-0.0"], ["nan", "inf", "1.5"]),
+    "--format": _option("--format", ["csv", "json"], ["xml"]),
+    "--out": _option("--out", ["{work}/out"], ["{work}/missing/out"]),
+    # the four Pauli branch weights: sums of 1, or four drawn values
+    "--p0": tuple(v.map(lambda ws: [w for j, x in enumerate(ws) for w in (f"--p{j}", x)])
+                  for v in (st.sampled_from([("0.7", "0.1", "0.1", "0.1"), ("0.25",) * 4,
+                                              ("1", "0", "-0.0", "1e-320")]),
+                            st.tuples(*[st.sampled_from(["0.5", "0", "1", "1e-320", "-0.0",
+                                                         "nan", "inf"])] * 4))),
+}
+# (leading words, options always given, options given or not, switches);
+# the grid is always given, so it has at most 3 points
+COMMANDS = [
+    (st.sampled_from([["qfi-curve", "--channel", c] for c in ("ad", "depol")]),
+     ["--grid"], ["--format", "--out"], ["--minimax"]),
+    (st.sampled_from([["error-curve", "--scheme", s] for s in sorted(SCHEMES)]),
+     ["--grid", "--reps"], ["--events", "--visibility", "--phi", "--seed", "--format", "--out"],
+     []),
+    (st.sampled_from([["qpt", "--channel", c] for c in ("ad", "depol")]),
+     ["--grid", "--resamples", "--out"], ["--shots", "--seed"], ["--single", "--exact"]),
+    (st.just(["optics-verify", "--channel", "ad"]), [], ["--eta", "--out"], []),
+    (st.just(["optics-verify", "--channel", "pauli"]), ["--p0"], ["--out"], []),
+    (st.just(["supplement-verify"]), ["--grid"], ["--out"], []),
+]
+
+
+@st.composite
+def argvs(draw):
+    """An argv of one subcommand in which at most one option takes an edge
+    value; "{work}" stands for an output directory."""
+    words, required, optional, switches = draw(st.sampled_from(COMMANDS))
+    argv = list(draw(words))
+    given = required + [flag for flag in optional if draw(st.booleans())]
+    edge = draw(st.sampled_from([None] + given))
+    for flag in given:
+        argv += draw(OPTIONS[flag][flag == edge])
+    return argv + [flag for flag in switches if draw(st.booleans())]
+
+
+def _run_in(work, argv):
+    """Exit code, stdout, stderr and the files written by one call in an empty
+    directory; an argparse rejection counts as its exit code."""
+    for path in work.iterdir():
+        path.unlink()
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main([a.replace("{work}", str(work)) for a in argv])
+        except SystemExit as exc:
+            code = exc.code
+    files = {p.name: p.read_bytes() for p in work.iterdir()}
+    return code, out.getvalue(), err.getvalue(), files
+
+
+@settings(max_examples=300)
+@given(argvs())
+def test_every_argv_exits_cleanly_and_repeats_its_bytes(argv):
+    with tempfile.TemporaryDirectory() as work:
+        code, out, err, files = _run_in(pathlib.Path(work), argv)
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC), err
+        assert "Traceback" not in err
+        again = _run_in(pathlib.Path(work), argv)
+    assert (again[0], again[1], again[3]) == (code, out, files)

@@ -210,6 +210,20 @@ def test_run_experiment_law_of_large_numbers():
     assert (np.abs(counts - p * events) < 5 * sigma).all()
 
 
+# (repetitions, resamples): one block of 32 768 rows; 10 blocks of 21 with a
+# partial last one; blocks of 3 rows; one resample per block above 2**16
+@pytest.mark.parametrize("repetitions, resamples",
+                         [(2, 200), (3001, 200), (21846, 7), (65537, 3)])
+def test_blocked_bootstrap_equals_one_draw_per_resample(repetitions, resamples):
+    m = model_for("ad_two_probe_assisted", 0.5, visibility=0.98)
+    ensemble, report = run_experiment(m, 0.2, 400, repetitions=repetitions, seed=[9, 4],
+                                      bootstrap=resamples)
+    rng = np.random.default_rng([9, 4, repetitions])
+    stats = [ensemble.estimates[rng.integers(0, repetitions, repetitions)].std(ddof=1)
+             * np.sqrt(400.0) for _ in range(resamples)]
+    assert report.bootstrap_std == float(np.std(stats, ddof=1))
+
+
 # ---------------------------------------------------------------- estimator
 
 def test_estimate_phase_exact_frequencies():

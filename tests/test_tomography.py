@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -145,8 +147,45 @@ def test_unsupported_probe_dimension():
 
 def test_chi_matrix_shape():
     assert ChiMatrix(np.eye(16) / 16).dim_basis == 16
-    with pytest.raises(TomographyError):
-        ChiMatrix(np.ones((4, 2)))
+    # the empty matrix used to reach numpy's "zero-size array" ValueError
+    for shape in [(4, 2), (0, 0), (0,), (2, 2, 2)]:
+        with pytest.raises(TomographyError, match="square and non-empty"):
+            ChiMatrix(np.ones(shape))
+
+
+# 5e-324 is the least subnormal; float repr switches to an exponent below
+# 1e-4 and at 1e16
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e-5, 9.999999999999999e-05, 1e-4,
+               0.1, 1.0, 9999999999999998.0, 1e16, 1e300, -1e300, 1.7976931348623157e308]
+
+
+@st.composite
+def hermitian_matrices(draw):
+    # the entries cycle through the edge floats and a few drawn ones, in a
+    # drawn order, which keeps d = 16 cheap to draw and to shrink; at d = 16
+    # every value appears in both parts
+    d = draw(st.sampled_from([16, 4, 2, 1]))
+    drawn = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=4))
+    pool = np.array(draw(st.permutations(EDGE_FLOATS + drawn)))
+    re, im = np.resize(pool, (d, d)), np.resize(pool[::-1], (d, d))
+    # mirrored by selection, not by sums, so that every -0.0 survives
+    upper = np.triu(np.ones((d, d), dtype=bool))
+    mat = np.empty((d, d), dtype=complex)
+    mat.real = np.where(upper, re, re.T)
+    mat.imag = np.where(upper, im, -im.T)
+    np.fill_diagonal(mat.imag, np.copysign(0.0, np.diag(im)))
+    return mat
+
+
+@settings(max_examples=60)
+@given(hermitian_matrices())
+def test_chi_json_text_is_json_dump_output(mat):
+    chi = ChiMatrix(mat)
+    expected = json.dumps({"dim_basis": len(mat), "re": mat.real.ravel().tolist(),
+                           "im": mat.imag.ravel().tolist()}, indent=2, sort_keys=True)
+    # compared by line: a failure names the first differing line, which is
+    # also far quicker to explain than one long string
+    assert chi.json_text().split("\n") == expected.split("\n")
 
 
 # ----------------------------------------------------------- reconstruction
