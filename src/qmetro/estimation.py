@@ -5,14 +5,20 @@ inversion, classical Fisher information, and error curves with bootstrap bars.
 Finite visibility v enters every scheme the same way: the ideal distribution
 at +phi is mixed with the one at -phi with weights (1+v)/2 and (1-v)/2, which
 reproduces the published v-dependent formulas exactly.
+
+A run seeded `base` draws its repetitions in chunks of `linalg._CHUNK_ROWS`
+(4096): chunk c holds repetitions 4096c to 4096c + 4095, the rows of
+`default_rng(base + [c]).multinomial(events, pn, size=rows)`. numpy draws those
+rows in order, so repetition r's counts do not depend on the repetition count.
+The bootstrap resamples from `default_rng(base + [repetitions])`, a seed that
+no chunk meets because c < repetitions.
 """
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channels import NOISE, PhaseChannelFamily, evolve
-from .linalg import _CHUNK_ROWS, _pcg64_doubles, _pcg64_seed, projector, substream_states
+from .linalg import _CHUNK_ROWS, projector
 
 
 class EstimationError(ValueError):
@@ -175,7 +181,9 @@ def _arcsine(model, counts):
     denom = _contrast(model)
     if denom <= 0:
         raise EstimationError("zero contrast: the phase is invisible at these parameters")
-    arg = np.clip((counts[..., 0] - counts[..., 1]) / (total * denom), -1.0, 1.0)
+    diff, scale = counts[..., 0] - counts[..., 1], total * denom
+    # clamped before the division, which overflows at a subnormal contrast
+    arg = np.sign(diff) * (np.minimum(np.abs(diff), scale) / scale)
     estimates = np.arcsin(arg)
     if model.spec.probes == 2:
         # outcome 0 loses weight as the phase grows, and the doubled phase
@@ -205,267 +213,6 @@ class ErrorReport:
     clamped: int           # repetitions whose arcsine argument hit +/-1
 
 
-# ------------------------------------------------------------------ sampling
-#
-# `_multinomial_rows` gives each row of seed words the counts that
-# `Generator(PCG64(...)).multinomial(events, pn)` draws, bit for bit, without a
-# generator per row. It runs numpy's sampler (random_multinomial ->
-# random_binomial -> inversion, or BTPE of Kachitvichyanukul & Schmeiser 1988)
-# elementwise over the rows, in rounds over the rows still drawing, in C's
-# order of operations. The PCG64 state words of `linalg._pcg64_seed` are the
-# sampler's only state: a stream advances by exactly the uniforms it spends,
-# and a BTPE round that draws ahead for several attempts sets each stream back
-# to its state after the attempt it accepts. np.log can differ from libm's log
-# by an ulp, and every log here feeds a comparison or a floor, so a decision
-# within a relative _NEAR of flipping is redone with math.log, which is libm's.
-
-_TRIES = 4     # BTPE attempts per stream in each round after the first
-_NEAR = 1e-12
-_BLOCK = 128   # subsets of streams are padded to a multiple of this many
-
-
-def _pad(idx):
-    """idx with its last entry repeated up to a multiple of _BLOCK entries.
-
-    Every step of the sampler is per stream, so a repeated stream computes
-    and writes the same values twice. The padding keeps the temporaries of a
-    round to a few sizes: numpy keeps up to 7 freed blocks of each size under
-    1024 bytes, and rounds over subsets of every size would fill that cache
-    with megabytes of them."""
-    if len(idx) % _BLOCK == 0:
-        return idx
-    return idx.take(np.arange(len(idx) - len(idx) % _BLOCK + _BLOCK), mode="clip")
-
-
-def _libm_log(x, values, near):
-    """values = np.log(x), with libm's log where near holds (as in C, -inf at 0
-    and NaN below it)."""
-    if near.any():
-        values[near] = [math.log(v) if v > 0 else -math.inf if v == 0 else math.nan
-                        for v in x[near].tolist()]
-    return values
-
-
-def _inversion(state, cols, n, p):
-    """numpy's random_binomial_inversion on the streams cols (p <= 0.5)."""
-    u = _pcg64_doubles(state, 1, cols)[0]
-    x = np.zeros(len(n), dtype=np.int64)
-    q = 1.0 - p
-    if not q < 1.0:  # p <= 0: qn = q**n >= 1 exceeds every uniform, so X = 0
-        return x
-    log_q = math.log1p(-p)  # numpy takes q**n as exp(n * log1p(-p))
-    keys, at = np.unique(n, return_inverse=True)
-    qn = np.array([math.exp(k * log_q) for k in keys.tolist()])[at]
-    mean = n * p
-    bound = np.minimum(n, mean + 10.0 * np.sqrt(mean * q + 1)).astype(np.int64)
-    px = qn.copy()
-    act = _pad(np.flatnonzero(u > px))
-    while act.size:
-        x[act] += 1
-        fresh = _pad(act[x[act] > bound[act]])
-        if fresh.size:  # past the bound: start over with a new uniform
-            x[fresh] = 0
-            px[fresh] = qn[fresh]
-            u[fresh] = _pcg64_doubles(state, 1, cols[fresh])[0]
-        go = _pad(act[x[act] > 0])
-        xs = x[go]
-        u[go] -= px[go]
-        px[go] = (n[go] - xs + 1) * p * px[go] / (xs * q)
-        act = _pad(act[u[act] > px[act]])
-    return x
-
-
-def _btpe_table(n, r):
-    """BTPE's set-up for each n at p = r <= 0.5, in C's order of operations:
-    a float table (rows p1, xm, c, laml, lamr, p2, p3, p4, nrq, a) and an
-    int64 table (n, m)."""
-    q = 1.0 - r
-    f = np.empty((10, len(n)))
-    p1, xm, c, laml, lamr, p2, p3, p4, nrq, a = f
-    fm = n * r + r
-    m = np.floor(fm)
-    np.multiply(n * r, q, out=nrq)
-    np.floor(2.195 * np.sqrt(nrq) - 4.6 * q, out=p1)
-    p1 += 0.5
-    np.add(m, 0.5, out=xm)
-    xl, xr = xm - p1, xm + p1
-    np.divide(20.5, 15.3 + m, out=c)
-    c += 0.134
-    al = (fm - xl) / (fm - xl * r)
-    np.multiply(al, 1.0 + al / 2.0, out=laml)
-    ar = (xr - fm) / (xr * q)
-    np.multiply(ar, 1.0 + ar / 2.0, out=lamr)
-    np.multiply(p1, 1.0 + 2.0 * c, out=p2)
-    np.divide(c, laml, out=p3)
-    p3 += p2
-    np.divide(c, lamr, out=p4)
-    p4 += p3
-    np.multiply(n + 1, r / q, out=a)
-    return f, np.array([n, m.astype(np.int64)])
-
-
-def _stirling_bound(terms, g):
-    """Step 52's bound on log v: the three log terms, then the Stirling
-    corrections of f1, z, x1 and w (the rows of g), summed left to right."""
-    g2 = g * g
-    corr = (13680. - (462. - (132. - (99. - 140. / g2) / g2) / g2) / g2) / g / 166320.
-    return terms[0] + terms[1] + terms[2] + corr[0] + corr[1] + corr[2] + corr[3]
-
-
-def _btpe_attempts(u, v, f, i, r, q):
-    """BTPE attempts (Steps 10-60) from uniforms u, v of shape (tries, m), for
-    the m streams whose columns of the `_btpe_table` tables are f and i:
-    (accepted, y), each of shape (tries, m)."""
-    # every branch tests `u > bound` as C does, so a NaN takes C's way too
-    u = u * f[7]
-    ok = ~(u > f[0])
-    y = f[0] * v
-    np.subtract(f[1], y, out=y)
-    y += u
-    with np.errstate(invalid="ignore"):
-        y = np.floor(y, out=y).astype(np.int64)
-    rest = _pad(np.flatnonzero(~ok))
-    if not rest.size:
-        return ok, y
-    col = rest % u.shape[1]
-    u, v = u.take(rest), v.take(rest)
-    p1, xm, c, laml, lamr, p2, p3, _, nrq, a = f.take(col, axis=1)
-    n, m = i.take(col, axis=1)
-    xl, xr, mf = xm - p1, xm + p1, m.astype(float)
-    # Steps 20-40: the parallelograms and the two exponential tails
-    mid, left = ~(u > p2), ~(u > p3)
-    x = xl + (u - p1) / c
-    with np.errstate(divide="ignore", invalid="ignore"):  # v = 0 is rejected
-        log_v = np.log(v)
-        tail = np.where(left, xl + log_v / laml, xr - log_v / lamr)
-        near = np.abs(tail - np.rint(tail)) <= _NEAR * (np.abs(tail) + xr)
-        if near.any():
-            log_v = _libm_log(v, log_v, near)
-            tail = np.where(left, xl + log_v / laml, xr - log_v / lamr)
-        ys = np.floor(np.where(mid, x, tail)).astype(np.int64)
-    v2 = v * c + 1.0 - np.abs(mf - x + 0.5) / p1
-    good = np.where(mid, ~(v2 > 1.0), np.where(left, ys >= 0, ys <= n) & (v != 0.0))
-    v = np.where(mid, v2, np.where(left, v * (u - p2) * laml, v * (u - p3) * lamr))
-    k = np.abs(ys - m)
-    squeeze = good & (k > 20) & (k < nrq / 2.0 - 1)
-    # Step 50: the pmf ratio F by recursion
-    s50 = good & ~squeeze
-    for s in (_pad(np.flatnonzero(s50 & (k <= 20))), _pad(np.flatnonzero(s50 & (k > 20)))):
-        if s.size:  # the rare long products apart, so they do not pad the short
-            ks, lo = k[s], np.minimum(m[s], ys[s])
-            j = np.arange(1, ks.max() + 1)[:, None]
-            terms = np.divide(a[s], lo + j)
-            terms -= r / q
-            terms[j > ks] = 1.0
-            F = np.where(ys[s] > m[s], np.multiply.reduce(terms, axis=0),
-                         np.divide.reduce(terms, axis=0, initial=1.0))
-            good[s] = ~(v[s] > F)
-    # Step 52: the squeeze on log v, then the Stirling bound
-    s = _pad(np.flatnonzero(squeeze))
-    if s.size:
-        kk, nq, w = k[s], nrq[s], v[s]
-        kf = kk.astype(float)
-        rho = (kf / nq) * ((kf * (kf / 3.0 + 0.625) + 0.16666666666666666) / nq + 0.5)
-        t = -kk * kk / (2 * nq)
-        below, above = t - rho, t + rho
-        with np.errstate(divide="ignore", invalid="ignore"):  # C's log(0), log(< 0)
-            big_a = np.log(w)
-        near = np.minimum(np.abs(big_a - below), np.abs(big_a - above))
-        big_a = _libm_log(w, big_a, near <= _NEAR * np.abs(big_a))
-        take = big_a < below
-        band = _pad(np.flatnonzero(~take & ~(big_a > above)))
-        if band.size:
-            b = s[band]
-            A, yb, mb, nb = big_a[band], ys[b], m[b], n[b]
-            g = np.array([mb + 1, nb + 1 - mb, yb + 1, nb - yb + 1], dtype=float)
-            f1, z, x1, w1 = g
-            ratio = np.array([f1 / x1, z / w1, w1 * r / (x1 * q)])
-            coef = np.array([xm[b], (nb - mb) + 0.5, yb - mb], dtype=float)
-            logs = np.log(ratio)
-            bound = _stirling_bound(coef * logs, g)
-            near = np.abs(A - bound) <= _NEAR * (np.abs(coef * logs).sum(axis=0) + np.abs(A))
-            if near.any():
-                A = _libm_log(w[band], A, near)
-                logs = _libm_log(ratio, logs, np.broadcast_to(near, logs.shape))
-                bound = _stirling_bound(coef * logs, g)
-            take[band] = ~(A > bound)
-        good[s] = take
-    ok.ravel()[rest] = good
-    y.ravel()[rest] = ys
-    return ok, y
-
-
-def _btpe(state, cols, n, r):
-    """numpy's random_binomial_btpe on the streams cols (p = r <= 0.5). A
-    stream tries once in the first round; a later round tries _TRIES times and
-    then sets each stream back to its state after its first acceptance, so it
-    spends only the uniforms up to it. The tables shrink to the streams still
-    drawing after every round."""
-    q = 1.0 - r
-    f, i = _btpe_table(n, r)
-    uv = _pcg64_doubles(state, 2, cols)
-    ok, y = _btpe_attempts(uv[:1], uv[1:], f, i, r, q)
-    y = y[0]
-    keep = _pad(np.flatnonzero(~ok[0]))
-    at = keep
-    while at.size:
-        f, i = f.take(keep, axis=1), i.take(keep, axis=1)
-        trail = np.empty((2 * _TRIES, 2, at.size), dtype=np.uint64)
-        uv = _pcg64_doubles(state, 2 * _TRIES, cols[at], trail)
-        ok, ys = _btpe_attempts(uv[0::2], uv[1::2], f, i, r, q)
-        first = ok.argmax(axis=0)
-        hit = ok[first, np.arange(at.size)]
-        used = np.where(hit, 2 * first + 2, 2 * _TRIES)
-        # a padded duplicate column writes the same words as its original
-        state[:2, cols[at]] = trail[used - 1, :, np.arange(at.size)].T
-        y[at[hit]] = ys[first[hit], hit]
-        keep = _pad(np.flatnonzero(~hit))
-        at = at[keep]
-    return y
-
-
-def _binomial(state, cols, n, p):
-    """numpy's random_binomial on the streams cols: Bin(n, p) by inversion
-    when n * p <= 30, else by BTPE; for p > 0.5 it draws n - Bin(n, 1 - p)."""
-    flip = not p <= 0.5
-    if flip:
-        p = 1.0 - p
-    small = p * n <= 30.0
-    x = np.empty_like(n)
-    for sub, draw in ((small, _inversion), (~small, _btpe)):
-        at = _pad(np.flatnonzero(sub))
-        if at.size:
-            x[at] = draw(state, cols[at], n[at], p)
-    return n - x if flip else x
-
-
-def _multinomial_rows(words, events, pn):
-    """Counts (rows, len(pn)) that `multinomial(events, pn)` draws from the
-    PCG64 stream of each row of `linalg.substream_states` words. As numpy's
-    random_multinomial, outcome j takes Bin(left, pn[j] / remaining), a row
-    stops once it has no events left, and the last outcome takes the rest."""
-    rows, d = len(words), len(pn)
-    state = _pcg64_seed(words)
-    counts = np.zeros((rows, d), dtype=np.int64)
-    left = np.full(rows, events, dtype=np.int64)
-    live = np.arange(rows)
-    remaining = 1.0
-    for j, pj in enumerate(pn[:-1].tolist()):
-        p = pj / remaining
-        if p != 0.0:
-            n = left[live]
-            x = _binomial(state, live, n, p)
-            counts[live, j] = x
-            n -= x
-            left[live] = n
-            live = _pad(live[n > 0])
-            if not live.size:
-                break
-        remaining -= pj
-    counts[live, d - 1] = left[live]
-    return counts
-
-
 def _seed_list(seed):
     if np.isscalar(seed):
         return [int(seed)]
@@ -487,15 +234,14 @@ def run_experiment(model, phi_true=0.0, events=None, repetitions=100, seed=0,
     base = _seed_list(seed)
     p = probabilities(model, phi_true)
     pn = p / p.sum()
-    # multinomial's own checks, which the sampler below does not make
+    # checked here, so that a bad law raises EstimationError, not numpy's ValueError
     if not (np.all(pn >= 0) and np.all(pn <= 1)) or pn[:-1].sum() > 1 + 1e-12:
         raise EstimationError(f"outcome probabilities {pn} are not a distribution")
-    # repetition r draws from default_rng(base + [r]); the rows are seeded and
-    # sampled a chunk at a time, which bounds the temporaries
-    counts = np.empty((repetitions, len(p)), dtype=np.int64)
-    for start in range(0, repetitions, _CHUNK_ROWS):
-        rows = np.arange(start, min(start + _CHUNK_ROWS, repetitions))
-        counts[rows] = _multinomial_rows(substream_states(base, rows), events, pn)
+    # the chunk contract of the module docstring
+    counts = np.concatenate([
+        np.random.default_rng(base + [c]).multinomial(
+            events, pn, size=min(_CHUNK_ROWS, repetitions - start))
+        for c, start in enumerate(range(0, repetitions, _CHUNK_ROWS))])
     estimates, clamped = _arcsine(model, counts)
     sqrt_nu = np.sqrt(float(events))
     stat = estimates.std(ddof=1) * sqrt_nu

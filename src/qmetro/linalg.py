@@ -137,64 +137,6 @@ def substream_states(base, tail):
                     axis=1)
 
 
-# PCG64 (O'Neill 2014) as numpy's PCG64 runs it: a 128-bit LCG, state <- state
-# * M + inc mod 2**128, read out by XSL-RR of the new state. A stack of streams
-# is a (4, rows) uint64 array: state high and low words, increment high and low.
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_M_HI, _M_LO = np.uint64(_PCG_MULT >> 64), np.uint64(_PCG_MULT & 0xFFFFFFFFFFFFFFFF)
-_M_LO0, _M_LO1 = np.uint64(_PCG_MULT & _MASK32), np.uint64(_PCG_MULT >> 32 & _MASK32)
-_L32, _S32 = np.uint64(_MASK32), np.uint64(32)
-
-
-def _pcg64_step(s):
-    """Advance the PCG64 streams s, a (4, rows) uint64 array, one step in place."""
-    hi, lo, inc_hi, inc_lo = s
-    # high word of lo * M_lo from 32-bit limbs, then the cross terms mod 2**64
-    a0, a1 = lo & _L32, lo >> _S32
-    t = a1 * _M_LO0 + (a0 * _M_LO0 >> _S32)
-    w = (t & _L32) + a0 * _M_LO1
-    new_hi = a1 * _M_LO1 + (t >> _S32) + (w >> _S32) + lo * _M_HI + hi * _M_LO + inc_hi
-    lo *= _M_LO
-    lo += inc_lo
-    new_hi += lo < inc_lo
-    hi[...] = new_hi
-
-
-def _pcg64_seed(words):
-    """PCG64 streams seeded from `substream_states` words as numpy's
-    pcg64_set_seed seeds one: initstate = (w0 << 64) | w1, initseq = (w2 << 64)
-    | w3, inc = 2 * initseq + 1; from state 0, step, add initstate, step."""
-    w = np.asarray(words, dtype=np.uint64).T
-    s = np.zeros((4, w.shape[1]), dtype=np.uint64)
-    s[2] = w[2] << 1 | w[3] >> 63
-    s[3] = w[3] << 1 | 1
-    _pcg64_step(s)
-    s[1] += w[1]
-    s[0] += w[0] + (s[1] < w[1])
-    _pcg64_step(s)
-    return s
-
-
-def _pcg64_doubles(s, k, idx=None, trail=None):
-    """The next k doubles of the streams s[:, idx] (all when idx is None), as a
-    (k, len(idx)) array equal to `Generator(PCG64(...)).random(k)` per stream.
-    Only those streams advance, each by k steps; a (k, 2, len(idx)) uint64
-    trail, when given, receives their state words after each step."""
-    sub = s if idx is None else s[:, idx]
-    out = np.empty((k, sub.shape[1]))
-    for step, row in enumerate(out):
-        _pcg64_step(sub)
-        if trail is not None:
-            trail[step] = sub[:2]
-        x = sub[0] ^ sub[1]
-        rot = sub[0] >> np.uint64(58)
-        x = x >> rot | x << (np.uint64(64) - rot)  # a shift by 64 gives 0
-        np.multiply(x >> np.uint64(11), 2.0 ** -53, out=row)
-    if idx is not None:
-        s[:2, idx] = sub[:2]
-    return out
-
-
 class _Words(ISeedSequence):
     """Seed sequence that hands PCG64 its four precomputed uint64 state words."""
 

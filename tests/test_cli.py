@@ -15,6 +15,9 @@ from qmetro.cli import (EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, ConfigError,
                         format_csv, main, parse_grid)
 from qmetro.estimation import SCHEMES
 
+# a numpy warning printed above the output fails the test
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def read_rows(path):
     lines = path.read_text().strip().split("\n")
@@ -203,6 +206,13 @@ def test_error_curve_event_cap(monkeypatch, capsys):
     assert seen == [cli.MAX_COUNTS]
     assert capsys.readouterr().err == ("error: invalid configuration: events "
                                        "must be at most 1000000000000000000\n")
+
+
+def test_error_curve_at_subnormal_visibility_is_silent(capsys):
+    # every estimate clamps; the ratio past +/-1 must not overflow on the way
+    assert main(["error-curve", "--scheme", "ad_single_bare", "--grid", "0.3", "--reps", "2",
+                 "--visibility", "1e-320"]) == EXIT_OK
+    assert capsys.readouterr().err == ""
 
 
 def test_error_curve_rejects_negative_seed(capsys):
@@ -409,13 +419,15 @@ def test_supplement_verify_numeric_failure(monkeypatch, capsys):
 # qfi-curve CSV cases: before the inner minimum over Kraus representations
 # became one closed-form solve; the optics-verify and supplement-verify cases:
 # before the optics networks were rebuilt on Kronecker products; the
-# assisted error-curve and single-probe qpt cases: before the Monte-Carlo and
-# tomography substreams were seeded in one batch); a refactor
-# that changes a printed digit changes the digest. The qfi-curve JSON prints
-# the minimax values at full precision, so its two digests were re-recorded
-# with that solve (no value moved by more than 3.4e-16), and again when Newton
-# steps on the Bloch information and the ridge kets replaced the bare search's
-# Nelder-Mead polish (no value moved by more than 4.5e-16): ad
+# single-probe qpt case: before the tomography substreams were seeded in one
+# batch; the error-curve cases: re-recorded when each chunk of 4096
+# repetitions began to draw from one generator, default_rng(seed + [point,
+# chunk])); a refactor that changes a printed digit changes the digest. The
+# qfi-curve JSON prints the minimax values at full precision, so its two
+# digests were re-recorded with that solve (no value moved by more than
+# 3.4e-16), and again when Newton steps on the Bloch information and the ridge
+# kets replaced the bare search's Nelder-Mead polish (no value moved by more
+# than 4.5e-16): ad
 # 1e2029ea000150be08210ba9ac7434c1c43215e0ac68d4fdf7e24071fd412217 ->
 # cd46b4be52bb8342c7b2ae698dd771222cf0a0523738f97ceb8a4dcb618bce4a, depol
 # bae26636bed9f10058154c3cfa77fec4df29687d0d3891f269ecfc563a252e96 ->
@@ -432,17 +444,17 @@ GOLDEN_CSV = {
      "--grid", "0.1,0.45,0.9"):
         "4e4f64ee5a25e161d1ca9ab0a2652ebeaba8e9880ea425a16316addf094f49fa",
     ("error-curve", "--scheme", "ad_single_assisted"):
-        "a898343fa436f0e89ec1077b29580b1ac9322e674fb854e4b89c11223acf0f49",
+        "f3a415a414b5020bf1e345749f50fb4fe13ef007c33cee4a3fc0c27868d424aa",
     ("error-curve", "--scheme", "depol_single_assisted"):
-        "9a0e946de12360478ca1e2f9a84bb8991fd7f798c54308ad795502647f4a4eea",
+        "eba5b0caebbf325a298f7549d45d167c360236188ebe03a777f140bc1fa21199",
     ("error-curve", "--scheme", "ad_two_probe_assisted"):
-        "4c45138dcb0c4fb23fcaf70e328cd16884a64c85d6b9ccf019941cd6fd894619",
+        "794801ed038429953f2727a527418fc3d25eab873136d2d05d99f2e1b5f74bfd",
     ("error-curve", "--scheme", "ad_single_bare"):
-        "168beb2d3cd87dcb04e6af6ffb2f2d7fb07b787b23cc7fb1d626b5dacdacca2d",
+        "4cb5e69be94dc63a982ac38aecfeaa2b4b13f7561d2d2a639e4945916272e54d",
     ("error-curve", "--scheme", "depol_single_bare"):
-        "8b0713c6eb823010b23bf624a93bbb81110119c64ba14adc6c24b9c68cdf52f7",
+        "e6a518c2049e46500cfc804122f4879f0ca24e4a04beec82c2b1a7103c3d5968",
     ("error-curve", "--scheme", "ad_two_probe_bare"):
-        "bda32c5dc3f516b9bf1c5d7f618517e3a69dd01baecb114dd951030d2d1951ee",
+        "ed73ecc35d2b754a7d299376271b3ee7c383b6c89a43607617487201003d76e9",
     ("qpt", "--channel", "ad", "--grid", "0.3,0.6"):
         "274db5ef0219676dbc7f2e2bc2055531ce805f585846f625a7ff28c9ea8d1491",
     ("qpt", "--channel", "depol", "--grid", "0.3,0.6"):
@@ -517,16 +529,16 @@ def test_chi_files_match_recorded_digest(argv, tmp_path):
     assert written == GOLDEN_CHI[argv]
 
 
-# error-curve stdout, recorded before the substreams were seeded in one batch:
-# a seed of 2**40 is two 32-bit words of entropy, and phi near the edge of the
-# arcsine range makes many estimates clamp
+# error-curve stdout, recorded when each chunk of 4096 repetitions began to
+# draw from one generator: a seed of 2**40 is two 32-bit words of entropy, and
+# phi near the edge of the arcsine range makes many estimates clamp
 GOLDEN_STDOUT = {
-    "ad_single_assisted": ("1.5", "1c8454895a0dae8fe15168f17a94ce7f90c7818e58f82ebceac8b6606fb57779"),
-    "depol_single_assisted": ("1.5", "ba180b3f742e10ccb233ec54011329f2811642652074a26f265b7e183978b1f7"),
-    "ad_two_probe_assisted": ("0.77", "68a941c135c46621c9dad1c86b102a998de64af2810a3ed4c74b402893151374"),
-    "ad_single_bare": ("1.5", "87ceaefc8d888749dd2a2bd9336aa501d68f1be9527ba5164bc7ff3c7402130a"),
-    "depol_single_bare": ("1.5", "7270056d9c91dccbeb30844c84b40289627bd1c28411ce4d2505916ded32dca7"),
-    "ad_two_probe_bare": ("0.77", "166aa8cd80edddc7f9428d9a722d8d39573e1f124ee057319a94e73b2bd3fac6"),
+    "ad_single_assisted": ("1.5", "edabbbce824290915b8cd2fcceadb76aed11b4d4c85153d8d94add4723034e74"),
+    "depol_single_assisted": ("1.5", "5f0f5b0e7e2b4559ecb3fdbc468d647bb8bbc7a7e60ff9e7fd7e69f7b2854c21"),
+    "ad_two_probe_assisted": ("0.77", "ac7658f0946423597f02efe030e3ae49c969ef7eb71f3460ebfd87b610c4037b"),
+    "ad_single_bare": ("1.5", "b802a72b32364a343c04205aacca572514403e1bedeedc7a512b2862a45a3570"),
+    "depol_single_bare": ("1.5", "cc3102cadcb0e6b9abe63df55cab536fc70ed910c7192f1d7a086d44600c7d8d"),
+    "ad_two_probe_bare": ("0.77", "0e43a3078152a1d5660f7e1c96d1f3532a0c21d41e10f5ad224f25baa2f46d6d"),
 }
 
 

@@ -2,20 +2,17 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from numpy.random import PCG64, Generator
 
 from qmetro import estimation
-from qmetro.estimation import (SCHEMES, EstimationError, _binomial,
-                               _multinomial_rows, classical_fisher,
+from qmetro.estimation import (SCHEMES, EstimationError, classical_fisher,
                                error_curve, estimate_phase, model_for,
                                probabilities, probability_derivatives,
                                run_experiment)
-from qmetro.cli import EXIT_OK, format_csv, main
-from qmetro.linalg import (_CHUNK_ROWS, _PCG_MULT, _pcg64_doubles, _pcg64_seed, _Words,
-                           substream_states)
+from qmetro.cli import EXIT_CONFIG, EXIT_OK, format_csv, main
+from qmetro.linalg import _CHUNK_ROWS
 from qmetro.qfi import closed_form_qfi, two_probe_collective_ad_qfi
 
-# the sampler's uint64 wrap-around and log(0) are intended and must stay silent
+# an overflow or an invalid value anywhere in estimation fails the test
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 QUOTED_CFI = {
@@ -258,7 +255,7 @@ def test_estimator_unbiased_near_origin():
     for k, scheme in enumerate(SCHEMES):
         m = model_for(scheme, 0.3, visibility=1.0)
         for phi in (0.0, 0.05, -0.05):
-            # repetition r draws from default_rng([9, k, r])
+            # chunk c draws from default_rng([9, k, c])
             ensemble, _ = run_experiment(m, phi_true=phi, events=20000,
                                          repetitions=1000, seed=[9, k], bootstrap=2)
             ests = ensemble.estimates
@@ -310,152 +307,52 @@ def test_run_experiment_report_fields():
     ("depol_single_bare", 0.6, 250, [4, 1]),
     ("ad_two_probe_assisted", 0.2, 300, [0, 2, 1]),
     ("ad_two_probe_bare", 0.5, 200, 2 ** 40),
+    ("depol_single_assisted", 0.2, 2 * _CHUNK_ROWS + 3, [5]),
 ])
-def test_run_experiment_matches_per_repetition_loop(scheme, noise, repetitions, seed):
-    # every repetition r draws from default_rng(seed + [r]) and is estimated
-    # on its own, bit for bit
+def test_each_chunk_is_one_multinomial_call(scheme, noise, repetitions, seed):
+    # chunk c holds repetitions 4096c onwards, the rows of one multinomial call
+    # on default_rng(seed + [c]), and every repetition is estimated on its own
     m = model_for(scheme, noise)
     ensemble, _ = run_experiment(m, phi_true=0.1, repetitions=repetitions, seed=seed,
                                  bootstrap=5)
     base = [seed] if np.isscalar(seed) else list(seed)
     p = probabilities(m, 0.1)
-    counts = np.array([np.random.default_rng(base + [r]).multinomial(
-        SCHEMES[scheme].default_events, p / p.sum()) for r in range(repetitions)])
-    assert np.array_equal(ensemble.counts, counts)
-    assert np.array_equal(ensemble.estimates, [estimate_phase(m, c) for c in counts])
+    for c, start in enumerate(range(0, repetitions, _CHUNK_ROWS)):
+        rows = min(_CHUNK_ROWS, repetitions - start)
+        assert np.array_equal(ensemble.counts[start:start + rows],
+                              np.random.default_rng(base + [c]).multinomial(
+                                  SCHEMES[scheme].default_events, p / p.sum(), size=rows))
+    assert np.array_equal(ensemble.estimates, [estimate_phase(m, c) for c in ensemble.counts])
 
 
-def per_stream_counts(words, events, pn):
-    """The reference: one generator and one multinomial call per row."""
-    return np.array([Generator(PCG64(_Words(w))).multinomial(events, pn)
-                     for w in words]).reshape(len(words), len(pn))
+COUNTS = st.integers(2, 2 * _CHUNK_ROWS + 2)
 
 
-@st.composite
-def outcome_laws(draw):
-    """A scheme's outcome law, or any law with some impossible outcomes."""
-    if draw(st.booleans()):
-        model = model_for(draw(st.sampled_from(sorted(SCHEMES))),
-                          draw(st.sampled_from([0.0, 1e-3, 0.5, 0.99, 1.0]) | st.floats(0, 1)),
-                          draw(st.sampled_from([None, 1.0])))
-        p = probabilities(model, draw(st.floats(-1.6, 1.6)))
-    else:
-        p = np.array(draw(st.lists(st.just(0.0) | st.floats(1e-300, 1), min_size=2,
-                                   max_size=6).filter(any)))
-    return p / p.sum()
-
-
-EVENTS = (st.sampled_from([1, 2, 3, 30, 31, 61, 2000, 20000, 10 ** 6, 10 ** 18])
-          | st.integers(1, 10 ** 18))
-
-
-@settings(max_examples=80)
-@given(outcome_laws(), EVENTS, st.integers(1, 150), st.integers(0, 2 ** 32 - 1))
-def test_multinomial_rows_match_per_stream_multinomial(pn, events, rows, seed):
-    words = substream_states([seed], np.arange(rows))
-    assert np.array_equal(_multinomial_rows(words, events, pn),
-                          per_stream_counts(words, events, pn))
-
-
-def test_sampler_cases_reach_every_branch(monkeypatch):
-    # each case is checked against the per-row loop; the spies show that the
-    # cases together reach the flip, the early stop, inversion, all four BTPE
-    # regions (u * p4 against p1, p2 and p3) and Step 52's Stirling band
-    seen = set()
-    attempts, binomial, inversion, stirling = (
-        estimation._btpe_attempts, estimation._binomial, estimation._inversion,
-        estimation._stirling_bound)
-
-    def spy_attempts(u, v, f, i, r, q):
-        x = u * f[7]
-        for region, hit in enumerate([x <= f[0], (x > f[0]) & (x <= f[5]),
-                                      (x > f[5]) & (x <= f[6]), x > f[6]], 1):
-            if hit.any():
-                seen.add(f"region {region}")
-        return attempts(u, v, f, i, r, q)
-
-    def spy_binomial(state, cols, n, p):
-        seen.update({"flip"} if p > 0.5 else set())
-        seen.update({"early stop"} if len(np.unique(cols)) < state.shape[1] else set())
-        return binomial(state, cols, n, p)
-
-    monkeypatch.setattr(estimation, "_btpe_attempts", spy_attempts)
-    monkeypatch.setattr(estimation, "_binomial", spy_binomial)
-    monkeypatch.setattr(estimation, "_inversion",
-                        lambda *a: seen.add("inversion") or inversion(*a))
-    monkeypatch.setattr(estimation, "_stirling_bound",
-                        lambda *a: seen.add("stirling") or stirling(*a))
-    ad = probabilities(model_for("ad_single_assisted", 0.3), 0.2)  # VU has p = 0
-    cases = [(ad / ad.sum(), 20000, 3000), (np.array([0.2, 0.0, 0.3, 0.5]), 1, 500),
-             (np.array([0.05, 0.9, 0.05]), 40, 500), (np.array([0.3, 0.7]), 10 ** 18, 300),
-             (np.array([0.5, 0.5]), 61, 2000)]
-    for k, (pn, events, rows) in enumerate(cases):
-        words = substream_states([k], np.arange(rows))
-        assert np.array_equal(_multinomial_rows(words, events, pn),
-                              per_stream_counts(words, events, pn))
-    assert seen == {"flip", "early stop", "inversion", "region 1", "region 2",
-                    "region 3", "region 4", "stirling"}
-
-
-@settings(max_examples=60)
-@given(st.lists(EVENTS, min_size=1, max_size=64),
-       st.sampled_from([1e-3, 0.25, 0.5, 0.75, 1.0]) | st.floats(0, 1, exclude_min=True),
+@settings(max_examples=25)
+@given(st.sampled_from(sorted(SCHEMES)), st.sampled_from([1, 40, 2000]), COUNTS, COUNTS,
        st.integers(0, 2 ** 32 - 1))
-@example([2000] * 300, 0.3, 0)      # BTPE, with rounds past the first
-@example([2000] * 300, 0.9, 1)      # the flip onto BTPE
-@example([7, 40, 61] * 20, 0.2, 2)  # inversion
-@example([30, 200] * 30, 0.95, 3)   # the flip onto inversion
-def test_binomial_leaves_each_stream_where_numpy_does(n, p, seed):
-    # after one binomial each stream's next double is the one numpy draws next
-    words = substream_states([seed], np.arange(len(n)))
-    n = np.array(n, dtype=np.int64)
-    state = _pcg64_seed(words)
-    x = _binomial(state, np.arange(len(n)), n, p)
-    after = _pcg64_doubles(state, 1)[0]
-    for r, w in enumerate(words):
-        gen = Generator(PCG64(_Words(w)))
-        assert x[r] == gen.binomial(n[r], p)
-        assert after[r] == gen.random()
+@example("ad_single_bare", 40, _CHUNK_ROWS, _CHUNK_ROWS + 1, 0)
+@example("ad_two_probe_assisted", 2000, _CHUNK_ROWS + 1, 2 * _CHUNK_ROWS + 1, 1)
+def test_a_run_is_a_prefix_of_every_longer_run(scheme, events, r, big_r, seed):
+    # the first r repetitions of a run of R >= r repetitions are a run of r
+    r, big_r = sorted((r, big_r))
+    m = model_for(scheme, 0.4)
+    short, _ = run_experiment(m, 0.1, events, repetitions=r, seed=[seed], bootstrap=2)
+    long, _ = run_experiment(m, 0.1, events, repetitions=big_r, seed=[seed], bootstrap=2)
+    assert np.array_equal(long.counts[:r], short.counts)
+    assert np.array_equal(long.estimates[:r], short.estimates)
 
 
-def _stream_whose_next_double_is(u):
-    """(state, inc) of a PCG64 stream whose next double is u: the output word
-    is placed in the stepped state (rotation 0) and stepped back."""
-    hi = 0x0123456789ABCDEF & (2 ** 58 - 1)
-    stepped = hi << 64 | ((int(u * 2 ** 53) << 11) ^ hi)
-    inc = 0xDA3E39CB94B95BDB
-    return (stepped - inc) * pow(_PCG_MULT, -1, 2 ** 128) % 2 ** 128, inc
-
-
-def test_inversion_restarts_past_its_bound_as_numpy_does():
-    # at the largest uniform below 1 the summed pmf can fall short of u, and
-    # inversion then passes its bound and starts over with a new uniform
-    state, inc = _stream_whose_next_double_is(1 - 2 ** -53)
-    restarted = 0
-    for n in range(1, 8):
-        for p in np.arange(1, 33) / 64:
-            bits = PCG64()
-            bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                          "has_uint32": 0, "uinteger": 0}
-            stream = np.array([[state >> 64], [state & 2 ** 64 - 1], [inc >> 64],
-                               [inc & 2 ** 64 - 1]], dtype=np.uint64)
-            once = stream.copy()
-            _pcg64_doubles(once, 1)
-            x = _binomial(stream, np.arange(1), np.array([n]), float(p))
-            assert x[0] == Generator(bits).binomial(n, p)
-            # a restart draws a second uniform
-            restarted += not np.array_equal(stream, once)
-    assert restarted > 0
-
-
-def test_run_experiment_crosses_a_chunk_boundary():
-    m = model_for("depol_single_assisted", 0.2)
-    repetitions = _CHUNK_ROWS + 3
-    ensemble, _ = run_experiment(m, 0.1, events=40, repetitions=repetitions, seed=[5],
-                                 bootstrap=2)
-    p = probabilities(m, 0.1)
-    assert np.array_equal(ensemble.counts, per_stream_counts(
-        substream_states([5], np.arange(repetitions)), 40, p / p.sum()))
+def test_run_experiment_is_deterministic_across_chunks():
+    m = model_for("ad_two_probe_assisted", 0.3)
+    a, b, c = (run_experiment(m, 0.2, 30, repetitions=_CHUNK_ROWS + 5, seed=s, bootstrap=3)
+               for s in ([3, 1], [3, 1], [3, 2]))
+    assert np.array_equal(a[0].counts, b[0].counts)
+    assert np.array_equal(a[0].estimates, b[0].estimates)
+    assert a[1] == b[1]
+    assert not np.array_equal(a[0].counts, c[0].counts)
+    # the second chunk is not the first one drawn again
+    assert not np.array_equal(a[0].counts[_CHUNK_ROWS:], a[0].counts[:5])
 
 
 def test_run_experiment_rejects_non_distributions(monkeypatch):
@@ -464,6 +361,12 @@ def test_run_experiment_rejects_non_distributions(monkeypatch):
         monkeypatch.setattr(estimation, "probabilities", lambda model, phi, p=p: np.array(p))
         with pytest.raises(EstimationError, match="not a distribution"):
             run_experiment(m, repetitions=2)
+    # the CLI reports the law as a bad configuration, without a traceback
+    assert main(["error-curve", "--scheme", "ad_single_assisted", "--grid", "0.3",
+                 "--reps", "2"]) == EXIT_CONFIG
+    for phi in (np.nan, np.inf):
+        with pytest.raises(EstimationError, match="must be finite"):
+            run_experiment(m, phi_true=phi, repetitions=2)
 
 
 def test_run_experiment_counts_clamped_estimates():

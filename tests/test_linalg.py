@@ -2,15 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.random import PCG64, Generator
 
 from conftest import (bell_state, is_density_matrix, params_from_herm,
                       partial_trace, rand_herm, rand_rho)
-from qmetro.linalg import (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, PAULIS, _pcg64_doubles,
-                           _pcg64_seed, _Words, herm_from_params, nearest_psd,
-                           pauli_basis, projector, substream_states, substreams)
+from qmetro.linalg import (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, PAULIS, herm_from_params,
+                           nearest_psd, pauli_basis, projector, substream_states, substreams)
 
-# the PCG64 kernel's uint64 arithmetic wraps on purpose and must stay silent
+# the SeedSequence mixing's uint32 arithmetic wraps on purpose and must stay silent
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
@@ -122,7 +120,7 @@ def test_substreams_match_default_rng(base, tail):
 
 
 def test_substreams_one_column_tail():
-    # a 1-D tail is one column, as run_experiment passes its repetition index
+    # a 1-D tail is one column, as poisson_uncertainty passes its resample index
     states = substream_states([1, 2, 0], np.arange(300))
     for r in (0, 1, 299):
         assert np.array_equal(
@@ -139,54 +137,3 @@ def test_substreams_reject_out_of_range_entries():
     # a tail entry is one 32-bit entropy word
     with pytest.raises(ValueError, match="below 2"):
         substream_states([0], np.array([1, 2 ** 32]))
-
-
-# ------------------------------------------------------------ PCG64 kernel
-
-# any four seed words, the extremes included, so that every carry is taken
-SEED_WORDS = st.lists(st.tuples(*[st.integers(0, 2 ** 64 - 1)] * 4), min_size=1, max_size=12)
-
-
-@settings(max_examples=80)
-@given(SEED_WORDS, st.integers(0, 5), st.integers(1, 5), st.data())
-def test_pcg64_kernel_matches_numpy(words, first, then, data):
-    # the stacked streams give Generator(PCG64(...)).random's doubles, and
-    # advancing some of them leaves the others where they were
-    words = np.array(words, dtype=np.uint64)
-    some = np.flatnonzero(data.draw(st.lists(st.booleans(), min_size=len(words),
-                                             max_size=len(words))))
-    state = _pcg64_seed(words)
-    a = _pcg64_doubles(state, first)
-    b = _pcg64_doubles(state, then, some)
-    c = _pcg64_doubles(state, 1)
-    assert a.shape == (first, len(words)) and b.shape == (then, len(some))
-    for r, w in enumerate(words):
-        ref = Generator(PCG64(_Words(w))).random(first + then + 1)
-        assert np.array_equal(a[:, r], ref[:first])
-        if r in some:
-            assert np.array_equal(b[:, list(some).index(r)], ref[first:first + then])
-            assert c[0, r] == ref[first + then]
-        else:
-            assert c[0, r] == ref[first]
-
-
-def test_pcg64_kernel_on_substream_words():
-    # seeded from substream_states, row r runs as default_rng(base + [r])
-    state = _pcg64_seed(substream_states([3, 2 ** 40], np.arange(50)))
-    got = _pcg64_doubles(state, 7)
-    for r in (0, 17, 49):
-        assert np.array_equal(got[:, r], np.random.default_rng([3, 2 ** 40, r]).random(7))
-
-
-def test_pcg64_kernel_advances_each_stream_by_its_steps():
-    # the trail's words set each stream back to its state after steps[r] steps
-    state = _pcg64_seed(substream_states([9], np.arange(6)))
-    steps = np.array([1, 3, 2, 3, 1, 2])
-    trail = np.empty((3, 2, 6), dtype=np.uint64)
-    first = _pcg64_doubles(state, 3, np.arange(6), trail)
-    state[:2] = trail[steps - 1, :, np.arange(6)].T
-    then = _pcg64_doubles(state, 1)
-    for r in range(6):
-        ref = np.random.default_rng([9, r]).random(4)
-        assert np.array_equal(first[:, r], ref[:3])
-        assert then[0, r] == ref[steps[r]]
