@@ -304,27 +304,41 @@ def test_run_experiment_report_fields():
     assert rep2.shot_noise == 1.0
 
 
+def chunk_counts(model, phi, events, repetitions, seed):
+    """The reference: chunk c holds repetitions 4096c onwards, the rows of one
+    multinomial call on default_rng(seed + [c])."""
+    base = [seed] if np.isscalar(seed) else list(seed)
+    p = probabilities(model, phi)
+    return np.concatenate([
+        np.random.default_rng(base + [c]).multinomial(
+            events, p / p.sum(), size=min(_CHUNK_ROWS, repetitions - start))
+        for c, start in enumerate(range(0, repetitions, _CHUNK_ROWS))])
+
+
 @pytest.mark.parametrize("scheme,noise,repetitions,seed", [
     ("ad_single_assisted", 0.3, 400, 0),
     ("depol_single_bare", 0.6, 250, [4, 1]),
     ("ad_two_probe_assisted", 0.2, 300, [0, 2, 1]),
     ("ad_two_probe_bare", 0.5, 200, 2 ** 40),
-    ("depol_single_assisted", 0.2, 2 * _CHUNK_ROWS + 3, [5]),
 ])
-def test_each_chunk_is_one_multinomial_call(scheme, noise, repetitions, seed):
-    # chunk c holds repetitions 4096c onwards, the rows of one multinomial call
-    # on default_rng(seed + [c]), and every repetition is estimated on its own
+def test_run_experiment_matches_per_repetition_loop(scheme, noise, repetitions, seed):
+    # the counts are the chunk's multinomial rows, and every repetition is
+    # estimated on its own, bit for bit
     m = model_for(scheme, noise)
     ensemble, _ = run_experiment(m, phi_true=0.1, repetitions=repetitions, seed=seed,
                                  bootstrap=5)
-    base = [seed] if np.isscalar(seed) else list(seed)
-    p = probabilities(m, 0.1)
-    for c, start in enumerate(range(0, repetitions, _CHUNK_ROWS)):
-        rows = min(_CHUNK_ROWS, repetitions - start)
-        assert np.array_equal(ensemble.counts[start:start + rows],
-                              np.random.default_rng(base + [c]).multinomial(
-                                  SCHEMES[scheme].default_events, p / p.sum(), size=rows))
-    assert np.array_equal(ensemble.estimates, [estimate_phase(m, c) for c in ensemble.counts])
+    counts = chunk_counts(m, 0.1, SCHEMES[scheme].default_events, repetitions, seed)
+    assert np.array_equal(ensemble.counts, counts)
+    assert np.array_equal(ensemble.estimates, [estimate_phase(m, c) for c in counts])
+
+
+def test_run_experiment_crosses_a_chunk_boundary():
+    # 8195 repetitions cross two 4096 boundaries; each chunk is its own call
+    m = model_for("depol_single_assisted", 0.2)
+    repetitions = 2 * _CHUNK_ROWS + 3
+    ensemble, _ = run_experiment(m, 0.1, events=40, repetitions=repetitions, seed=[5],
+                                 bootstrap=2)
+    assert np.array_equal(ensemble.counts, chunk_counts(m, 0.1, 40, repetitions, [5]))
 
 
 COUNTS = st.integers(2, 2 * _CHUNK_ROWS + 2)
