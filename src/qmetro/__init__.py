@@ -22,10 +22,10 @@ from .circuits import (CircuitError, FlaggedOutputReport, VarianceReport,
                        build_flagged_channel, conjugation_residual,
                        flagged_variance, variance_consistency_check,
                        verify_flagged_output)
-from .estimation import (SCHEMES, EstimationError, MeasurementModel, Scheme,
-                         TrialEnsemble, ErrorReport, classical_fisher,
-                         error_curve, estimate_phase, model_for,
-                         probabilities, run_experiment)
+from .estimation import (SCHEMES, EstimationError, EstimationNumericError,
+                         MeasurementModel, Scheme, TrialEnsemble, ErrorReport,
+                         classical_fisher, error_curve, estimate_phase,
+                         model_for, probabilities, run_experiment)
 from .optics import (ModeSpace, OpticalElement, OpticalNetwork, OpticsError,
                      build_ad_network, build_pauli_network, damping_plate_angle,
                      element_unitary, extract_channel, jones_hwp, jones_qwp,

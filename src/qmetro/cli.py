@@ -8,7 +8,7 @@ uses 6 significant digits, '.' decimals, ',' separators and LF line endings.
 
 Exit codes: 0 on success, 2 for an invalid configuration (an unwritable output
 path included), 3 when an optimizer, reconstruction, or verification tolerance
-fails.
+fails, or an estimation step meets a numeric fault such as a bad outcome law.
 """
 import argparse
 import functools
@@ -21,8 +21,8 @@ from .channels import (NOISE, ChannelError, PhaseChannelFamily,
                        amplitude_damping, extend_with_ancilla, general_pauli)
 from .circuits import (CircuitError, conjugation_residual,
                        variance_consistency_check, verify_flagged_output)
-from .estimation import (SCHEMES, EstimationError, classical_fisher,
-                         error_curve, model_for)
+from .estimation import (SCHEMES, EstimationError, EstimationNumericError,
+                         classical_fisher, error_curve, model_for)
 from .optics import (OpticsError, build_ad_network, build_pauli_network,
                      damping_plate_angle, extract_channel,
                      pauli_angle_residuals, solve_pauli_angles)
@@ -340,16 +340,16 @@ def main(argv=None):
     command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         return command(args)
+    except (ConvergenceError, QfiError, TomographyError, OpticsError,
+            CircuitError, EstimationNumericError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
     except (ConfigError, EstimationError) as exc:
         print(f"error: invalid configuration: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ChannelError as exc:
         print(f"error: invalid channel: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ConvergenceError, QfiError, TomographyError, OpticsError,
-            CircuitError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -25,6 +25,10 @@ class EstimationError(ValueError):
     pass
 
 
+class EstimationNumericError(EstimationError):
+    """A numeric failure, not a bad configuration: say, a law that is no distribution."""
+
+
 @dataclass(frozen=True)
 class Scheme:
     """One readout scheme: the `channels.NOISE` family it runs under, the
@@ -236,7 +240,7 @@ def run_experiment(model, phi_true=0.0, events=None, repetitions=100, seed=0,
     pn = p / p.sum()
     # checked here, so that a bad law raises EstimationError, not numpy's ValueError
     if not (np.all(pn >= 0) and np.all(pn <= 1)) or pn[:-1].sum() > 1 + 1e-12:
-        raise EstimationError(f"outcome probabilities {pn} are not a distribution")
+        raise EstimationNumericError(f"outcome probabilities {pn} are not a distribution")
     # the chunk contract of the module docstring
     counts = np.concatenate([
         np.random.default_rng(base + [c]).multinomial(

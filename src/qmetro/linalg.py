@@ -1,9 +1,6 @@
 """Small shared linear-algebra helpers: Pauli bases, the Hermitian
-parameterization, positive-semidefinite projection, and batched seeding of
-random substreams."""
+parameterization and positive-semidefinite projection."""
 import numpy as np
-from numpy.random import PCG64, Generator
-from numpy.random.bit_generator import ISeedSequence
 
 PAULI_I = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -54,105 +51,6 @@ def projector(ket):
     return np.outer(ket, ket.conj())
 
 
-# SeedSequence's entropy mixing (numpy/random/bit_generator.pyx): pool size
-# and hash constants
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43b0d7e5, 0x931e8875
-_INIT_B, _MULT_B = 0x8b51f9dd, 0x58f38ded
-_MIX_MULT_L, _MIX_MULT_R = 0xca01f9dd, 0x4973f715
-_MASK32 = 0xFFFFFFFF
+# rows that a sampled stage draws per call: the Monte-Carlo repetitions of one
+# chunk (estimation) and the Poisson tables of one bootstrap block (tomography)
 _CHUNK_ROWS = 4096
-
-
-def _hashmix(value, h):
-    """One hashmix step on a uint32 column; returns it and the next constant."""
-    value = value ^ np.uint32(h)
-    h = h * _MULT_A & _MASK32
-    value = value * np.uint32(h)
-    return value ^ value >> 16, h
-
-
-def _mix(x, y):
-    out = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
-    return out ^ out >> 16
-
-
-def _uint32_words(n):
-    """Little-endian 32-bit words of a non-negative int, one word for 0."""
-    n = int(n)
-    if n < 0:
-        raise ValueError("expected non-negative integer")
-    words = [n & _MASK32]
-    while n > _MASK32:
-        n >>= 32
-        words.append(n & _MASK32)
-    return words
-
-
-def substream_states(base, tail):
-    """PCG64 seed words of the substreams `default_rng(list(base) + list(row))`,
-    one per row of tail.
-
-    Returns the (rows, 4) uint64 array that
-    `SeedSequence(base + row).generate_state(4, np.uint64)` gives for each row,
-    from one vectorized pass of SeedSequence's entropy mixing. base is a
-    sequence of non-negative ints of any size; tail is a 1-D array (one
-    column) or a (rows, columns) array of ints in [0, 2**32), one entropy word
-    each. Like `default_rng`, a negative entry raises ValueError.
-    """
-    prefix = [w for n in base for w in _uint32_words(n)]
-    tail = np.asarray(tail)
-    if tail.ndim == 1:
-        tail = tail[:, None]
-    if tail.size and tail.min() < 0:
-        raise ValueError("expected non-negative integer")
-    if tail.size and tail.max() > _MASK32:
-        raise ValueError("substream tail entries must lie below 2**32")
-    rows = len(tail)
-    entropy = [np.full(rows, w, dtype=np.uint32) for w in prefix]
-    entropy += list(tail.T.astype(np.uint32))
-    h = _INIT_A
-    pool = []
-    for i in range(_POOL_SIZE):
-        value, h = _hashmix(entropy[i] if i < len(entropy) else np.zeros(rows, np.uint32), h)
-        pool.append(value)
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                value, h = _hashmix(pool[src], h)
-                pool[dst] = _mix(pool[dst], value)
-    for src in range(_POOL_SIZE, len(entropy)):
-        for dst in range(_POOL_SIZE):
-            value, h = _hashmix(entropy[src], h)
-            pool[dst] = _mix(pool[dst], value)
-    # generate_state(4, np.uint64): eight 32-bit words, paired little-endian
-    h = _INIT_B
-    words = []
-    for i in range(8):
-        value = pool[i % _POOL_SIZE] ^ np.uint32(h)
-        h = h * _MULT_B & _MASK32
-        value = value * np.uint32(h)
-        words.append((value ^ value >> 16).astype(np.uint64))
-    return np.stack([lo | hi << np.uint64(32) for lo, hi in zip(words[::2], words[1::2])],
-                    axis=1)
-
-
-class _Words(ISeedSequence):
-    """Seed sequence that hands PCG64 its four precomputed uint64 state words."""
-
-    def __init__(self, words):
-        self.words = words
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self.words
-
-
-def substreams(base, tail):
-    """Generators equal to `default_rng(list(base) + list(row))` for each row of
-    tail, in order (see `substream_states`)."""
-    tail = np.asarray(tail)
-    # seed words for a few thousand rows at a time: a run of 50 000
-    # repetitions would otherwise hold about 10 MB of mixing temporaries
-    for start in range(0, len(tail), _CHUNK_ROWS):
-        for words in substream_states(base, tail[start:start + _CHUNK_ROWS]):
-            yield Generator(PCG64(_Words(words)))

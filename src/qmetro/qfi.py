@@ -191,7 +191,8 @@ def _bloch_information(bmap, r0):
     1 - |r|^2 <= SUPPORT_CUTOFF (pure output).
     """
     a, b = bmap
-    r, dr = r0 @ a.swapaxes(1, 2) + b[:, None]
+    # the bits of one stacked (2, n, 3) product, without its heap-cycling temporary
+    r, dr = (r0 @ a[k].T + b[k] for k in (0, 1))
     gap = 1 - np.einsum('ni,ni->n', r, r)
     mixed = gap > SUPPORT_CUTOFF
     return (np.einsum('ni,ni->n', dr, dr)

@@ -1,6 +1,14 @@
 """Simulated process tomography: product-state preparations, projective
 two-outcome measurement settings, multinomial counts, linear-inversion chi
 reconstruction with positivity projection, and process fidelity.
+
+Each sampled stage draws from one generator of its own. `simulate_qpt(ch,
+shots, seed)` draws all outcome-0 counts as one `default_rng([seed,
+0]).binomial(shots, p)` call over the (inputs, settings) table in C order.
+`poisson_uncertainty(data, chi_ref, resamples, seed)` makes one
+`default_rng([seed, 1]).poisson(counts, size=(rows, *counts.shape))` call per
+block of at most `linalg._CHUNK_ROWS` resamples; numpy draws the rows in order,
+so resample r does not depend on the number of resamples.
 """
 import math
 from dataclasses import dataclass
@@ -9,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .channels import evolve
-from .linalg import _CHUNK_ROWS, nearest_psd, pauli_basis, projector, substreams
+from .linalg import _CHUNK_ROWS, nearest_psd, pauli_basis, projector
 
 # preparation kets; the measurement settings project onto the same set
 INPUT_KETS = (
@@ -114,8 +122,9 @@ class QptDataset:
 
     def __post_init__(self):
         counts = np.asarray(self.counts)
-        if counts.min() < 0:
-            raise TomographyError("counts must be nonnegative")
+        # finiteness first: `min() < 0` is False for NaN
+        if not np.isfinite(counts).all() or counts.min() < 0 or (counts % 1).any():
+            raise TomographyError("counts must be finite nonnegative integers")
         object.__setattr__(self, "counts", counts)
 
 
@@ -128,20 +137,12 @@ def born_probabilities(ch):
 
 
 def simulate_qpt(ch, shots=20000, seed=0):
-    """Draw two-outcome counts for every setting.
-
-    Each (input, setting) pair uses its own deterministic substream, so the
-    table is identical regardless of evaluation order.
-    """
-    if shots < 1:
-        raise TomographyError("shots must be at least 1")
-    p = born_probabilities(ch)
-    # setting (l, m) draws from default_rng([seed, l, m]), seeded in one batch
-    pairs = np.indices(p.shape).reshape(2, -1).T
-    n0 = np.array([rng.binomial(shots, q)
-                   for rng, q in zip(substreams([seed], pairs), p.ravel())])
-    counts = np.stack([n0, shots - n0], axis=-1).reshape(*p.shape, 2)
-    return QptDataset(counts)
+    """Two-outcome counts of every setting, one binomial draw (module docstring)."""
+    if not (shots >= 1 and float(shots).is_integer()):
+        raise TomographyError(f"shots must be a whole number of at least 1, got {shots}")
+    shots = int(shots)
+    n0 = np.random.default_rng([seed, 0]).binomial(shots, born_probabilities(ch))
+    return QptDataset(np.stack([n0, shots - n0], axis=-1))
 
 
 def _reconstruct(probs):
@@ -214,10 +215,10 @@ def poisson_uncertainty(data, chi_ref, resamples=50, seed=0):
     counts."""
     if resamples < 2:
         raise TomographyError("need at least 2 resamples")
-    fids = []
-    # resample r draws from default_rng([seed, r]); stacks of a few thousand tables
+    rng, fids = np.random.default_rng([seed, 1]), []
+    # the contract of the module docstring: stacks of a few thousand tables
     for start in range(0, resamples, _CHUNK_ROWS):
-        rows = np.arange(start, min(start + _CHUNK_ROWS, resamples))
-        counts = np.stack([rng.poisson(data.counts) for rng in substreams([seed], rows)])
+        rows = min(_CHUNK_ROWS, resamples - start)
+        counts = rng.poisson(data.counts, size=(rows, *data.counts.shape))
         fids.append(_overlap(_reconstruct(_frequencies(counts)), chi_ref.mat)[0])
     return float(np.std(np.concatenate(fids)))

@@ -419,10 +419,12 @@ def test_supplement_verify_numeric_failure(monkeypatch, capsys):
 # qfi-curve CSV cases: before the inner minimum over Kraus representations
 # became one closed-form solve; the optics-verify and supplement-verify cases:
 # before the optics networks were rebuilt on Kronecker products; the
-# single-probe qpt case: before the tomography substreams were seeded in one
-# batch; the error-curve cases: re-recorded when each chunk of 4096
-# repetitions began to draw from one generator, default_rng(seed + [point,
-# chunk])); a refactor that changes a printed digit changes the digest. The
+# error-curve cases: re-recorded when each chunk of 4096 repetitions began to
+# draw from one generator, default_rng(seed + [point, chunk]); the sampled qpt
+# cases: re-recorded when each tomography stage began to draw from one
+# generator, default_rng([seed, 0]) for the counts and default_rng([seed, 1])
+# for the Poisson resamples, while the --exact cases kept their digests); a
+# refactor that changes a printed digit changes the digest. The
 # qfi-curve JSON prints the minimax values at full precision, so its two
 # digests were re-recorded with that solve (no value moved by more than
 # 3.4e-16), and again when Newton steps on the Bloch information and the ridge
@@ -456,12 +458,12 @@ GOLDEN_CSV = {
     ("error-curve", "--scheme", "ad_two_probe_bare"):
         "ed73ecc35d2b754a7d299376271b3ee7c383b6c89a43607617487201003d76e9",
     ("qpt", "--channel", "ad", "--grid", "0.3,0.6"):
-        "274db5ef0219676dbc7f2e2bc2055531ce805f585846f625a7ff28c9ea8d1491",
+        "d11c880d27bd1233fb9fd95fbd2e076083bf7815c256f1bdcbd0db67e9ad01bc",
     ("qpt", "--channel", "depol", "--grid", "0.3,0.6"):
-        "3c5bb4bacd3d54264cbbfdc422ffb1d6b9c7f86c2cb7b56c33ad6fc6db56d439",
+        "9fdc3f44aa63b13a0563918c3e5580488749127a4b39354b15754f94a98ac833",
     ("qpt", "--channel", "ad", "--grid", "0.25,0.7", "--single", "--shots", "3000",
      "--seed", "12345", "--resamples", "20"):
-        "4418428b4e3224ed42581f8f06fab2a4cde55c41caea014175805e7a60036360",
+        "c33c3f70d1dfdfa98eab3a12505fc4c9b4a7f36ede54aeb4db8d63f2d7ecf35c",
     ("qpt", "--channel", "ad", "--grid", "0.3,0.6", "--exact"):
         "aef89670b52106e4a97294e9f0ac4cca4b7c6d6352e2699ad895185cb8ec0887",
     ("qpt", "--channel", "depol", "--grid", "0.3,0.6", "--exact"):
@@ -484,26 +486,28 @@ def test_csv_matches_recorded_digest(argv, tmp_path):
 
 
 # sha256 of the chi files the qpt cases above write, recorded before the chi
-# writer stopped going through json.dump; each file is the exact text of
+# writer stopped going through json.dump (the sampled *_chi_exp.json files:
+# re-recorded with the one-generator tomography stages, which left every
+# *_chi_th.json file as it was); each file is the exact text of
 # json.dump(..., indent=2, sort_keys=True), with no trailing newline
 GOLDEN_CHI = {
     ("qpt", "--channel", "ad", "--grid", "0.3,0.6"): {
-        "out_noise0.3_chi_exp.json": "52d8acb65f3c93cb8ff0b1300bbde3105e03f512aae763fb78483a0c06331e69",
+        "out_noise0.3_chi_exp.json": "f8facb822d82dba16d7b7d4b7c2dadf7dcad85ae3ac9d42ca65eb7754c2c00ca",
         "out_noise0.3_chi_th.json": "e549a7b660b8b428b4a74a7b60dd7de38158d9e3bb4b7db9f426204837183ba6",
-        "out_noise0.6_chi_exp.json": "c4a630eee619bc2b55e5efbe41e527b407b7adbc9fb31ae803a266e5afca112f",
+        "out_noise0.6_chi_exp.json": "47296a68748566756d857ee4a82ab2f8c02bbe43f5b03b010d53d8f3657e37bb",
         "out_noise0.6_chi_th.json": "3e7e82a6bb6e66def246c6e1e66e037d1e7a718923d4d1de910e8b2865a4f628",
     },
     ("qpt", "--channel", "depol", "--grid", "0.3,0.6"): {
-        "out_noise0.3_chi_exp.json": "b924567fbe4b4286f37a265b1e77ec2cea874b11ea48d791439448369183e5ca",
+        "out_noise0.3_chi_exp.json": "29dd68ee13684b43a0f4f68187f09eec4dc8d29876c4cd69f5e1c725db328a72",
         "out_noise0.3_chi_th.json": "53de9bed98cf2f48c1eea341ebcde5649f75fc3d5fb72682951675916e7a03b8",
-        "out_noise0.6_chi_exp.json": "4ea575b82d6a97e3cb2556cb34fbf267de567ff841e1be661e02f1908cdb606b",
+        "out_noise0.6_chi_exp.json": "208eee961e33de34210fbd4508fcaa609c0b52d621157e9038e125ca4e31a4cf",
         "out_noise0.6_chi_th.json": "8e1048d91102f984f772c73c81c83da2c9ef3285c7edc5d06bc2c8b773c6e280",
     },
     ("qpt", "--channel", "ad", "--grid", "0.25,0.7", "--single", "--shots", "3000",
      "--seed", "12345", "--resamples", "20"): {
-        "out_noise0.25_chi_exp.json": "1e33ffa004ac9866f3f9940d86d532dce87a84abd3f7b457503c27658a24d7d4",
+        "out_noise0.25_chi_exp.json": "2f76375253a0e80ca9309b913da1953f59be453fc3ea7b20b9a26b8fa6230d1a",
         "out_noise0.25_chi_th.json": "c99614392e43edc9833910ca0c4958c6faaf3d34dc03b7e6255f724a02537a79",
-        "out_noise0.7_chi_exp.json": "8a0f49e000602ddc942d1bdf8ce6aa72cf81a1ff8c7780ed72c8d88272621688",
+        "out_noise0.7_chi_exp.json": "897187f243a2c049a7999f16e6e6865929dbba04c9a455b0f058e901da058244",
         "out_noise0.7_chi_th.json": "7f68839c84008ceed4bc068ba777dea81433974cc3ecd1818ec77e7b4d188ad9",
     },
     ("qpt", "--channel", "ad", "--grid", "0.3,0.6", "--exact"): {

@@ -4,11 +4,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qmetro import estimation
-from qmetro.estimation import (SCHEMES, EstimationError, classical_fisher,
-                               error_curve, estimate_phase, model_for,
+from qmetro.estimation import (SCHEMES, EstimationError, EstimationNumericError,
+                               classical_fisher, error_curve, estimate_phase, model_for,
                                probabilities, probability_derivatives,
                                run_experiment)
-from qmetro.cli import EXIT_CONFIG, EXIT_OK, format_csv, main
+from qmetro.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, format_csv, main
 from qmetro.linalg import _CHUNK_ROWS
 from qmetro.qfi import closed_form_qfi, two_probe_collective_ad_qfi
 
@@ -359,15 +359,20 @@ def test_a_run_is_a_prefix_of_every_longer_run(scheme, events, r, big_r, seed):
     assert np.array_equal(long.estimates[:r], short.estimates)
 
 
-def test_run_experiment_rejects_non_distributions(monkeypatch):
+def test_run_experiment_rejects_non_distributions(monkeypatch, capsys):
     m = model_for("ad_single_assisted", 0.3)
+    argv = ["error-curve", "--scheme", "ad_single_assisted", "--grid", "0.3", "--reps", "2"]
+    # a bad configuration that estimation finds still exits 2
+    assert main(argv + ["--visibility", "0"]) == EXIT_CONFIG
+    assert "invalid configuration: zero contrast" in capsys.readouterr().err
     for p in ([0.7, 0.7, -0.4, 0.0], [0.5, np.nan, 0.5, 0.0], [2.0, -1.0, 0.0, 0.0]):
         monkeypatch.setattr(estimation, "probabilities", lambda model, phi, p=p: np.array(p))
-        with pytest.raises(EstimationError, match="not a distribution"):
+        with pytest.raises(EstimationNumericError, match="not a distribution"):
             run_experiment(m, repetitions=2)
-    # the CLI reports the law as a bad configuration, without a traceback
-    assert main(["error-curve", "--scheme", "ad_single_assisted", "--grid", "0.3",
-                 "--reps", "2"]) == EXIT_CONFIG
+    # the CLI reports the law as a numeric failure, without a traceback
+    assert main(argv) == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert err.startswith("error: outcome probabilities") and "Traceback" not in err
     for phi in (np.nan, np.inf):
         with pytest.raises(EstimationError, match="must be finite"):
             run_experiment(m, phi_true=phi, repetitions=2)

@@ -1,14 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from conftest import (bell_state, is_density_matrix, params_from_herm,
                       partial_trace, rand_herm, rand_rho)
 from qmetro.linalg import (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, PAULIS, herm_from_params,
-                           nearest_psd, pauli_basis, projector, substream_states, substreams)
+                           nearest_psd, pauli_basis, projector)
 
-# the SeedSequence mixing's uint32 arithmetic wraps on purpose and must stay silent
+# a RuntimeWarning from the helpers fails the test
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
@@ -95,45 +93,3 @@ def test_projector():
     p = projector(np.array([1, 1j]) / np.sqrt(2))
     assert np.abs(p @ p - p).max() < 1e-12
     assert abs(np.trace(p) - 1) < 1e-12
-
-
-# ------------------------------------------------------------- substreams
-
-# a base longer than SeedSequence's 4-word pool runs its second mixing loop;
-# base entries of 2**32 and up are split into several words
-SEED_BASES = st.lists(st.integers(0, 2 ** 64), max_size=6)
-SEED_TAILS = st.integers(1, 2).flatmap(lambda k: st.lists(
-    st.tuples(*[st.integers(0, 2 ** 32 - 1)] * k), min_size=1, max_size=8))
-
-
-@settings(max_examples=120)
-@given(SEED_BASES, SEED_TAILS)
-def test_substreams_match_default_rng(base, tail):
-    rows = [base + list(row) for row in tail]
-    expected = [np.random.SeedSequence(row).generate_state(4, np.uint64) for row in rows]
-    tail = np.array(tail, dtype=np.uint64)
-    assert np.array_equal(substream_states(base, tail), expected)
-    p = [0.5, 0.3, 0.15, 0.05]
-    for rng, row in zip(substreams(base, tail), rows, strict=True):
-        assert np.array_equal(rng.multinomial(1000, p),
-                              np.random.default_rng(row).multinomial(1000, p))
-
-
-def test_substreams_one_column_tail():
-    # a 1-D tail is one column, as poisson_uncertainty passes its resample index
-    states = substream_states([1, 2, 0], np.arange(300))
-    for r in (0, 1, 299):
-        assert np.array_equal(
-            states[r], np.random.SeedSequence([1, 2, 0, r]).generate_state(4, np.uint64))
-    assert substream_states([7], np.arange(0)).shape == (0, 4)
-
-
-def test_substreams_reject_out_of_range_entries():
-    # default_rng raises the same ValueError for a negative entry
-    with pytest.raises(ValueError, match="non-negative"):
-        substream_states([-1], np.arange(3))
-    with pytest.raises(ValueError, match="non-negative"):
-        substream_states([0], np.array([2, -1]))
-    # a tail entry is one 32-bit entropy word
-    with pytest.raises(ValueError, match="below 2"):
-        substream_states([0], np.array([1, 2 ** 32]))

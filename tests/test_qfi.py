@@ -13,8 +13,9 @@ from qmetro.channels import (ChannelError, KrausChannel, PhaseChannelFamily,
                              general_pauli)
 from qmetro.linalg import PAULIS, herm_from_params, projector
 from qmetro import qfi
-from qmetro.qfi import (DUALITY_GAP_TOL, QfiError, _bloch_derivatives, _bloch_grid,
-                        _bloch_information, _bloch_ket, _bloch_map, _bloch_vector,
+from qmetro.qfi import (DUALITY_GAP_TOL, SUPPORT_CUTOFF, QfiError, _bloch_derivatives,
+                        _bloch_grid, _bloch_information, _bloch_ket, _bloch_map,
+                        _bloch_vector,
                         _grid_pick, _inner, _ridge_kets, _rotated,
                         channel_qfi_minimax, channel_qfi_supremum, closed_form_qfi,
                         qfi_from_matrix_elements, sld_qfi,
@@ -501,6 +502,25 @@ def test_bloch_grid_matches_inner(ch, seed, phi):
         sld, _ = sld_qfi(*evolve(np.outer(ket, ket.conj()), ks, dks))
         assert abs(_bloch_information(_bloch_map(ks, dks), np.array([r0]))[0]
                    - sld.value) <= 1e-10
+
+
+@settings(max_examples=40)
+@given(st.one_of(PROBE_FAMILIES, NOISE_PRODUCTS), st.floats(0, 2 * np.pi),
+       st.integers(0, 2 ** 32 - 1))
+def test_bloch_information_split_equals_stacked_form(ch, phi, seed):
+    # r and dr come from two (n, 3) products, which equal the slices of one
+    # stacked (2, n, 3) product bit for bit, on channel maps and on random ones
+    rng = np.random.default_rng(seed)
+    maps = [_bloch_map(*PhaseChannelFamily(ch).composite(phi)),
+            (rng.standard_normal((2, 3, 3)), rng.standard_normal((2, 3)))]
+    for a, b in maps:
+        for r0 in (_bloch_grid()[2], rng.standard_normal((7, 3))):
+            r, dr = r0 @ a.swapaxes(1, 2) + b[:, None]
+            gap = 1 - np.einsum('ni,ni->n', r, r)
+            mixed = gap > SUPPORT_CUTOFF
+            stacked = (np.einsum('ni,ni->n', dr, dr) + mixed
+                       * np.einsum('ni,ni->n', r, dr) ** 2 / np.where(mixed, gap, 1.0))
+            assert np.array_equal(_bloch_information((a, b), r0), stacked)
 
 
 def test_bare_search_solves_single_kets_only(monkeypatch):

@@ -2,13 +2,14 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from conftest import chi_apply, rand_herm, rand_rho, random_channel
 from qmetro.channels import (KrausChannel, amplitude_damping, depolarizing,
                              extend_with_ancilla, general_pauli)
+from qmetro.linalg import _CHUNK_ROWS
 from qmetro.optics import build_ad_network, build_pauli_network, extract_channel
 from qmetro.tomography import (ChiMatrix, QptDataset, TomographyError, _design,
                                _frequencies, _overlap, _reconstruct,
@@ -290,12 +291,14 @@ def test_simulate_qpt_deterministic():
 
 @pytest.mark.parametrize("ancilla,seed", [(True, 0), (False, 7), (True, 2 ** 33 + 5)])
 def test_simulate_qpt_matches_per_setting_streams(ancilla, seed):
-    # setting (l, m) draws from default_rng([seed, l, m]), bit for bit
+    # one generator, default_rng([seed, 0]), draws setting (l, m) after every
+    # setting before it in C order, bit for bit
     ch = AD_HALF if ancilla else amplitude_damping(0.5)
     data = simulate_qpt(ch, shots=900, seed=seed)
     p = born_probabilities(ch)
-    n0 = [[np.random.default_rng([seed, l, m]).binomial(900, p[l, m])
-           for m in range(p.shape[1])] for l in range(p.shape[0])]
+    rng = np.random.default_rng([seed, 0])
+    n0 = [[rng.binomial(900, p[l, m]) for m in range(p.shape[1])]
+          for l in range(p.shape[0])]
     assert np.array_equal(data.counts[:, :, 0], n0)
     assert data.counts.dtype == np.int64
 
@@ -331,6 +334,28 @@ def test_reconstruction_counts_shape_check():
     with pytest.raises(TomographyError):
         QptDataset = type(data)
         QptDataset(-data.counts)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 2.5])
+def test_dataset_rejects_non_integral_counts(bad):
+    # NaN passes a `min() < 0` check, and would reach numpy's Poisson draw
+    counts = simulate_qpt(AD_HALF, shots=100, seed=0).counts.astype(float)
+    counts[3, 5, 0] = bad
+    with pytest.raises(TomographyError, match="finite nonnegative integers"):
+        QptDataset(counts)
+    assert QptDataset(np.round(counts[:3])).counts.dtype == float
+
+
+@pytest.mark.parametrize("shots", [2.5, 0, 0.5, np.nan, np.inf])
+def test_simulate_qpt_rejects_non_integral_shots(shots):
+    with pytest.raises(TomographyError, match="whole number of at least 1"):
+        simulate_qpt(AD_HALF, shots=shots)
+
+
+def test_simulate_qpt_takes_integral_float_shots():
+    a = simulate_qpt(AD_HALF, shots=300.0, seed=4).counts
+    assert a.dtype == np.int64
+    assert np.array_equal(a, simulate_qpt(AD_HALF, shots=300, seed=4).counts)
 
 
 # ----------------------------------------------------------------- fidelity
@@ -385,17 +410,52 @@ def test_poisson_uncertainty_reproducible():
     a = poisson_uncertainty(data, chi_ref=chi_th, resamples=50, seed=3)
     b = poisson_uncertainty(data, chi_ref=chi_th, resamples=50, seed=3)
     assert a == b
-    assert abs(a - 3.596056e-03) < 1e-8
+    assert abs(a - 5.480409e-03) < 1e-8
 
 
 def test_poisson_uncertainty_matches_per_resample_streams():
-    # resample r draws from default_rng([seed, r])
+    # one generator, default_rng([seed, 1]), draws resample r after every
+    # resample before it; each table is reconstructed and scored on its own
     data = simulate_qpt(AD_HALF, shots=2000, seed=11)
     chi_th = chi_theory(AD_HALF)
-    fids = [process_fidelity(reconstruct_chi(QptDataset(
-        np.random.default_rng([3, r]).poisson(data.counts))), chi_th).value
-        for r in range(12)]
+    rng = np.random.default_rng([3, 1])
+    fids = [process_fidelity(reconstruct_chi(QptDataset(rng.poisson(data.counts))),
+                             chi_th).value for _ in range(12)]
     assert poisson_uncertainty(data, chi_ref=chi_th, resamples=12, seed=3) == np.std(fids)
+
+
+SINGLE = simulate_qpt(amplitude_damping(0.3), shots=500, seed=5)
+SINGLE_TH = chi_theory(amplitude_damping(0.3))
+PREFIX_ROWS = 2 * _CHUNK_ROWS + 2
+PREFIX_FIDS = _overlap(_reconstruct(_frequencies(np.random.default_rng([8, 1]).poisson(
+    SINGLE.counts, size=(PREFIX_ROWS, *SINGLE.counts.shape)))), SINGLE_TH.mat)[0]
+
+
+@settings(max_examples=6, deadline=None)
+@given(st.integers(2, PREFIX_ROWS))
+@example(_CHUNK_ROWS)
+@example(_CHUNK_ROWS + 1)
+@example(PREFIX_ROWS)
+def test_poisson_resamples_are_a_prefix_of_one_draw(resamples):
+    # R resamples, in blocks of at most _CHUNK_ROWS, are the first R rows of
+    # one draw from default_rng([seed, 1]), whatever R is
+    assert (poisson_uncertainty(SINGLE, SINGLE_TH, resamples=resamples, seed=8)
+            == np.std(PREFIX_FIDS[:resamples]))
+
+
+def test_each_stage_draws_from_one_generator_of_its_own(monkeypatch):
+    seeds, default_rng = [], np.random.default_rng
+
+    def spy(seed):
+        seeds.append(seed)
+        return default_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", spy)
+    simulate_qpt(AD_HALF, shots=2000, seed=6)
+    assert seeds == [[6, 0]]
+    # two blocks of resamples, still one generator, and not the data's
+    poisson_uncertainty(SINGLE, SINGLE_TH, resamples=_CHUNK_ROWS + 3, seed=6)
+    assert seeds == [[6, 0], [6, 1]]
 
 
 def test_poisson_uncertainty_shrinks_fast():
