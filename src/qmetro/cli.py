@@ -178,7 +178,7 @@ def cmd_qpt(args):
         raise ConfigError(f"grid {args.grid!r} has points that print alike at 6 "
                           "significant digits, so their chi files would share a name")
     rows = []
-    for noise, tag in zip(grid, tags):
+    for i, (noise, tag) in enumerate(zip(grid, tags)):
         ch = NOISE[args.channel](noise)
         if not args.single:
             ch = extend_with_ancilla(ch)
@@ -187,10 +187,11 @@ def cmd_qpt(args):
             chi_exp = reconstruct_from_probabilities(born_probabilities(ch))
             std = 0.0
         else:
-            data = simulate_qpt(ch, shots=args.shots, seed=args.seed)
+            # point i draws from its own streams, as error-curve's points do
+            data = simulate_qpt(ch, shots=args.shots, seed=[args.seed, i])
             chi_exp = reconstruct_chi(data)
             std = poisson_uncertainty(data, chi_ref=chi_th,
-                                      resamples=args.resamples, seed=args.seed)
+                                      resamples=args.resamples, seed=[args.seed, i])
         fidelity = process_fidelity(chi_exp, chi_th).value
         rows.append({"noise": float(noise), "fidelity": fidelity,
                      "fidelity_std": std})

@@ -1,24 +1,21 @@
 """Monte-Carlo phase estimation for the six measurement schemes: outcome
-models with interferometric visibility, multinomial sampling, arcsine moment
+laws with interferometric visibility, multinomial sampling, arcsine moment
 inversion, classical Fisher information, and error curves with bootstrap bars.
 
-Finite visibility v enters every scheme the same way: the ideal distribution
-at +phi is mixed with the one at -phi with weights (1+v)/2 and (1-v)/2, which
-reproduces the published v-dependent formulas exactly.
+Each scheme's law is one closed form, `_law`, which the sampler, the Fisher
+information and the arcsine estimator all read.
 
-A run seeded `base` draws its repetitions in chunks of `linalg._CHUNK_ROWS`
-(4096): chunk c holds repetitions 4096c to 4096c + 4095, the rows of
-`default_rng(base + [c]).multinomial(events, pn, size=rows)`. numpy draws those
-rows in order, so repetition r's counts do not depend on the repetition count.
-The bootstrap resamples from `default_rng(base + [repetitions])`, a seed that
-no chunk meets because c < repetitions.
+A run seeded `base` draws in two stages, each from a generator of its own: the
+data are one `default_rng(base + [0]).multinomial(events, pn, size=repetitions)`
+call, and the bootstrap resamples from `default_rng(base + [1])`. numpy draws
+the rows in order, so repetition r's counts do not depend on the repetition
+count.
 """
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import NOISE, PhaseChannelFamily, evolve
-from .linalg import _CHUNK_ROWS, projector
+from .linalg import _seed_list
 
 
 class EstimationError(ValueError):
@@ -96,69 +93,40 @@ def model_for(scheme, noise_param, visibility=None):
     return MeasurementModel(scheme, float(noise_param), float(visibility))
 
 
-# ---------------------------------------------------------------- bare probes
+# --------------------------------------------------------------- outcome law
 
-def _bare_setups():
-    """(input state, readout projectors) of the bare schemes, by probe count."""
-    e = np.eye(4, dtype=complex)
-    # Y-basis readout for the single bare probe
-    single = (projector(np.array([1, 1j]) / np.sqrt(2)),
-              projector(np.array([1, -1j]) / np.sqrt(2)))
-    two = (projector((e[0] - 1j * e[3]) / np.sqrt(2)),
-           projector((e[0] + 1j * e[3]) / np.sqrt(2)),
-           projector(e[1]), projector(e[2]))
-    return {1: (projector(np.array([1, 1]) / np.sqrt(2)), single),
-            2: (projector((e[0] + e[3]) / np.sqrt(2)), two)}
+def _law(model):
+    """The scheme's outcome law as (contrast, losses).
 
-
-_BARE_SETUPS = _bare_setups()
-
-
-def _bare_probs(model, phi, derivative=False):
-    spec = model.spec
-    rho_in, projs = _BARE_SETUPS[spec.probes]
-    fam = PhaseChannelFamily(NOISE[spec.noise](model.noise_param))
-    ks, dks = fam.composite(phi, spec.probes)
-    out = evolve(rho_in, ks, dks)[1] if derivative else evolve(rho_in, ks)
-    return np.array([np.trace(pj @ out).real for pj in projs])
-
-
-def _ideal_probs(model, phi, derivative=False):
-    """Outcome distribution (or its phi-derivative) at perfect visibility."""
-    eta = model.noise_param
-    scheme = model.scheme
-    if scheme == "ad_single_assisted":
-        s, ds = 2 * np.sqrt(1 - eta) * np.sin(phi), 2 * np.sqrt(1 - eta) * np.cos(phi)
-        if derivative:
-            return np.array([ds / 4, -ds / 4, 0.0, 0.0])
-        return np.array([(2 - eta + s) / 4, (2 - eta - s) / 4, eta / 2, 0.0])
-    if scheme == "depol_single_assisted":
-        s, ds = 2 * (1 - eta) * np.sin(phi), 2 * (1 - eta) * np.cos(phi)
-        if derivative:
-            return np.array([ds / 4, -ds / 4, 0.0, 0.0])
-        return np.array([(2 - eta + s) / 4, (2 - eta - s) / 4, eta / 4, eta / 4])
-    if scheme == "ad_two_probe_assisted":
-        s, ds = 2 * (1 - eta) * np.sin(2 * phi), 4 * (1 - eta) * np.cos(2 * phi)
-        base = 2 - 2 * eta + eta ** 2
-        if derivative:
-            return np.array([-ds / 4, ds / 4, 0.0, 0.0, 0.0])
-        return np.array([(base - s) / 4, (base + s) / 4, eta ** 2 / 2,
-                         eta * (1 - eta) / 2, eta * (1 - eta) / 2])
-    return _bare_probs(model, phi, derivative)
+    Outcomes 0 and 1 have P = (1 - sum(losses) +/- contrast sin(probes phi)) / 2,
+    and the losses follow as phase-independent outcomes in label order. Finite
+    visibility v mixes the ideal laws at +phi and -phi with weights (1+v)/2 and
+    (1-v)/2; that scales only the odd sine term, so v multiplies the contrast.
+    """
+    spec, eta, v = model.spec, model.noise_param, model.visibility
+    if spec.probes == 2:
+        # one probe of the two decays, either one, or with the ancilla both;
+        # outcome 0 loses weight as the phase grows, so the contrast is negative
+        one = eta * (1 - eta) / 2
+        return -v * (1 - eta), ([eta ** 2 / 2] if spec.assisted else []) + [one, one]
+    # (coherence left, losses of the assisted readout) of one probe
+    damping, losses = {"ad": (np.sqrt(1 - eta), [eta / 2, 0.0]),
+                       "depol": (1 - eta, [eta / 4, eta / 4])}[spec.noise]
+    return v * damping, losses if spec.assisted else []
 
 
 def probabilities(model, phi):
-    """Outcome probabilities at phase phi, visibility folded in by mixing the
-    ideal distributions at +phi and -phi."""
-    v = model.visibility
-    p = (1 + v) / 2 * _ideal_probs(model, phi) + (1 - v) / 2 * _ideal_probs(model, -phi)
-    return np.clip(p, 0.0, 1.0)
+    """Outcome probabilities at phase phi (`_law`)."""
+    contrast, losses = _law(model)
+    rest, odd = 1 - sum(losses), contrast * np.sin(model.spec.probes * phi)
+    return np.clip([(rest + odd) / 2, (rest - odd) / 2, *losses], 0.0, 1.0)
 
 
 def probability_derivatives(model, phi):
-    v = model.visibility
-    return ((1 + v) / 2 * _ideal_probs(model, phi, derivative=True)
-            - (1 - v) / 2 * _ideal_probs(model, -phi, derivative=True))
+    contrast, losses = _law(model)
+    k = model.spec.probes
+    slope = contrast * k * np.cos(k * phi) / 2
+    return np.array([slope, -slope] + [0.0] * len(losses))
 
 
 def classical_fisher(model, phi):
@@ -169,12 +137,6 @@ def classical_fisher(model, phi):
     return float((dp[mask] ** 2 / p[mask]).sum())
 
 
-def _contrast(model):
-    eta = model.noise_param
-    single_ad = model.spec.noise == "ad" and model.spec.probes == 1
-    return model.visibility * (np.sqrt(1 - eta) if single_ad else 1 - eta)
-
-
 def _arcsine(model, counts):
     """Arcsine estimates of every row of a (..., n_outcomes) counts array, and
     the mask of rows whose argument was clamped to +/-1."""
@@ -182,18 +144,13 @@ def _arcsine(model, counts):
     total = counts.sum(axis=-1)
     if np.any(total <= 0):
         raise EstimationError("empty acquisition")
-    denom = _contrast(model)
-    if denom <= 0:
+    contrast = _law(model)[0]
+    if not abs(contrast) > 0:
         raise EstimationError("zero contrast: the phase is invisible at these parameters")
-    diff, scale = counts[..., 0] - counts[..., 1], total * denom
+    diff, scale = counts[..., 0] - counts[..., 1], total * abs(contrast)
     # clamped before the division, which overflows at a subnormal contrast
     arg = np.sign(diff) * (np.minimum(np.abs(diff), scale) / scale)
-    estimates = np.arcsin(arg)
-    if model.spec.probes == 2:
-        # outcome 0 loses weight as the phase grows, and the doubled phase
-        # halves on inversion
-        estimates = -estimates / 2
-    return estimates, np.abs(arg) == 1.0
+    return np.arcsin(np.sign(contrast) * arg) / model.spec.probes, np.abs(arg) == 1.0
 
 
 def estimate_phase(model, counts):
@@ -217,12 +174,6 @@ class ErrorReport:
     clamped: int           # repetitions whose arcsine argument hit +/-1
 
 
-def _seed_list(seed):
-    if np.isscalar(seed):
-        return [int(seed)]
-    return [int(s) for s in seed]
-
-
 def run_experiment(model, phi_true=0.0, events=None, repetitions=100, seed=0,
                    bootstrap=200):
     """Repeat acquisitions, estimate the phase each time, and report
@@ -241,17 +192,14 @@ def run_experiment(model, phi_true=0.0, events=None, repetitions=100, seed=0,
     # checked here, so that a bad law raises EstimationError, not numpy's ValueError
     if not (np.all(pn >= 0) and np.all(pn <= 1)) or pn[:-1].sum() > 1 + 1e-12:
         raise EstimationNumericError(f"outcome probabilities {pn} are not a distribution")
-    # the chunk contract of the module docstring
-    counts = np.concatenate([
-        np.random.default_rng(base + [c]).multinomial(
-            events, pn, size=min(_CHUNK_ROWS, repetitions - start))
-        for c, start in enumerate(range(0, repetitions, _CHUNK_ROWS))])
+    # the stage contract of the module docstring
+    counts = np.random.default_rng(base + [0]).multinomial(events, pn, size=repetitions)
     estimates, clamped = _arcsine(model, counts)
     sqrt_nu = np.sqrt(float(events))
     stat = estimates.std(ddof=1) * sqrt_nu
     # resamples are drawn a block of rows at a time: the same draws in the same
     # order as one call per resample, with at most 2**16 indices per block
-    boot_rng = np.random.default_rng(base + [repetitions])
+    boot_rng = np.random.default_rng(base + [1])
     block = max(1, 2 ** 16 // repetitions)
     stats = np.empty(bootstrap)
     for b in range(0, bootstrap, block):

@@ -1,5 +1,5 @@
-"""Small shared linear-algebra helpers: Pauli bases, the Hermitian
-parameterization and positive-semidefinite projection."""
+"""Small shared helpers: Pauli bases, the Hermitian parameterization,
+positive-semidefinite projection, and the seed lists of the sampled stages."""
 import numpy as np
 
 PAULI_I = np.eye(2, dtype=complex)
@@ -51,6 +51,9 @@ def projector(ket):
     return np.outer(ket, ket.conj())
 
 
-# rows that a sampled stage draws per call: the Monte-Carlo repetitions of one
-# chunk (estimation) and the Poisson tables of one bootstrap block (tomography)
-_CHUNK_ROWS = 4096
+def _seed_list(seed):
+    """An int or a sequence of ints as a seed list, to which a sampled stage
+    appends its own index."""
+    if np.isscalar(seed):
+        return [int(seed)]
+    return [int(s) for s in seed]

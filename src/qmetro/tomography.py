@@ -2,13 +2,15 @@
 two-outcome measurement settings, multinomial counts, linear-inversion chi
 reconstruction with positivity projection, and process fidelity.
 
-Each sampled stage draws from one generator of its own. `simulate_qpt(ch,
-shots, seed)` draws all outcome-0 counts as one `default_rng([seed,
-0]).binomial(shots, p)` call over the (inputs, settings) table in C order.
-`poisson_uncertainty(data, chi_ref, resamples, seed)` makes one
-`default_rng([seed, 1]).poisson(counts, size=(rows, *counts.shape))` call per
-block of at most `linalg._CHUNK_ROWS` resamples; numpy draws the rows in order,
-so resample r does not depend on the number of resamples.
+Each sampled stage draws from one generator of its own, seeded by an int or a
+sequence of ints `seed` with the stage index appended, as Monte-Carlo
+estimation does. `simulate_qpt(ch, shots, seed)` draws all outcome-0 counts as
+one `default_rng(seed + [0]).binomial(shots, p)` call over the (inputs,
+settings) table in C order. `poisson_uncertainty(data, chi_ref, resamples,
+seed)` makes one `default_rng(seed + [1]).poisson(counts, size=(rows,
+*counts.shape))` call per block of at most `_CHUNK_ROWS` resamples; numpy
+draws the rows in order, so resample r does not depend on the number of
+resamples.
 """
 import math
 from dataclasses import dataclass
@@ -17,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from .channels import evolve
-from .linalg import _CHUNK_ROWS, nearest_psd, pauli_basis, projector
+from .linalg import _seed_list, nearest_psd, pauli_basis, projector
 
 # preparation kets; the measurement settings project onto the same set
 INPUT_KETS = (
@@ -26,6 +28,9 @@ INPUT_KETS = (
     np.array([1, -1j]) / np.sqrt(2),
     np.array([1, 1], dtype=complex) / np.sqrt(2),
 )
+
+# Poisson tables that one bootstrap block draws and reconstructs as a stack
+_CHUNK_ROWS = 4096
 
 
 class TomographyError(ValueError):
@@ -122,6 +127,8 @@ class QptDataset:
 
     def __post_init__(self):
         counts = np.asarray(self.counts)
+        if not counts.size:
+            raise TomographyError(f"counts table is empty, shape {counts.shape}")
         # finiteness first: `min() < 0` is False for NaN
         if not np.isfinite(counts).all() or counts.min() < 0 or (counts % 1).any():
             raise TomographyError("counts must be finite nonnegative integers")
@@ -141,7 +148,8 @@ def simulate_qpt(ch, shots=20000, seed=0):
     if not (shots >= 1 and float(shots).is_integer()):
         raise TomographyError(f"shots must be a whole number of at least 1, got {shots}")
     shots = int(shots)
-    n0 = np.random.default_rng([seed, 0]).binomial(shots, born_probabilities(ch))
+    rng = np.random.default_rng(_seed_list(seed) + [0])
+    n0 = rng.binomial(shots, born_probabilities(ch))
     return QptDataset(np.stack([n0, shots - n0], axis=-1))
 
 
@@ -215,7 +223,7 @@ def poisson_uncertainty(data, chi_ref, resamples=50, seed=0):
     counts."""
     if resamples < 2:
         raise TomographyError("need at least 2 resamples")
-    rng, fids = np.random.default_rng([seed, 1]), []
+    rng, fids = np.random.default_rng(_seed_list(seed) + [1]), []
     # the contract of the module docstring: stacks of a few thousand tables
     for start in range(0, resamples, _CHUNK_ROWS):
         rows = min(_CHUNK_ROWS, resamples - start)

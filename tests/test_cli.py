@@ -13,7 +13,10 @@ from hypothesis import strategies as st
 from qmetro import cli
 from qmetro.cli import (EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, ConfigError,
                         format_csv, main, parse_grid)
+from qmetro.channels import amplitude_damping, extend_with_ancilla
 from qmetro.estimation import SCHEMES
+from qmetro.tomography import (chi_theory, poisson_uncertainty, process_fidelity,
+                               reconstruct_chi, simulate_qpt)
 
 # a numpy warning printed above the output fails the test
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -270,6 +273,22 @@ def test_qpt_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_qpt_points_draw_from_their_own_streams(tmp_path):
+    # point i of the grid draws from the seed [seed, i], as error-curve's do
+    out = tmp_path / "qpt.csv"
+    assert main(["qpt", "--channel", "ad", "--grid", "0.3,0.6", "--shots", "2000",
+                 "--seed", "4", "--resamples", "10", "--out", str(out)]) == EXIT_OK
+    ch = extend_with_ancilla(amplitude_damping(0.6))
+    chi_th = chi_theory(ch)
+    data = simulate_qpt(ch, shots=2000, seed=[4, 1])
+    chi_exp = reconstruct_chi(data)
+    row = {"noise": 0.6, "fidelity": process_fidelity(chi_exp, chi_th).value,
+           "fidelity_std": poisson_uncertainty(data, chi_th, resamples=10, seed=[4, 1])}
+    header = ["noise", "fidelity", "fidelity_std"]
+    assert out.read_text().split("\n")[2] == format_csv(header, [row]).split("\n")[1]
+    assert (tmp_path / "qpt_noise0.6_chi_exp.json").read_text() == chi_exp.json_text()
+
+
 def test_qpt_rejects_bad_shots():
     assert main(["qpt", "--channel", "ad", "--grid", "0.5", "--shots", "0",
                  "--out", "/tmp/unused.csv"]) == EXIT_CONFIG
@@ -414,26 +433,20 @@ def test_supplement_verify_numeric_failure(monkeypatch, capsys):
 
 # ------------------------------------------------------------- golden output
 
-# sha256 of the CSV or JSON each command writes, recorded before the
-# Kraus-evolution kernel was shared between channels, qfi and estimation (the
-# qfi-curve CSV cases: before the inner minimum over Kraus representations
-# became one closed-form solve; the optics-verify and supplement-verify cases:
-# before the optics networks were rebuilt on Kronecker products; the
-# error-curve cases: re-recorded when each chunk of 4096 repetitions began to
-# draw from one generator, default_rng(seed + [point, chunk]); the sampled qpt
-# cases: re-recorded when each tomography stage began to draw from one
-# generator, default_rng([seed, 0]) for the counts and default_rng([seed, 1])
-# for the Poisson resamples, while the --exact cases kept their digests); a
-# refactor that changes a printed digit changes the digest. The
-# qfi-curve JSON prints the minimax values at full precision, so its two
-# digests were re-recorded with that solve (no value moved by more than
-# 3.4e-16), and again when Newton steps on the Bloch information and the ridge
-# kets replaced the bare search's Nelder-Mead polish (no value moved by more
-# than 4.5e-16): ad
-# 1e2029ea000150be08210ba9ac7434c1c43215e0ac68d4fdf7e24071fd412217 ->
-# cd46b4be52bb8342c7b2ae698dd771222cf0a0523738f97ceb8a4dcb618bce4a, depol
-# bae26636bed9f10058154c3cfa77fec4df29687d0d3891f269ecfc563a252e96 ->
-# 4e4f64ee5a25e161d1ca9ab0a2652ebeaba8e9880ea425a16316addf094f49fa.
+# sha256 of the CSV or JSON each command writes; a refactor that changes a
+# printed digit changes the digest. The deterministic cases (qfi-curve,
+# qpt --exact, optics-verify, supplement-verify) were recorded before the
+# code they exercise was rewritten and still pin its bytes. The qfi-curve JSON
+# prints the minimax values at full precision, so its two digests were
+# re-recorded with the closed-form inner solve and again with the Newton
+# polish of the bare search, each time with no value moved by more than
+# 4.5e-16. The sampled cases follow the stage contract: stage s of point i
+# draws from default_rng([seed, i, s]), with s = 0 for the data and s = 1 for
+# the resamples, in error-curve and qpt alike; they were re-recorded when each
+# Monte-Carlo scheme's law became one closed form and qpt's points got streams
+# of their own (numpy's SeedSequence pads short entropy with zero words, so
+# [seed, 0, 0] draws what [seed, 0] drew, and qpt's point 0 kept its counts
+# and its chi file).
 GOLDEN_CSV = {
     ("qfi-curve", "--channel", "ad", "--minimax", "--grid", "0.1,0.45,0.9"):
         "1dc76f674d88812b2cad3a1bb99a1459d7dbac743477ab971c13723fe935ef44",
@@ -446,24 +459,24 @@ GOLDEN_CSV = {
      "--grid", "0.1,0.45,0.9"):
         "4e4f64ee5a25e161d1ca9ab0a2652ebeaba8e9880ea425a16316addf094f49fa",
     ("error-curve", "--scheme", "ad_single_assisted"):
-        "f3a415a414b5020bf1e345749f50fb4fe13ef007c33cee4a3fc0c27868d424aa",
+        "6a5521ca7267e5378ad5b22ae510a0faea54662a4fe9bb4bf7c32153d9c839ed",
     ("error-curve", "--scheme", "depol_single_assisted"):
-        "eba5b0caebbf325a298f7549d45d167c360236188ebe03a777f140bc1fa21199",
+        "cffe3b5ee2b6ac8edefd26774bfef409628b098392ca99431ff13edfdd8523cc",
     ("error-curve", "--scheme", "ad_two_probe_assisted"):
-        "794801ed038429953f2727a527418fc3d25eab873136d2d05d99f2e1b5f74bfd",
+        "f90e5f54afdc46689b26d640f3b7a10b0576e80c068f005da12f20410949505b",
     ("error-curve", "--scheme", "ad_single_bare"):
-        "4cb5e69be94dc63a982ac38aecfeaa2b4b13f7561d2d2a639e4945916272e54d",
+        "47f7310e90d5b57808483bcfb5b23255517c2980c1179483daa0bbd08792545e",
     ("error-curve", "--scheme", "depol_single_bare"):
-        "e6a518c2049e46500cfc804122f4879f0ca24e4a04beec82c2b1a7103c3d5968",
+        "72e15f5bfa2fc2a3765a38aae2932d08388fed6d008068820e0ed36d52470a1b",
     ("error-curve", "--scheme", "ad_two_probe_bare"):
-        "ed73ecc35d2b754a7d299376271b3ee7c383b6c89a43607617487201003d76e9",
+        "050346f141020c61a8d669b2f9229c6fffd04a7db2493403228d9e5dba7cdccd",
     ("qpt", "--channel", "ad", "--grid", "0.3,0.6"):
-        "d11c880d27bd1233fb9fd95fbd2e076083bf7815c256f1bdcbd0db67e9ad01bc",
+        "c67b4ea7335c460dac502d3887c127e4f87026638a07f6b1f95e134644e7a22d",
     ("qpt", "--channel", "depol", "--grid", "0.3,0.6"):
-        "9fdc3f44aa63b13a0563918c3e5580488749127a4b39354b15754f94a98ac833",
+        "698816f06969a40e3e3ef4b1baddb0abf230bf608c50172c5fe0cd4c30ce799e",
     ("qpt", "--channel", "ad", "--grid", "0.25,0.7", "--single", "--shots", "3000",
      "--seed", "12345", "--resamples", "20"):
-        "c33c3f70d1dfdfa98eab3a12505fc4c9b4a7f36ede54aeb4db8d63f2d7ecf35c",
+        "dfb685c191d3cae40e0496f0b00327c6d21dfb3a090d31dc9719fcc6dcd1b99a",
     ("qpt", "--channel", "ad", "--grid", "0.3,0.6", "--exact"):
         "aef89670b52106e4a97294e9f0ac4cca4b7c6d6352e2699ad895185cb8ec0887",
     ("qpt", "--channel", "depol", "--grid", "0.3,0.6", "--exact"):
@@ -485,29 +498,28 @@ def test_csv_matches_recorded_digest(argv, tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_CSV[argv]
 
 
-# sha256 of the chi files the qpt cases above write, recorded before the chi
-# writer stopped going through json.dump (the sampled *_chi_exp.json files:
-# re-recorded with the one-generator tomography stages, which left every
-# *_chi_th.json file as it was); each file is the exact text of
-# json.dump(..., indent=2, sort_keys=True), with no trailing newline
+# sha256 of the chi files the qpt cases above write; each file is the exact
+# text of json.dump(..., indent=2, sort_keys=True), with no trailing newline.
+# The *_chi_th.json and --exact files are deterministic; the sampled
+# *_chi_exp.json files follow the stage contract above
 GOLDEN_CHI = {
     ("qpt", "--channel", "ad", "--grid", "0.3,0.6"): {
         "out_noise0.3_chi_exp.json": "f8facb822d82dba16d7b7d4b7c2dadf7dcad85ae3ac9d42ca65eb7754c2c00ca",
         "out_noise0.3_chi_th.json": "e549a7b660b8b428b4a74a7b60dd7de38158d9e3bb4b7db9f426204837183ba6",
-        "out_noise0.6_chi_exp.json": "47296a68748566756d857ee4a82ab2f8c02bbe43f5b03b010d53d8f3657e37bb",
+        "out_noise0.6_chi_exp.json": "10182083cb29c058c903b820e72f0176fa1c2d92cb73924e971b558d76e38981",
         "out_noise0.6_chi_th.json": "3e7e82a6bb6e66def246c6e1e66e037d1e7a718923d4d1de910e8b2865a4f628",
     },
     ("qpt", "--channel", "depol", "--grid", "0.3,0.6"): {
         "out_noise0.3_chi_exp.json": "29dd68ee13684b43a0f4f68187f09eec4dc8d29876c4cd69f5e1c725db328a72",
         "out_noise0.3_chi_th.json": "53de9bed98cf2f48c1eea341ebcde5649f75fc3d5fb72682951675916e7a03b8",
-        "out_noise0.6_chi_exp.json": "208eee961e33de34210fbd4508fcaa609c0b52d621157e9038e125ca4e31a4cf",
+        "out_noise0.6_chi_exp.json": "7bdb613b85e7b16f1d85301a5314ea8ff06a26f14bd8d04c836fbd7240e88fdf",
         "out_noise0.6_chi_th.json": "8e1048d91102f984f772c73c81c83da2c9ef3285c7edc5d06bc2c8b773c6e280",
     },
     ("qpt", "--channel", "ad", "--grid", "0.25,0.7", "--single", "--shots", "3000",
      "--seed", "12345", "--resamples", "20"): {
         "out_noise0.25_chi_exp.json": "2f76375253a0e80ca9309b913da1953f59be453fc3ea7b20b9a26b8fa6230d1a",
         "out_noise0.25_chi_th.json": "c99614392e43edc9833910ca0c4958c6faaf3d34dc03b7e6255f724a02537a79",
-        "out_noise0.7_chi_exp.json": "897187f243a2c049a7999f16e6e6865929dbba04c9a455b0f058e901da058244",
+        "out_noise0.7_chi_exp.json": "0ce6f7a35dbb1d036a2f207c8b0262016e8d2c25ef12867b0605b66d16fc654b",
         "out_noise0.7_chi_th.json": "7f68839c84008ceed4bc068ba777dea81433974cc3ecd1818ec77e7b4d188ad9",
     },
     ("qpt", "--channel", "ad", "--grid", "0.3,0.6", "--exact"): {
@@ -533,16 +545,16 @@ def test_chi_files_match_recorded_digest(argv, tmp_path):
     assert written == GOLDEN_CHI[argv]
 
 
-# error-curve stdout, recorded when each chunk of 4096 repetitions began to
-# draw from one generator: a seed of 2**40 is two 32-bit words of entropy, and
-# phi near the edge of the arcsine range makes many estimates clamp
+# error-curve stdout under the stage contract above: a seed of 2**40 is two
+# 32-bit words of entropy, and phi near the edge of the arcsine range makes
+# many estimates clamp
 GOLDEN_STDOUT = {
-    "ad_single_assisted": ("1.5", "edabbbce824290915b8cd2fcceadb76aed11b4d4c85153d8d94add4723034e74"),
-    "depol_single_assisted": ("1.5", "5f0f5b0e7e2b4559ecb3fdbc468d647bb8bbc7a7e60ff9e7fd7e69f7b2854c21"),
-    "ad_two_probe_assisted": ("0.77", "ac7658f0946423597f02efe030e3ae49c969ef7eb71f3460ebfd87b610c4037b"),
-    "ad_single_bare": ("1.5", "b802a72b32364a343c04205aacca572514403e1bedeedc7a512b2862a45a3570"),
-    "depol_single_bare": ("1.5", "cc3102cadcb0e6b9abe63df55cab536fc70ed910c7192f1d7a086d44600c7d8d"),
-    "ad_two_probe_bare": ("0.77", "0e43a3078152a1d5660f7e1c96d1f3532a0c21d41e10f5ad224f25baa2f46d6d"),
+    "ad_single_assisted": ("1.5", "5be1ddce58b15362a6e36645426c0b8f6f0a8443ec657e920a03be3be50d8385"),
+    "depol_single_assisted": ("1.5", "996f581d8aed3c89c7d5111d0d336237a474ef37be591ee900b435a2238a5d0e"),
+    "ad_two_probe_assisted": ("0.77", "a80a518930709f4cccc34bfae9e3ddbcaea08f77a60f0d765a2718a43827155f"),
+    "ad_single_bare": ("1.5", "354140f9ceb753573497c5411a2920ad712ee4c1385fbab843a51bd524ba8e5b"),
+    "depol_single_bare": ("1.5", "f5f8b727554b97dea7f2fa10ca540e6359f641dbf7e0f7d5c75efca28ce2e5ea"),
+    "ad_two_probe_bare": ("0.77", "c6578bae709734b9324efea56dc3d262ad06f000376ec51658876bd91856c876"),
 }
 
 

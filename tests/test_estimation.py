@@ -4,12 +4,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qmetro import estimation
-from qmetro.estimation import (SCHEMES, EstimationError, EstimationNumericError,
+from qmetro.channels import NOISE, PhaseChannelFamily, evolve
+from qmetro.estimation import (SCHEMES, EstimationError, EstimationNumericError, _arcsine,
                                classical_fisher, error_curve, estimate_phase, model_for,
                                probabilities, probability_derivatives,
                                run_experiment)
 from qmetro.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, format_csv, main
-from qmetro.linalg import _CHUNK_ROWS
+from qmetro.linalg import projector
 from qmetro.qfi import closed_form_qfi, two_probe_collective_ad_qfi
 
 # an overflow or an invalid value anywhere in estimation fails the test
@@ -63,6 +64,53 @@ def test_visibility_mixes_opposite_phases():
     phi = 0.4
     mixed = 0.95 * probabilities(m1, phi) + 0.05 * probabilities(m1, -phi)
     assert np.abs(probabilities(mv, phi) - mixed).max() < 1e-12
+
+
+def _bell(e, last, phase=1):
+    """Projector on (e_0 + phase e_last) / sqrt(2), for the basis rows e."""
+    return projector((e[0] + phase * e[last]) / np.sqrt(2))
+
+
+E2, E4, E16 = np.eye(2), np.eye(4), np.eye(16)
+# (input state, readout projectors in outcome-label order) of each scheme, by
+# (probes, assisted); the probes come first in the index, then the ancilla
+LAYOUTS = {
+    (1, False): (_bell(E2, 1), [_bell(E2, 1, 1j), _bell(E2, 1, -1j)]),
+    (2, False): (_bell(E4, 3), [_bell(E4, 3, -1j), _bell(E4, 3, 1j),
+                                projector(E4[1]), projector(E4[2])]),
+    (1, True): (_bell(E4, 3), [_bell(E4, 3, 1j), _bell(E4, 3, -1j),
+                               projector(E4[1]), projector(E4[2])]),
+    (2, True): (_bell(E16, 15), [_bell(E16, 15, -1j), _bell(E16, 15, 1j), projector(E16[3]),
+                                 projector(E16[7]), projector(E16[11])]),
+}
+
+
+def born_readout(model, phi):
+    """The law and its phi-derivative by the Born rule on the evolved state,
+    with visibility v mixing the runs at +phi and -phi by (1+v)/2 and (1-v)/2:
+    an independent route to `probabilities` and `probability_derivatives`."""
+    spec = model.spec
+    rho, projs = LAYOUTS[spec.probes, spec.assisted]
+    family = PhaseChannelFamily(NOISE[spec.noise](model.noise_param))
+    p = dp = 0.0
+    for weight, sign in ((1 + model.visibility) / 2, 1), ((1 - model.visibility) / 2, -1):
+        out, dout = evolve(rho, *family.composite(sign * phi, spec.probes,
+                                                  ancilla=spec.assisted))
+        p = p + weight * np.einsum('kij,ji->k', projs, out).real
+        dp = dp + sign * weight * np.einsum('kij,ji->k', projs, dout).real
+    return p, dp
+
+
+@settings(max_examples=150)
+@given(st.sampled_from(list(SCHEMES)), st.floats(0, 1), st.floats(0, 1),
+       st.floats(-4, 4))
+@example("ad_two_probe_assisted", 1.0, 1.0, 0.3)
+@example("depol_single_assisted", 0.0, 0.0, 0.3)
+def test_law_is_the_born_rule_readout(scheme, eta, visibility, phi):
+    m = model_for(scheme, eta, visibility)
+    p, dp = born_readout(m, phi)
+    assert np.abs(probabilities(m, phi) - p).max() <= 1e-12
+    assert np.abs(probability_derivatives(m, phi) - dp).max() <= 1e-12
 
 
 def test_probability_derivatives_finite_difference():
@@ -185,13 +233,11 @@ def test_fisher_matches_channel_information():
 
 def test_run_experiment_counts_deterministic():
     m = model_for("ad_single_assisted", 0.4, visibility=1.0)
-    a, b, c = (run_experiment(m, 0.1, 5000, repetitions=_CHUNK_ROWS + 5, seed=s,
+    a, b, c = (run_experiment(m, 0.1, 5000, repetitions=50, seed=s,
                               bootstrap=2)[0].counts for s in (7, 7, 8))
     assert np.array_equal(a, b)
     assert (a.sum(axis=1) == 5000).all()
     assert not np.array_equal(a, c)
-    # the second chunk is not the first one drawn again
-    assert not np.array_equal(a[_CHUNK_ROWS:], a[:5])
 
 
 def test_run_experiment_rejects_empty():
@@ -217,7 +263,7 @@ def test_blocked_bootstrap_equals_one_draw_per_resample(repetitions, resamples):
     m = model_for("ad_two_probe_assisted", 0.5, visibility=0.98)
     ensemble, report = run_experiment(m, 0.2, 400, repetitions=repetitions, seed=[9, 4],
                                       bootstrap=resamples)
-    rng = np.random.default_rng([9, 4, repetitions])
+    rng = np.random.default_rng([9, 4, 1])
     stats = [ensemble.estimates[rng.integers(0, repetitions, repetitions)].std(ddof=1)
              * np.sqrt(400.0) for _ in range(resamples)]
     assert report.bootstrap_std == float(np.std(stats, ddof=1))
@@ -225,11 +271,18 @@ def test_blocked_bootstrap_equals_one_draw_per_resample(repetitions, resamples):
 
 # ---------------------------------------------------------------- estimator
 
-def test_estimate_phase_exact_frequencies():
-    for scheme in SCHEMES:
-        m = model_for(scheme, 0.3, visibility=1.0)
-        freq = probabilities(m, 0.1) * 10 ** 7
-        assert abs(estimate_phase(m, freq) - 0.1) < 1e-12
+@settings(max_examples=100)
+@given(st.sampled_from(list(SCHEMES)), st.floats(0, 0.95), st.floats(0.05, 1),
+       st.floats(-1.5, 1.5))
+@example("ad_single_assisted", 0.3, 1.0, 0.1)
+def test_estimate_phase_exact_frequencies(scheme, eta, visibility, k_phi):
+    # the law's exact expected counts give back phi wherever |probes phi| < pi/2
+    m = model_for(scheme, eta, visibility)
+    phi = k_phi / m.spec.probes
+    freq = probabilities(m, phi) * 10 ** 6
+    estimate, clamped = _arcsine(m, freq)
+    assert abs(estimate - phi) <= 1e-12 and not clamped
+    assert estimate_phase(m, freq) == estimate
 
 
 def test_estimate_phase_clamps():
@@ -257,7 +310,7 @@ def test_estimator_unbiased_near_origin():
     for k, scheme in enumerate(SCHEMES):
         m = model_for(scheme, 0.3, visibility=1.0)
         for phi in (0.0, 0.05, -0.05):
-            # chunk c draws from default_rng([9, k, c])
+            # the data draw from default_rng([9, k, 0])
             ensemble, _ = run_experiment(m, phi_true=phi, events=20000,
                                          repetitions=1000, seed=[9, k], bootstrap=2)
             ests = ensemble.estimates
@@ -304,15 +357,13 @@ def test_run_experiment_report_fields():
     assert rep2.shot_noise == 1.0
 
 
-def chunk_counts(model, phi, events, repetitions, seed):
-    """The reference: chunk c holds repetitions 4096c onwards, the rows of one
-    multinomial call on default_rng(seed + [c])."""
+def stage_counts(model, phi, events, repetitions, seed):
+    """The reference: every repetition is a row of one multinomial call on
+    default_rng(seed + [0])."""
     base = [seed] if np.isscalar(seed) else list(seed)
     p = probabilities(model, phi)
-    return np.concatenate([
-        np.random.default_rng(base + [c]).multinomial(
-            events, p / p.sum(), size=min(_CHUNK_ROWS, repetitions - start))
-        for c, start in enumerate(range(0, repetitions, _CHUNK_ROWS))])
+    return np.random.default_rng(base + [0]).multinomial(events, p / p.sum(),
+                                                          size=repetitions)
 
 
 @pytest.mark.parametrize("scheme,noise,repetitions,seed", [
@@ -322,33 +373,32 @@ def chunk_counts(model, phi, events, repetitions, seed):
     ("ad_two_probe_bare", 0.5, 200, 2 ** 40),
 ])
 def test_run_experiment_matches_per_repetition_loop(scheme, noise, repetitions, seed):
-    # the counts are the chunk's multinomial rows, and every repetition is
+    # the counts are the data stage's multinomial rows, and every repetition is
     # estimated on its own, bit for bit
     m = model_for(scheme, noise)
     ensemble, _ = run_experiment(m, phi_true=0.1, repetitions=repetitions, seed=seed,
                                  bootstrap=5)
-    counts = chunk_counts(m, 0.1, SCHEMES[scheme].default_events, repetitions, seed)
+    counts = stage_counts(m, 0.1, SCHEMES[scheme].default_events, repetitions, seed)
     assert np.array_equal(ensemble.counts, counts)
     assert np.array_equal(ensemble.estimates, [estimate_phase(m, c) for c in counts])
 
 
 def test_run_experiment_crosses_a_chunk_boundary():
-    # 8195 repetitions cross two 4096 boundaries; each chunk is its own call
+    # 8195 repetitions, past two multiples of 4096 rows, are still one call
     m = model_for("depol_single_assisted", 0.2)
-    repetitions = 2 * _CHUNK_ROWS + 3
-    ensemble, _ = run_experiment(m, 0.1, events=40, repetitions=repetitions, seed=[5],
+    ensemble, _ = run_experiment(m, 0.1, events=40, repetitions=8195, seed=[5],
                                  bootstrap=2)
-    assert np.array_equal(ensemble.counts, chunk_counts(m, 0.1, 40, repetitions, [5]))
+    assert np.array_equal(ensemble.counts, stage_counts(m, 0.1, 40, 8195, [5]))
 
 
-COUNTS = st.integers(2, 2 * _CHUNK_ROWS + 2)
+COUNTS = st.integers(2, 8194)
 
 
 @settings(max_examples=25)
 @given(st.sampled_from(sorted(SCHEMES)), st.sampled_from([1, 40, 2000]), COUNTS, COUNTS,
        st.integers(0, 2 ** 32 - 1))
-@example("ad_single_bare", 40, _CHUNK_ROWS, _CHUNK_ROWS + 1, 0)
-@example("ad_two_probe_assisted", 2000, _CHUNK_ROWS + 1, 2 * _CHUNK_ROWS + 1, 1)
+@example("ad_single_bare", 40, 4096, 4097, 0)
+@example("ad_two_probe_assisted", 2000, 4097, 8193, 1)
 def test_a_run_is_a_prefix_of_every_longer_run(scheme, events, r, big_r, seed):
     # the first r repetitions of a run of R >= r repetitions are a run of r
     r, big_r = sorted((r, big_r))

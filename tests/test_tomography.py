@@ -9,10 +9,9 @@ from scipy.linalg import expm
 from conftest import chi_apply, rand_herm, rand_rho, random_channel
 from qmetro.channels import (KrausChannel, amplitude_damping, depolarizing,
                              extend_with_ancilla, general_pauli)
-from qmetro.linalg import _CHUNK_ROWS
 from qmetro.optics import build_ad_network, build_pauli_network, extract_channel
-from qmetro.tomography import (ChiMatrix, QptDataset, TomographyError, _design,
-                               _frequencies, _overlap, _reconstruct,
+from qmetro.tomography import (_CHUNK_ROWS, ChiMatrix, QptDataset, TomographyError,
+                               _design, _frequencies, _overlap, _reconstruct,
                                _require_hermitian, born_probabilities,
                                chi_theory, poisson_uncertainty,
                                process_fidelity, product_states,
@@ -344,6 +343,13 @@ def test_dataset_rejects_non_integral_counts(bad):
     with pytest.raises(TomographyError, match="finite nonnegative integers"):
         QptDataset(counts)
     assert QptDataset(np.round(counts[:3])).counts.dtype == float
+
+
+@pytest.mark.parametrize("shape", [(0, 4, 2), (0,), (16, 16, 0)])
+def test_dataset_rejects_an_empty_table(shape):
+    # numpy's `min()` of an empty array raises its own ValueError
+    with pytest.raises(TomographyError, match="empty"):
+        QptDataset(np.zeros(shape))
 
 
 @pytest.mark.parametrize("shots", [2.5, 0, 0.5, np.nan, np.inf])

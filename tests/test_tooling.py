@@ -60,3 +60,35 @@ def test_every_import_is_used():
                     if name not in used:
                         unused.append(f"{path.name}: {name}")
     assert unused == []
+
+
+def test_every_private_name_is_used():
+    # a private module-level name is a leftover unless its own module reads
+    # it, another module imports it from there, or some module reads it as an
+    # attribute; public names may serve callers outside the package
+    trees = {p.stem: ast.parse(p.read_text())
+             for p in sorted((ROOT / "src" / "qmetro").glob("*.py"))}
+    attrs, imported = set(), set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                attrs.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                imported |= {(node.module, alias.name) for alias in node.names}
+    unused = []
+    for module, tree in trees.items():
+        reads = {node.id for node in ast.walk(tree)
+                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [t.id for target in targets for t in ast.walk(target)
+                           if isinstance(t, ast.Name)]
+            else:
+                continue
+            unused += [f"{module}.py: {name}" for name in defined
+                       if name.startswith("_") and not name.startswith("__")
+                       and name not in reads | attrs and (module, name) not in imported]
+    assert unused == []
