@@ -145,8 +145,6 @@ def cmd_error_curve(args):
     _check_count("repetitions", args.reps, 2, MAX_REPETITIONS)
     if args.events is not None:
         _check_count("events", args.events, 1, MAX_COUNTS)
-    if not np.isfinite(args.phi):
-        raise ConfigError(f"phi must be finite, got {args.phi}")
     _check_seed(args.seed)
     rows = error_curve(args.scheme, grid, visibility=args.visibility,
                        events=args.events, repetitions=args.reps,
@@ -204,13 +202,12 @@ def cmd_qpt(args):
 
 
 def cmd_optics_verify(args):
+    # the target channel validates the parameters before a network is built
     if args.channel == "ad":
         if args.eta is None:
             raise ConfigError("--eta is required for the damping network")
-        if not 0 <= args.eta <= 1:
-            raise ConfigError("eta must lie in [0, 1]")
-        net = build_ad_network(args.eta)
         target = amplitude_damping(args.eta)
+        net = build_ad_network(args.eta)
         report = {
             "channel": target.label,
             "angles": [float(damping_plate_angle(args.eta))],
@@ -220,13 +217,8 @@ def cmd_optics_verify(args):
         weights = [args.p0, args.p1, args.p2, args.p3]
         if any(w is None for w in weights):
             raise ConfigError("--p0 --p1 --p2 --p3 are required for the Pauli network")
-        for j, w in enumerate(weights):
-            if not np.isfinite(w):
-                raise ConfigError(f"--p{j} must be finite, got {w}")
-        if min(weights) < 0 or abs(sum(weights) - 1) > 1e-9:
-            raise ConfigError("branch weights must be nonnegative and sum to 1")
-        net = build_pauli_network(weights)
         target = general_pauli(weights)
+        net = build_pauli_network(weights)
         angles = solve_pauli_angles(weights)
         report = {
             "channel": target.label,

@@ -117,6 +117,8 @@ def _law(model):
 
 def probabilities(model, phi):
     """Outcome probabilities at phase phi (`_law`)."""
+    if not np.isfinite(phi):
+        raise EstimationError(f"phi must be finite, got {phi}")
     contrast, losses = _law(model)
     rest, odd = 1 - sum(losses), contrast * np.sin(model.spec.probes * phi)
     return np.clip([(rest + odd) / 2, (rest - odd) / 2, *losses], 0.0, 1.0)
@@ -184,8 +186,6 @@ def run_experiment(model, phi_true=0.0, events=None, repetitions=100, seed=0,
         events = model.spec.default_events
     if events < 1:
         raise EstimationError("events must be at least 1")
-    if not np.isfinite(phi_true):
-        raise EstimationError(f"phi_true must be finite, got {phi_true}")
     base = _seed_list(seed)
     p = probabilities(model, phi_true)
     pn = p / p.sum()

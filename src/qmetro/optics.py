@@ -266,8 +266,9 @@ def solve_pauli_angles(p):
 
 
 def pauli_angle_residuals(p, angles):
-    """The eight signed equations the six angles must satisfy."""
-    p0, p1, p2, p3 = p
+    """The eight signed equations the six angles must satisfy, at the
+    weights clamped as solve_pauli_angles clamps them."""
+    p0, p1, p2, p3 = np.maximum(p, 0.0)
     c = [np.cos(2 * t) for t in angles]
     s = [np.sin(2 * t) for t in angles]
     r = np.sqrt

