@@ -3,7 +3,8 @@ n-probe (parallel) composition.
 
 The phase is imprinted first, diag(1, e^{i phi}), and the noise map acts after
 it. All channels are immutable once built. evolve is the one place a Kraus map
-acts on a state, and _tensor the one place Kraus operators are tensored.
+acts on a state, an extracted optical network's included, and _tensor the one
+place Kraus operators are tensored.
 """
 from dataclasses import dataclass
 
@@ -12,6 +13,7 @@ import numpy as np
 from .linalg import PAULIS
 
 COMPLETENESS_TOL = 1e-10
+CHOI_RANK_TOL = 1e-10
 
 
 class ChannelError(ValueError):
@@ -109,16 +111,21 @@ def amplitude_damping(eta):
     return KrausChannel((a0, a1), label=f"ad({eta:g})")
 
 
+def pauli_weights(p, error=ChannelError):
+    """p as four Pauli weights, each at least -1e-12 and summing to 1 within
+    1e-12; anything else raises error."""
+    p = np.asarray(p, dtype=float)
+    if p.shape != (4,) or not p.min() >= -1e-12 or not abs(p.sum() - 1) <= 1e-12:
+        raise error(f"invalid probability vector {p}")
+    return p
+
+
 def general_pauli(p):
     """Mixture of Pauli conjugations with weights p = (p0, p1, p2, p3).
 
     Zero-weight operators are dropped, so the Kraus count is minimal.
     """
-    p = np.asarray(p, dtype=float)
-    if p.shape != (4,):
-        raise ChannelError("need exactly four probabilities")
-    if not p.min() >= -1e-12 or not abs(p.sum() - 1) <= 1e-12:
-        raise ChannelError(f"invalid probability vector {p}")
+    p = pauli_weights(p)
     keep = p > 0
     return KrausChannel(np.sqrt(p[keep])[:, None, None] * PAULIS[keep],
                         label=f"pauli({p[0]:g},{p[1]:g},{p[2]:g},{p[3]:g})")
@@ -200,9 +207,9 @@ def choi_matrix(ch):
     return out.transpose(0, 2, 1, 3).reshape(d * d, d * d)
 
 
-def kraus_from_choi(choi, tol=1e-10):
+def kraus_from_choi(choi):
     """Stacked (m, d, d) Kraus operators from a Choi matrix by
-    eigendecomposition, one per eigenvalue above tol.
+    eigendecomposition, one per eigenvalue above CHOI_RANK_TOL.
 
     Eigenvectors come out flattened with the input index first, so each one is
     reshaped and transposed to recover the operator.
@@ -210,7 +217,7 @@ def kraus_from_choi(choi, tol=1e-10):
     choi = np.asarray(choi, dtype=complex)
     d = int(round(np.sqrt(choi.shape[0])))
     w, v = np.linalg.eigh(choi)
-    if w.min() < -100 * tol:
+    if w.min() < -100 * CHOI_RANK_TOL:
         raise ChannelError(f"Choi matrix is not positive: min eigenvalue {w.min():.2e}")
-    keep = w > tol
+    keep = w > CHOI_RANK_TOL
     return np.sqrt(w[keep])[:, None, None] * v.T[keep].reshape(-1, d, d).swapaxes(-1, -2)

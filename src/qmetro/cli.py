@@ -282,7 +282,7 @@ def build_parser():
 
     p = sub.add_parser("qfi-curve",
                        help="closed-form and optimized information vs noise")
-    p.add_argument("--channel", choices=("ad", "depol"), required=True)
+    p.add_argument("--channel", choices=NOISE, required=True)
     p.add_argument("--grid", default="0:0.95:0.05")
     p.add_argument("--minimax", action="store_true",
                    help="include optimizer columns")
@@ -300,7 +300,7 @@ def build_parser():
     add_common(p)
 
     p = sub.add_parser("qpt", help="simulated process tomography")
-    p.add_argument("--channel", choices=("ad", "depol"), required=True)
+    p.add_argument("--channel", choices=NOISE, required=True)
     p.add_argument("--grid", default="0.5")
     p.add_argument("--shots", type=int, default=20000)
     p.add_argument("--seed", type=int, default=0)

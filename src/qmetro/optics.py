@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import KrausChannel, kraus_from_choi
+from .channels import ChannelError, KrausChannel, pauli_weights
 
 POL_SECTORS = "polarization"
 
@@ -41,8 +41,8 @@ class ModeSpace:
     n_lateral: int
 
     def __post_init__(self):
-        if not 1 <= self.n_lateral <= 4:
-            raise OpticsError(f"n_lateral must lie in 1..4, got {self.n_lateral}")
+        if not isinstance(self.n_lateral, (int, np.integer)) or not 1 <= self.n_lateral <= 4:
+            raise OpticsError(f"n_lateral must be an integer in 1..4, got {self.n_lateral!r}")
 
     @property
     def dim(self):
@@ -176,47 +176,35 @@ def _sector_labels(space, partition):
     return np.tile(labels, 2)
 
 
-def _run_raw(net, full):
-    """Trace-nonincreasing linear map of the network on a stack of matrices."""
+def _network_kraus(net):
+    """Unnormalized (m, 2, 2) polarization Kraus stack, input on lateral mode 0,
+    one operator per (dephasing branch, traced-out lateral mode) pair."""
+    n = net.space.n_lateral
+    ks = np.kron(np.eye(2, dtype=complex), np.eye(n, 1))[None]  # |p> -> |p, 0>
     for elem in net.elements:
         if elem.kind == "dephase":
             labels = _sector_labels(net.space, elem.partition)
-            full = np.where(labels[:, None] == labels, full, 0)
+            sectors = labels == np.arange(labels.max() + 1)[:, None]
+            ks = (sectors[:, None, :, None] * ks).reshape(-1, 2 * n, 2)
         elif elem.kind == "postselect":
-            keep = np.tile(_select(net.space, elem.keep), 2)
-            full = np.where(keep[:, None] & keep, full, 0)
+            ks = np.tile(_select(net.space, elem.keep), 2)[:, None] * ks
         else:
-            u = element_unitary(net.space, elem)
-            full = u @ full @ u.conj().T
-    return full
-
-
-def _through(net, small):
-    """Unnormalized polarization output for a stack (..., 2, 2) of inputs, each
-    sent in on lateral mode 0, with the lateral modes traced out."""
-    n = net.space.n_lateral
-    lead = small.shape[:-2]
-    full = np.zeros(lead + (2, n, 2, n), dtype=complex)
-    full[..., :, 0, :, 0] = small
-    out = _run_raw(net, full.reshape(lead + (2 * n, 2 * n)))
-    return np.trace(out.reshape(lead + (2, n, 2, n)), axis1=-3, axis2=-1)
+            ks = element_unitary(net.space, elem) @ ks
+    # K[(b, l)][p, i] = K_b[(p, l), i]: the partial trace over lateral modes
+    return ks.reshape(-1, 2, n, 2).swapaxes(1, 2).reshape(-1, 2, 2)
 
 
 def extract_channel(net):
-    """Recover the polarization channel a network realizes.
-
-    Runs the four |i><j| through the unnormalized map as one stack, divides
-    their Choi matrix by the success probability and eigendecomposes it to
-    Kraus form; a completeness failure signals a network construction bug.
-    """
-    # units[i, j] = |i><j|; Choi layout C[(i, k), (j, l)] = map(|i><j|)[k, l]
-    out = _through(net, np.eye(4, dtype=complex).reshape(2, 2, 2, 2))
-    c = out.transpose(0, 2, 1, 3).reshape(4, 4)
-    success = np.trace(c).real / 2
+    """Polarization channel a network realizes, and its success probability;
+    an input-dependent success is a network construction bug."""
+    ks = _network_kraus(net)
+    success = np.vdot(ks, ks).real / 2
     if success <= 0:
         raise OpticsError("network blocks every input")
-    ks = kraus_from_choi(c / success, tol=1e-12)
-    return KrausChannel(ks, label="extracted"), float(success)
+    try:
+        return KrausChannel(ks / np.sqrt(success), label="extracted"), float(success)
+    except ChannelError as exc:
+        raise OpticsError(f"network success depends on the input: {exc}") from None
 
 
 def damping_plate_angle(eta):
@@ -286,9 +274,7 @@ def build_pauli_network(p):
     the Pauli conjugations, and two balanced couplers recombine after the
     branches are made incoherent. Postselected with probability 1/2.
     """
-    p = np.asarray(p, dtype=float)
-    if p.shape != (4,) or not p.min() >= -1e-12 or not abs(p.sum() - 1) <= 1e-9:
-        raise OpticsError(f"invalid probability vector {p}")
+    p = pauli_weights(p, OpticsError)
     th1, th2, th3, th4, th5, th6 = solve_pauli_angles(p)
     elements = (
         bd(+1),

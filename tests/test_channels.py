@@ -343,7 +343,6 @@ def test_choi_round_trip():
 @settings(max_examples=60)
 @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([2, 4]), st.integers(1, 4))
 def test_choi_round_trip_property(seed, d, n):
-    # optics.extract_channel turns a Choi matrix into Kraus form this way
     c = choi_matrix(random_channel(d, n, np.random.default_rng(seed)))
     rebuilt = KrausChannel(kraus_from_choi(c), label="rebuilt")
     assert np.abs(choi_matrix(rebuilt) - c).max() <= 1e-10

@@ -15,6 +15,7 @@ from qmetro.cli import (EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, ConfigError,
                         format_csv, main, parse_grid)
 from qmetro.channels import amplitude_damping, extend_with_ancilla
 from qmetro.estimation import SCHEMES
+from qmetro.optics import ModeSpace, OpticalNetwork, bd, postselect
 from qmetro.tomography import (chi_theory, poisson_uncertainty, process_fidelity,
                                reconstruct_chi, simulate_qpt)
 
@@ -387,6 +388,14 @@ def test_optics_verify_config_errors():
                  "--p1", "0.3", "--p2", "0.3", "--p3", "0.3"]) == EXIT_CONFIG
 
 
+def test_optics_verify_network_bug_is_numeric_failure(monkeypatch, capsys):
+    # a network whose success depends on the input is a construction bug, exit 3
+    net = OpticalNetwork(ModeSpace(2), (bd(1), postselect([0])))
+    monkeypatch.setattr(cli, "build_ad_network", lambda eta: net)
+    assert main(["optics-verify", "--channel", "ad", "--eta", "0.5"]) == EXIT_NUMERIC
+    assert capsys.readouterr().err.startswith("error: network success depends on the input")
+
+
 @pytest.mark.parametrize("flag,value", [("--p0", "nan"), ("--p2", "inf"),
                                         ("--p3", "-inf")])
 def test_optics_verify_rejects_non_finite_weights(flag, value, capsys):
@@ -464,7 +473,11 @@ def test_supplement_verify_numeric_failure(monkeypatch, capsys):
 # Monte-Carlo scheme's law became one closed form and qpt's points got streams
 # of their own (numpy's SeedSequence pads short entropy with zero words, so
 # [seed, 0, 0] draws what [seed, 0] drew, and qpt's point 0 kept its counts
-# and its chi file).
+# and its chi file). The two optics-verify digests were re-recorded when the
+# extracted channel came to be built from the network's Kraus operators, with
+# success_probability the only field changed: ad 8e5bcf30... -> 3e42ca31...
+# (0.49999999999999994 -> 0.5) and pauli 37109e0c... -> cd57cc9d...
+# (0.4999999999999999 -> 0.49999999999999994).
 GOLDEN_CSV = {
     ("qfi-curve", "--channel", "ad", "--minimax", "--grid", "0.1,0.45,0.9"):
         "1dc76f674d88812b2cad3a1bb99a1459d7dbac743477ab971c13723fe935ef44",
@@ -500,10 +513,10 @@ GOLDEN_CSV = {
     ("qpt", "--channel", "depol", "--grid", "0.3,0.6", "--exact"):
         "aef89670b52106e4a97294e9f0ac4cca4b7c6d6352e2699ad895185cb8ec0887",
     ("optics-verify", "--channel", "ad", "--eta", "0.5"):
-        "8e5bcf30b667759dcabaca0ba1e81b63e8d32af6155de5974e4f6ce100f43975",
+        "3e42ca31d4d3895a6000702c47a93e3221baf227871affa7d2197b3f839e5754",
     ("optics-verify", "--channel", "pauli", "--p0", "0.7", "--p1", "0.1",
      "--p2", "0.1", "--p3", "0.1"):
-        "37109e0cecd2b598764f2b9673e82bdd294cdda950454322917e4bd4c2d8d536",
+        "cd57cc9d2dcd9cf8ba93b2a42ab99963c14c50da6c3b9102a606ae57962470f7",
     ("supplement-verify",):
         "39b3c0d7136fc03ab1dbbeff3189017188890d197ae40ab7e1da705a49b9348c",
 }

@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import apply_network
-from qmetro.channels import amplitude_damping, general_pauli
+from conftest import apply_network, network_reference, rand_rho
+from qmetro.channels import ChannelError, amplitude_damping, evolve, general_pauli
 from qmetro.linalg import projector
-from qmetro.optics import (ModeSpace, OpticalNetwork, OpticsError, bd,
+from qmetro.optics import (ModeSpace, OpticalNetwork, OpticsError, _network_kraus, bd,
                            build_ad_network, build_pauli_network,
                            damping_plate_angle, dephase, element_unitary,
                            extract_channel, hwp, jones_hwp, jones_qwp, nbs,
@@ -160,6 +160,8 @@ def test_lateral_indices_validated(elem):
     net = OpticalNetwork(ModeSpace(n_lateral=3), (elem,))
     with pytest.raises(OpticsError):
         apply_network(net, PLUS)
+    with pytest.raises(OpticsError):
+        extract_channel(net)
 
 
 @pytest.mark.parametrize("angle", [np.nan, np.inf, -np.inf])
@@ -170,7 +172,7 @@ def test_non_finite_angles_rejected(make, angle):
 
 
 def test_mode_space_validation():
-    for n in (0, 5):
+    for n in (0, 5, 2.5):
         with pytest.raises(OpticsError):
             ModeSpace(n_lateral=n)
 
@@ -266,6 +268,18 @@ def test_pauli_network_rejects_bad_weights():
         build_pauli_network((0.3, 0.3, 0.3, 0.3))
 
 
+@pytest.mark.parametrize("p", [
+    (0.25, 0.25, 0.25, 0.25 + 5e-10), (0.25, 0.25, 0.25, 0.25 + 2e-12),
+    (0.5, 0.5, 2e-12, -2e-12), (0.5, 0.5),
+])
+def test_pauli_network_and_channel_share_weight_rule(p):
+    # a network is built only for weights whose target channel can be built
+    with pytest.raises(ChannelError):
+        general_pauli(p)
+    with pytest.raises(OpticsError):
+        build_pauli_network(p)
+
+
 # ------------------------------------------------------- channel extraction
 
 def test_extract_channel_identity_network():
@@ -277,7 +291,7 @@ def test_extract_channel_identity_network():
 
 
 def test_extract_channel_matches_single_state_runs():
-    # the stacked four-operator pass against one state at a time
+    # the Kraus form against the element-by-element density-matrix reference
     rho = np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]])
     for net in (build_ad_network(0.35), build_pauli_network((0.4, 0.1, 0.2, 0.3))):
         ch, success = extract_channel(net)
@@ -289,3 +303,46 @@ def test_extract_channel_matches_single_state_runs():
 def test_extract_channel_completeness():
     ch, _ = extract_channel(build_ad_network(0.35))
     assert ch.completeness_residual() < 1e-9
+    # one operator per (dephasing branch, lateral mode): not a minimal list
+    assert len(ch.kraus) == 2 * 3
+    assert len(extract_channel(build_pauli_network((0.4, 0.1, 0.2, 0.3)))[0].kraus) == 4 * 4
+
+
+def test_extract_channel_rejects_input_dependent_network():
+    # only H is displaced onto mode 1, so the success depends on the input
+    net = OpticalNetwork(ModeSpace(2), (bd(1), postselect([0])))
+    with pytest.raises(OpticsError, match="depends on the input"):
+        extract_channel(net)
+
+
+def test_extract_channel_rejects_blocking_network():
+    net = OpticalNetwork(ModeSpace(2), (hwp(0.3), postselect([])))
+    with pytest.raises(OpticsError, match="blocks every input"):
+        extract_channel(net)
+
+
+@st.composite
+def networks(draw):
+    """A random element sequence on 1..4 lateral modes, every element kind."""
+    n = draw(st.integers(1, 4))
+    lateral = st.integers(0, n - 1)
+    angles = st.floats(-np.pi, np.pi)
+    modes = st.none() | st.lists(lateral, unique=True)
+    labels = st.lists(lateral, min_size=n, max_size=n)
+    partitions = labels.map(lambda lab: [[l for l in range(n) if lab[l] == k]
+                                         for k in set(lab)])
+    kinds = [st.builds(hwp, angles, modes), st.builds(qwp, angles, modes),
+             st.builds(phase, angles, modes), st.builds(bd, st.sampled_from([1, -1])),
+             st.builds(dephase, st.none() | st.just("polarization") | partitions),
+             st.builds(postselect, st.lists(lateral, unique=True, min_size=1))]
+    if n > 1:
+        kinds.append(st.lists(lateral, min_size=2, max_size=2, unique=True)
+                     .map(lambda ab: nbs(*ab)))
+    return OpticalNetwork(ModeSpace(n), draw(st.lists(st.one_of(kinds), max_size=10)))
+
+
+@settings(max_examples=150)
+@given(networks(), st.integers(0, 2 ** 32 - 1))
+def test_network_kraus_matches_density_matrix_reference(net, seed):
+    rho = rand_rho(np.random.default_rng(seed), 2)
+    assert np.abs(evolve(rho, _network_kraus(net)) - network_reference(net, rho)).max() <= 1e-12
