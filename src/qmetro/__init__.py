@@ -24,8 +24,8 @@ from .circuits import (CircuitError, FlaggedOutputReport, VarianceReport,
                        verify_flagged_output)
 from .estimation import (SCHEMES, EstimationError, EstimationNumericError,
                          MeasurementModel, Scheme, TrialEnsemble, ErrorReport,
-                         classical_fisher, error_curve, estimate_phase,
-                         model_for, probabilities, run_experiment)
+                         classical_fisher, cramer_rao, error_curve,
+                         estimate_phase, probabilities, run_experiment)
 from .optics import (ModeSpace, OpticalElement, OpticalNetwork, OpticsError,
                      build_ad_network, build_pauli_network, damping_plate_angle,
                      element_unitary, extract_channel, jones_hwp, jones_qwp,

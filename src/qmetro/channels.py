@@ -2,15 +2,16 @@
 n-probe (parallel) composition.
 
 The phase is imprinted first, diag(1, e^{i phi}), and the noise map acts after
-it. All channels are immutable once built. evolve is the one place a Kraus map
-acts on a state, an extracted optical network's included, and _tensor the one
-place Kraus operators are tensored.
+it. All channels are immutable once built, with no exactly-zero Kraus operator.
+evolve is the one place a Kraus map acts on a state, an extracted optical
+network's included, and linalg._tensor the one place Kraus operators are
+tensored.
 """
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import PAULIS
+from .linalg import PAULIS, _tensor, require_hermitian
 
 COMPLETENESS_TOL = 1e-10
 CHOI_RANK_TOL = 1e-10
@@ -45,15 +46,6 @@ def evolve(rho, ks, dks=None):
     return out, (dks @ rho @ kh + ks @ rho @ dks.conj().swapaxes(-1, -2)).sum(axis=0)
 
 
-def _tensor(a, b):
-    """Stacked Kronecker products of every pair of operators from the stacks a
-    and b, a's index outer."""
-    (m, d, _), (n, e, _) = a.shape, b.shape
-    # out[(x, y), (i, k), (j, l)] = a[x, i, j] * b[y, k, l], the products np.kron forms
-    return (a[:, None, :, None, :, None] * b[None, :, None, :, None, :]).reshape(
-        m * n, d * e, d * e)
-
-
 def _with_ancilla(ks):
     """The operators ks acting on a probe while an equal-dimension ancilla idles."""
     return _tensor(ks, np.eye(ks.shape[-1])[None])
@@ -64,7 +56,8 @@ class KrausChannel:
     """A completely positive trace-preserving map in operator-sum form.
 
     kraus is copied once, at construction, into a read-only (m, d, d) complex
-    stack: the form evolve takes, and the only one any caller sees.
+    stack: the form evolve takes, and the only one any caller sees. Operators
+    that are exactly zero are dropped there, so no stack carries one.
     """
 
     kraus: np.ndarray
@@ -79,6 +72,9 @@ class KrausChannel:
             raise ChannelError("empty Kraus list")
         if ks.ndim != 3 or ks.shape[1] != ks.shape[2]:
             raise ChannelError("Kraus operators must share a square shape")
+        nonzero = ks.any(axis=(1, 2))
+        if not nonzero.all():
+            ks = ks[nonzero]
         ks.flags.writeable = False
         object.__setattr__(self, "kraus", ks)
         if not self.completeness_residual() <= COMPLETENESS_TOL:
@@ -121,13 +117,10 @@ def pauli_weights(p, error=ChannelError):
 
 
 def general_pauli(p):
-    """Mixture of Pauli conjugations with weights p = (p0, p1, p2, p3).
-
-    Zero-weight operators are dropped, so the Kraus count is minimal.
-    """
+    """Mixture of Pauli conjugations with weights p = (p0, p1, p2, p3); a
+    weight of at most zero gives a zero operator, which KrausChannel drops."""
     p = pauli_weights(p)
-    keep = p > 0
-    return KrausChannel(np.sqrt(p[keep])[:, None, None] * PAULIS[keep],
+    return KrausChannel(np.sqrt(np.maximum(p, 0))[:, None, None] * PAULIS,
                         label=f"pauli({p[0]:g},{p[1]:g},{p[2]:g},{p[3]:g})")
 
 
@@ -194,8 +187,7 @@ class GeneratorH:
         h = np.asarray(self.h, dtype=complex)
         if h.ndim != 2 or h.shape[0] != h.shape[1]:
             raise ChannelError("h must be square")
-        if not np.abs(h - h.conj().T).max() <= 1e-12:
-            raise ChannelError("h must be finite and Hermitian")
+        require_hermitian("h", 1e-12, ChannelError, h)
         object.__setattr__(self, "h", h)
 
 

@@ -22,7 +22,7 @@ from .channels import (NOISE, ChannelError, PhaseChannelFamily,
 from .circuits import (CircuitError, conjugation_residual,
                        variance_consistency_check, verify_flagged_output)
 from .estimation import (SCHEMES, EstimationError, EstimationNumericError,
-                         classical_fisher, error_curve, model_for)
+                         MeasurementModel, cramer_rao, error_curve)
 from .optics import (OpticsError, build_ad_network, build_pauli_network,
                      damping_plate_angle, extract_channel,
                      pauli_angle_residuals, solve_pauli_angles)
@@ -156,8 +156,7 @@ def cmd_error_curve(args):
               for name, s in SCHEMES.items() if (s.noise, s.probes) == (spec.noise, spec.probes)}
     for row in rows:
         for column, name in theory.items():
-            fisher = classical_fisher(model_for(name, row["noise"], args.visibility), 0.0)
-            row[column] = 1 / np.sqrt(fisher) if fisher > 0 else float("inf")
+            row[column] = cramer_rao(MeasurementModel(name, row["noise"], args.visibility), 0.0)
     header = ["noise", "sqrt_nu_dphi", "bootstrap_std", "cr_bound",
               "theory_assisted", "theory_bare", "shot_noise"]
     _emit_rows(header, rows, args)

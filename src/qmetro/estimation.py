@@ -63,13 +63,19 @@ SCHEMES = {
 
 @dataclass(frozen=True)
 class MeasurementModel:
+    """A scheme of `SCHEMES` at one noise parameter and visibility, both kept
+    as floats; visibility None reads the scheme's own."""
+
     scheme: str
     noise_param: float
-    visibility: float
+    visibility: float = None
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise EstimationError(f"unknown scheme {self.scheme!r}")
+        v = self.spec.visibility if self.visibility is None else self.visibility
+        object.__setattr__(self, "noise_param", float(self.noise_param))
+        object.__setattr__(self, "visibility", float(v))
         if not 0 <= self.noise_param <= 1:
             raise EstimationError(f"noise parameter must lie in [0, 1], got {self.noise_param}")
         if not 0 <= self.visibility <= 1:
@@ -79,18 +85,6 @@ class MeasurementModel:
     def spec(self):
         """The scheme's record in `SCHEMES`."""
         return SCHEMES[self.scheme]
-
-    @property
-    def outcome_labels(self):
-        return self.spec.outcome_labels
-
-
-def model_for(scheme, noise_param, visibility=None):
-    if scheme not in SCHEMES:
-        raise EstimationError(f"unknown scheme {scheme!r}")
-    if visibility is None:
-        visibility = SCHEMES[scheme].visibility
-    return MeasurementModel(scheme, float(noise_param), float(visibility))
 
 
 # --------------------------------------------------------------- outcome law
@@ -137,6 +131,13 @@ def classical_fisher(model, phi):
     dp = probability_derivatives(model, phi)
     mask = p > 1e-12
     return float((dp[mask] ** 2 / p[mask]).sum())
+
+
+def cramer_rao(model, phi):
+    """The Cramer-Rao bound of one event at phase phi, 1 / sqrt(classical
+    Fisher information); inf where that information vanishes."""
+    fisher = classical_fisher(model, phi)
+    return float(1 / np.sqrt(fisher)) if fisher > 0 else float("inf")
 
 
 def _arcsine(model, counts):
@@ -205,11 +206,10 @@ def run_experiment(model, phi_true=0.0, events=None, repetitions=100, seed=0,
     for b in range(0, bootstrap, block):
         idx = boot_rng.integers(0, repetitions, (min(block, bootstrap - b), repetitions))
         stats[b:b + block] = estimates.take(idx).std(axis=1, ddof=1) * sqrt_nu
-    fisher = classical_fisher(model, phi_true)
     report = ErrorReport(
         sqrt_nu_dphi=float(stat),
         bootstrap_std=float(stats.std(ddof=1)),
-        cr_bound=float(1 / np.sqrt(fisher)) if fisher > 0 else float("inf"),
+        cr_bound=cramer_rao(model, phi_true),
         shot_noise=1 / np.sqrt(model.spec.probes),
         clamped=int(clamped.sum()),
     )
@@ -221,7 +221,7 @@ def error_curve(scheme, noise_grid, visibility=None, events=None, repetitions=10
     """One experiment per grid point; returns rows in grid order."""
     rows = []
     for i, noise in enumerate(noise_grid):
-        model = model_for(scheme, noise, visibility)
+        model = MeasurementModel(scheme, noise, visibility)
         _, report = run_experiment(model, phi_true=phi_true, events=events,
                                    repetitions=repetitions, seed=_seed_list(seed) + [i])
         rows.append({

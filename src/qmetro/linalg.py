@@ -1,5 +1,6 @@
-"""Small shared helpers: Pauli bases, the Hermitian parameterization,
-positive-semidefinite projection, and the seed lists of the sampled stages."""
+"""Small shared helpers: Pauli bases, the stacked tensor product, the Hermitian
+parameterization and check, positive-semidefinite projection, and the seed
+lists of the sampled stages."""
 import numpy as np
 
 PAULI_I = np.eye(2, dtype=complex)
@@ -11,12 +12,31 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULIS = np.stack([PAULI_I, PAULI_X, PAULI_Y, PAULI_Z])
 
 
+def _tensor(a, b):
+    """Stacked Kronecker products of every pair of operators from the stacks a
+    and b, a's index outer: _tensor(a, b)[x * len(b) + y] == np.kron(a[x], b[y])."""
+    (m, d, _), (n, e, _) = a.shape, b.shape
+    # out[(x, y), (i, k), (j, l)] = a[x, i, j] * b[y, k, l], the products np.kron forms
+    return (a[:, None, :, None, :, None] * b[None, :, None, :, None, :]).reshape(
+        m * n, d * e, d * e)
+
+
 def pauli_basis(n_qubits):
     """All n-fold Pauli tensor products, shape (4**n, 2**n, 2**n)."""
     basis = PAULIS
     for _ in range(n_qubits - 1):
-        basis = np.stack([np.kron(a, b) for a in basis for b in PAULIS])
+        basis = _tensor(basis, PAULIS)
     return basis
+
+
+def require_hermitian(what, tol, error, *mats):
+    """Raise error("<what> must be finite and Hermitian") unless each of mats,
+    a matrix or a stack (..., n, n) of them, is finite and within tol of its
+    conjugate transpose."""
+    for m in mats:
+        # finiteness first: inf - inf would warn on its way to the comparison
+        if not (np.isfinite(m).all() and np.abs(m - np.swapaxes(m, -1, -2).conj()).max() <= tol):
+            raise error(f"{what} must be finite and Hermitian")
 
 
 def herm_from_params(x, m):

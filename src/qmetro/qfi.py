@@ -8,7 +8,7 @@ from functools import lru_cache
 import numpy as np
 
 from .channels import GeneratorH, PhaseChannelFamily, amplitude_damping, evolve
-from .linalg import PAULIS
+from .linalg import PAULIS, require_hermitian
 
 SUPPORT_CUTOFF = 1e-10
 DUALITY_GAP_TOL = 1e-6
@@ -44,11 +44,6 @@ class SldOperator:
     residual: float
 
 
-def _check_hermitian(what, *mats):
-    if not all(np.isfinite(a).all() and np.abs(a - a.conj().T).max() <= 1e-9 for a in mats):
-        raise QfiError(f"{what} must be finite and Hermitian")
-
-
 def sld_qfi(rho, drho):
     """QFI and logarithmic-derivative operator from (rho, drho).
 
@@ -56,7 +51,7 @@ def sld_qfi(rho, drho):
     SUPPORT_CUTOFF are outside the support and dropped.
     """
     rho, drho = (np.asarray(a, dtype=complex) for a in (rho, drho))
-    _check_hermitian("rho and drho", rho, drho)
+    require_hermitian("rho and drho", 1e-9, QfiError, rho, drho)
     w, v = np.linalg.eigh(rho)
     m = v.conj().T @ drho @ v
     denom = w[:, None] + w[None, :]
@@ -469,7 +464,7 @@ def qfi_from_matrix_elements(rho, kind):
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (dim, dim):
         raise QfiError(f"kind {kind!r} expects a {dim}x{dim} state, got {rho.shape}")
-    _check_hermitian("rho", rho)
+    require_hermitian("rho", 1e-9, QfiError, rho)
     total = 0.0
     for i, j in terms:
         pop = rho[i, i].real + rho[j, j].real

@@ -19,7 +19,8 @@ from functools import lru_cache
 import numpy as np
 
 from .channels import evolve
-from .linalg import _seed_list, nearest_psd, pauli_basis, projector
+from .linalg import (_seed_list, _tensor, nearest_psd, pauli_basis, projector,
+                     require_hermitian)
 
 # preparation kets; the measurement settings project onto the same set
 INPUT_KETS = (
@@ -53,8 +54,8 @@ def _design(d):
     if d not in (2, 4):
         raise TomographyError(f"unsupported probe dimension {d}: the design covers "
                               "a qubit (2) or a qubit with its ancilla (4)")
-    single = [projector(k) for k in INPUT_KETS]
-    states = np.stack(single if d == 2 else [np.kron(a, b) for a in single for b in single])
+    single = np.stack([projector(k) for k in INPUT_KETS])
+    states = single if d == 2 else _tensor(single, single)
     basis = pauli_basis(d // 2)
     # T[l, m, a, b] = Tr(P_m B_a rho_l B_b^dag); the projectors are the states
     t = np.einsum('mij,ajk,lkn,bin->lmab', states, basis, states, basis.conj(),
@@ -76,12 +77,6 @@ def product_states(d):
     return _design(d).states
 
 
-def _require_hermitian(mats):
-    """Raise unless every matrix of the stack is finite and Hermitian (NaN fails)."""
-    if not np.abs(mats - np.swapaxes(mats, -1, -2).conj()).max() <= 1e-10:
-        raise TomographyError("chi must be finite and Hermitian")
-
-
 @dataclass(frozen=True)
 class ChiMatrix:
     """Process matrix in the Pauli (product) operator basis."""
@@ -92,7 +87,7 @@ class ChiMatrix:
         mat = np.asarray(self.mat, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or not mat.size:
             raise TomographyError(f"chi must be square and non-empty, got shape {mat.shape}")
-        _require_hermitian(mat)
+        require_hermitian("chi", 1e-10, TomographyError, mat)
         object.__setattr__(self, "mat", mat)
 
     @property
@@ -169,7 +164,7 @@ def _reconstruct(probs):
     if not np.min(tr) > 0:
         raise TomographyError("reconstructed chi has nonpositive trace")
     chi = chi / tr[..., None, None]
-    _require_hermitian(chi)
+    require_hermitian("chi", 1e-10, TomographyError, chi)
     return chi
 
 

@@ -16,7 +16,8 @@ from qmetro.channels import (PhaseChannelFamily, amplitude_damping,
 from qmetro.circuits import (conjugation_residual, flagged_variance,
                              variance_consistency_check, verify_flagged_output)
 from qmetro.cli import main
-from qmetro.estimation import classical_fisher, error_curve, model_for, run_experiment
+from qmetro.estimation import (MeasurementModel, classical_fisher, error_curve,
+                               run_experiment)
 from qmetro.optics import (build_ad_network, build_pauli_network,
                            extract_channel, pauli_angle_residuals,
                            solve_pauli_angles)
@@ -217,7 +218,7 @@ def test_criterion_07_cramer_rao_saturation():
     for scheme, q in quoted.items():
         t0 = time.time()
         for noise in (0.1, 0.3, 0.5, 0.8):
-            model = model_for(scheme, noise, visibility=1.0)
+            model = MeasurementModel(scheme, noise, visibility=1.0)
             _, rep = run_experiment(model, phi_true=0.0, events=20000,
                                     repetitions=2000, seed=[1], bootstrap=50)
             target = 1 / np.sqrt(q(noise))
@@ -296,7 +297,7 @@ def test_criterion_10_classical_fisher_values():
     worst = 0.0
     for scheme, q in quoted.items():
         for noise in np.arange(0, 0.901, 0.1):
-            model = model_for(scheme, noise, visibility=1.0)
+            model = MeasurementModel(scheme, noise, visibility=1.0)
             worst = max(worst, abs(classical_fisher(model, 0.0) - q(noise)))
     elapsed = time.time() - t0
     ok = worst <= 1e-10 and elapsed < 10

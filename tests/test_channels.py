@@ -90,7 +90,24 @@ def test_general_pauli_cases():
 def test_general_pauli_drops_zero_weights():
     assert len(general_pauli([1, 0, 0, 0]).kraus) == 1
     assert len(general_pauli([0.5, 0, 0.5, 0]).kraus) == 2
+    # a weight rounded just below zero gives no operator either
+    assert len(general_pauli([0.5, 0.5 + 1e-13, -1e-13, 0]).kraus) == 2
     assert len(depolarizing(0.4).kraus) == 4
+    # the decay operator of undamped decay is zero
+    assert np.array_equal(amplitude_damping(0).kraus, np.eye(2)[None])
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([2, 4]), st.integers(1, 4),
+       st.lists(st.integers(0, 4), max_size=5))
+def test_zero_operators_are_dropped(seed, d, n, slots):
+    # exactly-zero operators interleaved anywhere leave the stack bit for bit
+    ks = random_channel(d, n, np.random.default_rng(seed)).kraus
+    padded = list(ks)
+    for s in slots:
+        padded.insert(min(s, len(padded)), np.zeros((d, d)))
+    got = KrausChannel(padded).kraus
+    assert got.shape == ks.shape and got.tobytes() == ks.tobytes()
 
 
 def test_depolarizing_matches_pauli_weights():
@@ -271,6 +288,8 @@ def test_phase_family_completeness_at_all_phases():
 def test_generator_h_validation():
     with pytest.raises(ChannelError):
         GeneratorH(np.array([[0, 1], [0, 0]], dtype=complex))
+    with pytest.raises(ChannelError, match="h must be finite and Hermitian"):
+        GeneratorH(np.array([[0, 1], [1 + 1e-11, 0]], dtype=complex))
     with pytest.raises(ChannelError):
         GeneratorH(np.zeros((2, 3)))
     h = GeneratorH([[1, 1j], [-1j, 0]])
@@ -295,7 +314,7 @@ NON_FINITE_ENTRY_POINTS = {
     "reconstruct_from_probabilities": (tomography.TomographyError, lambda bad: (
         tomography.reconstruct_from_probabilities(np.where(np.eye(4), bad, 0.5)))),
     "run_experiment": (estimation.EstimationError, lambda bad: estimation.run_experiment(
-        estimation.model_for("ad_single_assisted", 0.3), phi_true=bad, repetitions=2)),
+        estimation.MeasurementModel("ad_single_assisted", 0.3), phi_true=bad, repetitions=2)),
     "build_pauli_network": (optics.OpticsError, lambda bad: optics.build_pauli_network([1, bad, 0, 0])),
 }
 

@@ -5,10 +5,10 @@ from hypothesis import strategies as st
 
 from qmetro import estimation
 from qmetro.channels import NOISE, PhaseChannelFamily, evolve
-from qmetro.estimation import (SCHEMES, EstimationError, EstimationNumericError, _arcsine,
-                               classical_fisher, error_curve, estimate_phase, model_for,
-                               probabilities, probability_derivatives,
-                               run_experiment)
+from qmetro.estimation import (SCHEMES, EstimationError, EstimationNumericError,
+                               MeasurementModel, _arcsine, classical_fisher, cramer_rao,
+                               error_curve, estimate_phase, probabilities,
+                               probability_derivatives, run_experiment)
 from qmetro.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, format_csv, main
 from qmetro.linalg import projector
 from qmetro.qfi import closed_form_qfi, two_probe_collective_ad_qfi
@@ -26,19 +26,19 @@ QUOTED_CFI = {
 # ------------------------------------------------------------ probabilities
 
 def test_probability_anchors():
-    m = model_for("ad_single_assisted", 0.5, visibility=1.0)
+    m = MeasurementModel("ad_single_assisted", 0.5, visibility=1.0)
     assert np.abs(probabilities(m, 0.0) - [0.375, 0.375, 0.25, 0.0]).max() < 1e-12
-    m = model_for("depol_single_assisted", 0.0, visibility=1.0)
+    m = MeasurementModel("depol_single_assisted", 0.0, visibility=1.0)
     assert np.abs(probabilities(m, np.pi / 2) - [1, 0, 0, 0]).max() < 1e-12
-    m = model_for("ad_two_probe_assisted", 0.0, visibility=1.0)
+    m = MeasurementModel("ad_two_probe_assisted", 0.0, visibility=1.0)
     assert np.abs(probabilities(m, 0.0) - [0.5, 0.5, 0, 0, 0]).max() < 1e-12
 
 
 def test_bare_probability_anchors():
-    m = model_for("ad_single_bare", 0.5, visibility=1.0)
+    m = MeasurementModel("ad_single_bare", 0.5, visibility=1.0)
     p0 = (1 + np.sqrt(0.5) * np.sin(0.3)) / 2
     assert np.abs(probabilities(m, 0.3) - [p0, 1 - p0]).max() < 1e-12
-    m = model_for("ad_two_probe_bare", 0.0, visibility=1.0)
+    m = MeasurementModel("ad_two_probe_bare", 0.0, visibility=1.0)
     p = probabilities(m, 0.2)
     assert abs(p[0] - (1 - np.sin(0.4)) / 2) < 1e-12
     assert abs(p[2]) < 1e-12 and abs(p[3]) < 1e-12
@@ -48,7 +48,7 @@ def test_probabilities_sum_to_one():
     for scheme in SCHEMES:
         for noise in (0.0, 0.3, 0.8):
             for v in (0.97, 1.0):
-                m = model_for(scheme, noise, visibility=v)
+                m = MeasurementModel(scheme, noise, visibility=v)
                 for phi in (-0.4, 0.0, 0.7):
                     p = probabilities(m, phi)
                     assert p.min() >= 0
@@ -56,8 +56,8 @@ def test_probabilities_sum_to_one():
 
 
 def test_visibility_mixes_opposite_phases():
-    m1 = model_for("ad_single_assisted", 0.2, visibility=1.0)
-    mv = model_for("ad_single_assisted", 0.2, visibility=0.9)
+    m1 = MeasurementModel("ad_single_assisted", 0.2, visibility=1.0)
+    mv = MeasurementModel("ad_single_assisted", 0.2, visibility=0.9)
     phi = 0.4
     mixed = 0.95 * probabilities(m1, phi) + 0.05 * probabilities(m1, -phi)
     assert np.abs(probabilities(mv, phi) - mixed).max() < 1e-12
@@ -104,7 +104,7 @@ def born_readout(model, phi):
 @example("ad_two_probe_assisted", 1.0, 1.0, 0.3)
 @example("depol_single_assisted", 0.0, 0.0, 0.3)
 def test_law_is_the_born_rule_readout(scheme, eta, visibility, phi):
-    m = model_for(scheme, eta, visibility)
+    m = MeasurementModel(scheme, eta, visibility)
     p, dp = born_readout(m, phi)
     assert np.abs(probabilities(m, phi) - p).max() <= 1e-12
     assert np.abs(probability_derivatives(m, phi) - dp).max() <= 1e-12
@@ -113,7 +113,7 @@ def test_law_is_the_born_rule_readout(scheme, eta, visibility, phi):
 def test_probability_derivatives_finite_difference():
     step = 1e-6
     for scheme in SCHEMES:
-        m = model_for(scheme, 0.35, visibility=0.98)
+        m = MeasurementModel(scheme, 0.35, visibility=0.98)
         for phi in (0.0, 0.5):
             fd = (probabilities(m, phi + step) - probabilities(m, phi - step)) / (2 * step)
             assert np.abs(probability_derivatives(m, phi) - fd).max() < 1e-6
@@ -123,15 +123,15 @@ def test_probability_derivatives_finite_difference():
 
 def test_model_validation():
     with pytest.raises(EstimationError):
-        model_for("unknown_scheme", 0.3)
+        MeasurementModel("unknown_scheme", 0.3)
     with pytest.raises(EstimationError):
-        model_for("ad_single_assisted", 1.2)
+        MeasurementModel("ad_single_assisted", 1.2)
     with pytest.raises(EstimationError):
-        model_for("ad_single_assisted", -0.1)
+        MeasurementModel("ad_single_assisted", -0.1)
     with pytest.raises(EstimationError):
-        model_for("ad_single_assisted", 0.3, visibility=-0.1)
+        MeasurementModel("ad_single_assisted", 0.3, visibility=-0.1)
     with pytest.raises(EstimationError):
-        model_for("ad_single_assisted", 0.3, visibility=1.1)
+        MeasurementModel("ad_single_assisted", 0.3, visibility=1.1)
 
 
 def test_default_visibility_table():
@@ -142,8 +142,12 @@ def test_default_visibility_table():
     assert SCHEMES["depol_single_bare"].visibility == 0.9928
     assert SCHEMES["ad_two_probe_assisted"].visibility == 0.9699
     assert SCHEMES["ad_two_probe_bare"].visibility == 0.9699
-    m = model_for("ad_single_assisted", 0.3)
+    m = MeasurementModel("ad_single_assisted", 0.3)
     assert m.visibility == 0.9969
+    # both parameters are kept as python floats, whatever type they came as
+    m = MeasurementModel("ad_single_assisted", np.float32(0.5), 1)
+    assert (type(m.noise_param), type(m.visibility)) == (float, float)
+    assert (m.noise_param, m.visibility) == (0.5, 1.0)
 
 
 def test_default_events():
@@ -167,14 +171,13 @@ def test_scheme_names_match_records():
 
 def test_outcome_label_arity():
     for scheme in SCHEMES:
-        m = model_for(scheme, 0.1)
-        assert m.outcome_labels == SCHEMES[scheme].outcome_labels
-        assert len(m.outcome_labels) == len(probabilities(m, 0.0))
+        m = MeasurementModel(scheme, 0.1)
+        assert len(m.spec.outcome_labels) == len(probabilities(m, 0.0))
 
 
 def test_runs_follow_the_scheme_record():
     for scheme, spec in SCHEMES.items():
-        m = model_for(scheme, 0.3)
+        m = MeasurementModel(scheme, 0.3)
         assert m.spec is spec
         assert m.visibility == spec.visibility
         ensemble, rep = run_experiment(m, repetitions=3, seed=1, bootstrap=2)
@@ -201,7 +204,7 @@ def test_error_curve_theory_columns_come_from_the_scheme_pair(scheme, tmp_path):
 def test_classical_fisher_matches_quoted_information():
     for scheme, quoted in QUOTED_CFI.items():
         for noise in (0.0, 0.2, 0.5, 0.8):
-            m = model_for(scheme, noise, visibility=1.0)
+            m = MeasurementModel(scheme, noise, visibility=1.0)
             assert abs(classical_fisher(m, 0.0) - quoted(noise)) < 1e-10
 
 
@@ -210,18 +213,18 @@ def test_assisted_fisher_dominates_bare():
                            ("depol_single_assisted", "depol_single_bare"),
                            ("ad_two_probe_assisted", "ad_two_probe_bare")):
         for noise in np.arange(0, 0.95, 0.05):
-            fa = classical_fisher(model_for(assisted, noise, visibility=1.0), 0.0)
-            fb = classical_fisher(model_for(bare, noise, visibility=1.0), 0.0)
+            fa = classical_fisher(MeasurementModel(assisted, noise, visibility=1.0), 0.0)
+            fb = classical_fisher(MeasurementModel(bare, noise, visibility=1.0), 0.0)
             assert fa >= fb - 1e-12
 
 
 def test_fisher_matches_channel_information():
     # the readouts saturate the channel bounds at the working point
     for eta in (0.1, 0.5):
-        m = model_for("ad_single_assisted", eta, visibility=1.0)
+        m = MeasurementModel("ad_single_assisted", eta, visibility=1.0)
         assert abs(classical_fisher(m, 0.0)
                    - closed_form_qfi("ad", eta, assisted=True)) < 1e-10
-        m = model_for("ad_two_probe_assisted", eta, visibility=1.0)
+        m = MeasurementModel("ad_two_probe_assisted", eta, visibility=1.0)
         assert abs(classical_fisher(m, 0.0)
                    - two_probe_collective_ad_qfi(eta, 0.0)) < 1e-10
 
@@ -229,7 +232,7 @@ def test_fisher_matches_channel_information():
 # -------------------------------------------------------------- acquisition
 
 def test_run_experiment_counts_deterministic():
-    m = model_for("ad_single_assisted", 0.4, visibility=1.0)
+    m = MeasurementModel("ad_single_assisted", 0.4, visibility=1.0)
     a, b, c = (run_experiment(m, 0.1, 5000, repetitions=50, seed=s,
                               bootstrap=2)[0].counts for s in (7, 7, 8))
     assert np.array_equal(a, b)
@@ -238,13 +241,13 @@ def test_run_experiment_counts_deterministic():
 
 
 def test_run_experiment_rejects_empty():
-    m = model_for("ad_single_assisted", 0.4)
+    m = MeasurementModel("ad_single_assisted", 0.4)
     with pytest.raises(EstimationError):
         run_experiment(m, 0.0, 0, seed=0)
 
 
 def test_run_experiment_law_of_large_numbers():
-    m = model_for("depol_single_assisted", 0.3, visibility=0.99)
+    m = MeasurementModel("depol_single_assisted", 0.3, visibility=0.99)
     events = 1_000_000
     counts = run_experiment(m, 0.25, events, repetitions=2, seed=5, bootstrap=2)[0].counts
     p = probabilities(m, 0.25)
@@ -257,7 +260,7 @@ def test_run_experiment_law_of_large_numbers():
 @pytest.mark.parametrize("repetitions, resamples",
                          [(2, 200), (3001, 200), (21846, 7), (65537, 3)])
 def test_blocked_bootstrap_equals_one_draw_per_resample(repetitions, resamples):
-    m = model_for("ad_two_probe_assisted", 0.5, visibility=0.98)
+    m = MeasurementModel("ad_two_probe_assisted", 0.5, visibility=0.98)
     ensemble, report = run_experiment(m, 0.2, 400, repetitions=repetitions, seed=[9, 4],
                                       bootstrap=resamples)
     rng = np.random.default_rng([9, 4, 1])
@@ -274,7 +277,7 @@ def test_blocked_bootstrap_equals_one_draw_per_resample(repetitions, resamples):
 @example("ad_single_assisted", 0.3, 1.0, 0.1)
 def test_estimate_phase_exact_frequencies(scheme, eta, visibility, k_phi):
     # the law's exact expected counts give back phi wherever |probes phi| < pi/2
-    m = model_for(scheme, eta, visibility)
+    m = MeasurementModel(scheme, eta, visibility)
     phi = k_phi / m.spec.probes
     freq = probabilities(m, phi) * 10 ** 6
     estimate, clamped = _arcsine(m, freq)
@@ -283,20 +286,20 @@ def test_estimate_phase_exact_frequencies(scheme, eta, visibility, k_phi):
 
 
 def test_estimate_phase_clamps():
-    m = model_for("ad_single_assisted", 0.5, visibility=1.0)
+    m = MeasurementModel("ad_single_assisted", 0.5, visibility=1.0)
     assert estimate_phase(m, np.array([100, 0, 0, 0])) == pytest.approx(np.pi / 2)
     assert estimate_phase(m, np.array([0, 100, 0, 0])) == pytest.approx(-np.pi / 2)
-    m = model_for("ad_two_probe_assisted", 0.0, visibility=1.0)
+    m = MeasurementModel("ad_two_probe_assisted", 0.0, visibility=1.0)
     assert estimate_phase(m, np.array([100, 0, 0, 0, 0])) == pytest.approx(-np.pi / 4)
 
 
 def test_estimate_phase_zero_contrast():
-    m = model_for("ad_single_assisted", 1.0, visibility=1.0)
+    m = MeasurementModel("ad_single_assisted", 1.0, visibility=1.0)
     with pytest.raises(EstimationError):
         estimate_phase(m, np.array([10, 10, 5, 0]))
     with pytest.raises(EstimationError, match="zero contrast"):
         run_experiment(m, events=100, repetitions=5)
-    m2 = model_for("ad_single_assisted", 0.3)
+    m2 = MeasurementModel("ad_single_assisted", 0.3)
     with pytest.raises(EstimationError):
         estimate_phase(m2, np.zeros(4))
 
@@ -305,7 +308,7 @@ def test_estimator_unbiased_near_origin():
     # fixed seeds per scheme, so that a failure reproduces (a seed taken from
     # the salted str hash changed from one interpreter to the next)
     for k, scheme in enumerate(SCHEMES):
-        m = model_for(scheme, 0.3, visibility=1.0)
+        m = MeasurementModel(scheme, 0.3, visibility=1.0)
         for phi in (0.0, 0.05, -0.05):
             # the data draw from default_rng([9, k, 0])
             ensemble, _ = run_experiment(m, phi_true=phi, events=20000,
@@ -317,7 +320,7 @@ def test_estimator_unbiased_near_origin():
 
 def test_estimator_saturates_cramer_rao():
     for scheme in SCHEMES:
-        m = model_for(scheme, 0.5, visibility=1.0)
+        m = MeasurementModel(scheme, 0.5, visibility=1.0)
         _, rep = run_experiment(m, phi_true=0.0, events=20000, repetitions=400,
                                 seed=0, bootstrap=50)
         ratio = rep.sqrt_nu_dphi / rep.cr_bound
@@ -327,7 +330,7 @@ def test_estimator_saturates_cramer_rao():
 # ---------------------------------------------------------------- ensembles
 
 def test_run_experiment_recovers_phase():
-    m = model_for("ad_two_probe_assisted", 0.0, visibility=1.0)
+    m = MeasurementModel("ad_two_probe_assisted", 0.0, visibility=1.0)
     ensemble, _ = run_experiment(m, phi_true=0.5, events=2000, repetitions=50,
                                  seed=3, bootstrap=20)
     assert abs(ensemble.estimates.mean() - 0.5) < 0.05
@@ -336,7 +339,7 @@ def test_run_experiment_recovers_phase():
 
 
 def test_run_experiment_reproducible():
-    m = model_for("ad_single_assisted", 0.4)
+    m = MeasurementModel("ad_single_assisted", 0.4)
     a = run_experiment(m, events=1000, repetitions=20, seed=6, bootstrap=30)
     b = run_experiment(m, events=1000, repetitions=20, seed=6, bootstrap=30)
     assert np.array_equal(a[0].counts, b[0].counts)
@@ -344,12 +347,12 @@ def test_run_experiment_reproducible():
 
 
 def test_run_experiment_report_fields():
-    m = model_for("ad_two_probe_bare", 0.2, visibility=1.0)
+    m = MeasurementModel("ad_two_probe_bare", 0.2, visibility=1.0)
     _, rep = run_experiment(m, events=2000, repetitions=30, seed=1, bootstrap=20)
     assert rep.shot_noise == pytest.approx(1 / np.sqrt(2))
     assert rep.cr_bound == pytest.approx(1 / np.sqrt(classical_fisher(m, 0.0)))
     assert rep.bootstrap_std > 0
-    m2 = model_for("ad_single_bare", 0.2, visibility=1.0)
+    m2 = MeasurementModel("ad_single_bare", 0.2, visibility=1.0)
     _, rep2 = run_experiment(m2, events=2000, repetitions=30, seed=1, bootstrap=20)
     assert rep2.shot_noise == 1.0
 
@@ -372,7 +375,7 @@ def stage_counts(model, phi, events, repetitions, seed):
 def test_run_experiment_matches_per_repetition_loop(scheme, noise, repetitions, seed):
     # the counts are the data stage's multinomial rows, and every repetition is
     # estimated on its own, bit for bit
-    m = model_for(scheme, noise)
+    m = MeasurementModel(scheme, noise)
     ensemble, _ = run_experiment(m, phi_true=0.1, repetitions=repetitions, seed=seed,
                                  bootstrap=5)
     counts = stage_counts(m, 0.1, SCHEMES[scheme].default_events, repetitions, seed)
@@ -382,7 +385,7 @@ def test_run_experiment_matches_per_repetition_loop(scheme, noise, repetitions, 
 
 def test_run_experiment_crosses_a_chunk_boundary():
     # 8195 repetitions, past two multiples of 4096 rows, are still one call
-    m = model_for("depol_single_assisted", 0.2)
+    m = MeasurementModel("depol_single_assisted", 0.2)
     ensemble, _ = run_experiment(m, 0.1, events=40, repetitions=8195, seed=[5],
                                  bootstrap=2)
     assert np.array_equal(ensemble.counts, stage_counts(m, 0.1, 40, 8195, [5]))
@@ -399,7 +402,7 @@ COUNTS = st.integers(2, 8194)
 def test_a_run_is_a_prefix_of_every_longer_run(scheme, events, r, big_r, seed):
     # the first r repetitions of a run of R >= r repetitions are a run of r
     r, big_r = sorted((r, big_r))
-    m = model_for(scheme, 0.4)
+    m = MeasurementModel(scheme, 0.4)
     short, _ = run_experiment(m, 0.1, events, repetitions=r, seed=[seed], bootstrap=2)
     long, _ = run_experiment(m, 0.1, events, repetitions=big_r, seed=[seed], bootstrap=2)
     assert np.array_equal(long.counts[:r], short.counts)
@@ -407,7 +410,7 @@ def test_a_run_is_a_prefix_of_every_longer_run(scheme, events, r, big_r, seed):
 
 
 def test_run_experiment_rejects_non_distributions(monkeypatch, capsys):
-    m = model_for("ad_single_assisted", 0.3)
+    m = MeasurementModel("ad_single_assisted", 0.3)
     argv = ["error-curve", "--scheme", "ad_single_assisted", "--grid", "0.3", "--reps", "2"]
     # a bad configuration that estimation finds still exits 2
     assert main(argv + ["--visibility", "0"]) == EXIT_CONFIG
@@ -426,7 +429,7 @@ def test_run_experiment_rejects_non_distributions(monkeypatch, capsys):
 def test_non_finite_phase_is_a_configuration_error(phi):
     # probabilities owns the check; the Fisher information and the experiment
     # (and so error-curve's --phi) read the phase through it
-    m = model_for("ad_single_assisted", 0.3)
+    m = MeasurementModel("ad_single_assisted", 0.3)
     for call in (probabilities, classical_fisher,
                  lambda model, phi: run_experiment(model, phi_true=phi, repetitions=2)):
         with pytest.raises(EstimationError, match="must be finite"):
@@ -435,13 +438,13 @@ def test_non_finite_phase_is_a_configuration_error(phi):
 
 def test_run_experiment_counts_clamped_estimates():
     # near phi = pi/2 the count asymmetry often exceeds the contrast
-    m = model_for("ad_single_assisted", 0.1)
+    m = MeasurementModel("ad_single_assisted", 0.1)
     ensemble, rep = run_experiment(m, phi_true=1.5, repetitions=200, seed=3,
                                    bootstrap=5)
     at_edge = np.abs(ensemble.estimates) == np.pi / 2
     assert rep.clamped == at_edge.sum()
     assert 0 < rep.clamped < 200
-    m = model_for("ad_two_probe_bare", 0.0, visibility=1.0)
+    m = MeasurementModel("ad_two_probe_bare", 0.0, visibility=1.0)
     ensemble, rep = run_experiment(m, phi_true=np.pi / 4, events=500,
                                    repetitions=50, seed=1, bootstrap=5)
     assert rep.clamped == (np.abs(ensemble.estimates) == np.pi / 4).sum() > 0
@@ -454,7 +457,7 @@ def test_cr_bound_values():
     # the bound is 1/sqrt(F) per event; F = 1 - eta for the bare single probe
     # and 8(1 - eta)^2 / (2 - 2 eta + eta^2) for the assisted two-probe scheme
     def bound(scheme, noise):
-        m = model_for(scheme, noise, visibility=1.0)
+        m = MeasurementModel(scheme, noise, visibility=1.0)
         return run_experiment(m, events=100, repetitions=2, bootstrap=2)[1].cr_bound
 
     assert bound("ad_single_bare", 0.0) == pytest.approx(1.0, abs=1e-12)
@@ -464,11 +467,23 @@ def test_cr_bound_values():
     with pytest.raises(EstimationError):
         bound("ad_single_bare", 1.0)
     with pytest.raises(EstimationError):
-        run_experiment(model_for("ad_single_bare", 0.0), events=0)
+        run_experiment(MeasurementModel("ad_single_bare", 0.0), events=0)
+
+
+def test_cramer_rao_is_the_one_bound():
+    # run_experiment's cr_bound is cramer_rao at the true phase; zero
+    # information gives an infinite bound
+    for scheme in SCHEMES:
+        m = MeasurementModel(scheme, 0.3, visibility=0.98)
+        bound = cramer_rao(m, 0.0)
+        assert type(bound) is float
+        assert bound == 1 / np.sqrt(classical_fisher(m, 0.0))
+        assert run_experiment(m, events=100, repetitions=2, bootstrap=2)[1].cr_bound == bound
+    assert cramer_rao(MeasurementModel("ad_single_bare", 1.0), 0.0) == float("inf")
 
 
 def test_run_experiment_validation():
-    m = model_for("ad_single_assisted", 0.3)
+    m = MeasurementModel("ad_single_assisted", 0.3)
     with pytest.raises(EstimationError):
         run_experiment(m, repetitions=1)
     with pytest.raises(EstimationError):

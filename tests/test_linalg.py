@@ -3,8 +3,10 @@ import pytest
 
 from conftest import (bell_state, is_density_matrix, params_from_herm,
                       partial_trace, rand_herm, rand_rho)
-from qmetro.linalg import (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, PAULIS, herm_from_params,
-                           nearest_psd, pauli_basis, projector)
+from qmetro.linalg import (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, PAULIS, _tensor,
+                           herm_from_params, nearest_psd, pauli_basis, projector,
+                           require_hermitian)
+from qmetro.tomography import INPUT_KETS, product_states
 
 
 def test_pauli_constants():
@@ -29,6 +31,41 @@ def test_tensor_products():
     rng = np.random.default_rng(0)
     a, b, c = (rand_herm(rng, 2) for _ in range(3))
     assert np.abs(np.kron(np.kron(a, b), c) - np.kron(a, np.kron(b, c))).max() < 1e-14
+
+
+@pytest.mark.parametrize("m,d,n,e", [(1, 2, 1, 2), (3, 2, 4, 2), (2, 4, 3, 1), (5, 3, 2, 4)])
+def test_tensor_is_kron_of_every_pair(m, d, n, e):
+    rng = np.random.default_rng(m * d + n * e)
+    a = rng.standard_normal((m, d, d)) + 1j * rng.standard_normal((m, d, d))
+    b = rng.standard_normal((n, e, e)) + 1j * rng.standard_normal((n, e, e))
+    out = _tensor(a, b)
+    assert out.shape == (m * n, d * e, d * e)
+    for x in range(m):
+        for y in range(n):
+            assert out[x * n + y].tobytes() == np.kron(a[x], b[y]).tobytes()
+
+
+def test_stacked_products_match_kron_loops():
+    # the np.kron list loops that pauli_basis and the two-qubit design once ran
+    basis = np.stack([np.kron(a, b) for a in PAULIS for b in PAULIS])
+    assert pauli_basis(2).tobytes() == basis.tobytes()
+    single = [projector(k) for k in INPUT_KETS]
+    states = np.stack([np.kron(a, b) for a in single for b in single])
+    assert product_states(4).tobytes() == states.tobytes()
+
+
+def test_require_hermitian():
+    h = np.array([[1, 1j], [-1j, 0]])
+    require_hermitian("h", 0.0, ValueError, h, np.stack([h, h.conj()]))
+    off = h + np.array([[0, 1e-10], [0, 0]])
+    require_hermitian("h", 1e-9, ValueError, off)
+    with pytest.raises(KeyError, match="h must be finite and Hermitian"):
+        require_hermitian("h", 1e-11, KeyError, h, off)
+    for bad in (np.nan, np.inf):
+        # one bad member of a stack fails the whole stack
+        stack = np.stack([h, h, np.where(np.eye(2), bad, h)])
+        with pytest.raises(ValueError, match="finite and Hermitian"):
+            require_hermitian("stack", 1.0, ValueError, stack)
 
 
 @pytest.mark.parametrize("m", [2, 4])

@@ -303,9 +303,10 @@ def test_extract_channel_matches_single_state_runs():
 def test_extract_channel_completeness():
     ch, _ = extract_channel(build_ad_network(0.35))
     assert ch.completeness_residual() < 1e-9
-    # one operator per (dephasing branch, lateral mode): not a minimal list
-    assert len(ch.kraus) == 2 * 3
-    assert len(extract_channel(build_pauli_network((0.4, 0.1, 0.2, 0.3)))[0].kraus) == 4 * 4
+    # of one operator per (dephasing branch, lateral mode), only the branches
+    # that reach the kept modes survive: a minimal list
+    assert len(ch.kraus) == 2
+    assert len(extract_channel(build_pauli_network((0.4, 0.1, 0.2, 0.3)))[0].kraus) == 4
 
 
 def test_extract_channel_rejects_input_dependent_network():
@@ -346,3 +347,8 @@ def networks(draw):
 def test_network_kraus_matches_density_matrix_reference(net, seed):
     rho = rand_rho(np.random.default_rng(seed), 2)
     assert np.abs(evolve(rho, _network_kraus(net)) - network_reference(net, rho)).max() <= 1e-12
+    try:
+        ch, _ = extract_channel(net)
+    except OpticsError:
+        return
+    assert ch.kraus.any(axis=(1, 2)).all()

@@ -9,10 +9,11 @@ from scipy.linalg import expm
 from conftest import chi_apply, rand_herm, rand_rho, random_channel
 from qmetro.channels import (KrausChannel, amplitude_damping, depolarizing,
                              extend_with_ancilla, general_pauli)
+from qmetro.linalg import require_hermitian
 from qmetro.optics import build_ad_network, build_pauli_network, extract_channel
 from qmetro.tomography import (_CHUNK_ROWS, ChiMatrix, QptDataset, TomographyError,
                                _design, _frequencies, _overlap, _reconstruct,
-                               _require_hermitian, born_probabilities,
+                               born_probabilities,
                                chi_theory, poisson_uncertainty,
                                process_fidelity, product_states,
                                reconstruct_chi, reconstruct_from_probabilities,
@@ -277,7 +278,8 @@ def test_hermitian_check_stack_with_one_bad_member(fault):
         stack[2, 0, 1] += 1e-9
     single = _raised(lambda: ChiMatrix(stack[2]))
     assert single == "chi must be finite and Hermitian"
-    assert _raised(lambda: _require_hermitian(stack)) == single
+    # the check ChiMatrix and the reconstruction make, on the whole stack
+    assert _raised(lambda: require_hermitian("chi", 1e-10, TomographyError, stack)) == single
 
 
 def test_simulate_qpt_deterministic():
