@@ -5,10 +5,10 @@ from hypothesis import strategies as st
 
 from qmetro import estimation
 from qmetro.channels import NOISE, PhaseChannelFamily, evolve
-from qmetro.estimation import (SCHEMES, EstimationError, EstimationNumericError,
-                               MeasurementModel, _arcsine, classical_fisher, cramer_rao,
-                               error_curve, estimate_phase, probabilities,
-                               probability_derivatives, run_experiment)
+from qmetro.estimation import (BOOTSTRAP_WEIGHTS_FROM, SCHEMES, EstimationError,
+                               EstimationNumericError, MeasurementModel, _arcsine,
+                               classical_fisher, cramer_rao, error_curve, estimate_phase,
+                               probabilities, probability_derivatives, run_experiment)
 from qmetro.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, format_csv, main
 from qmetro.linalg import projector
 from qmetro.qfi import closed_form_qfi, two_probe_collective_ad_qfi
@@ -255,18 +255,91 @@ def test_run_experiment_law_of_large_numbers():
     assert (np.abs(counts - p * events) < 5 * sigma).all()
 
 
+def index_loop_std(ensemble, seed, events, resamples):
+    """The index-path reference: one draw of R indices per resample."""
+    r = len(ensemble.estimates)
+    rng = np.random.default_rng(seed + [1])
+    stats = [ensemble.estimates[rng.integers(0, r, r)].std(ddof=1) * np.sqrt(float(events))
+             for _ in range(resamples)]
+    return float(np.std(stats, ddof=1))
+
+
 # (repetitions, resamples): one block of 32 768 rows; 10 blocks of 21 with a
-# partial last one; blocks of 3 rows; one resample per block above 2**16
+# partial last one; blocks of 4 rows, the largest point below the weights path
 @pytest.mark.parametrize("repetitions, resamples",
-                         [(2, 200), (3001, 200), (21846, 7), (65537, 3)])
+                         [(2, 200), (3001, 200), (BOOTSTRAP_WEIGHTS_FROM - 1, 7)])
 def test_blocked_bootstrap_equals_one_draw_per_resample(repetitions, resamples):
     m = MeasurementModel("ad_two_probe_assisted", 0.5, visibility=0.98)
     ensemble, report = run_experiment(m, 0.2, 400, repetitions=repetitions, seed=[9, 4],
                                       bootstrap=resamples)
-    rng = np.random.default_rng([9, 4, 1])
-    stats = [ensemble.estimates[rng.integers(0, repetitions, repetitions)].std(ddof=1)
-             * np.sqrt(400.0) for _ in range(resamples)]
-    assert report.bootstrap_std == float(np.std(stats, ddof=1))
+    assert report.bootstrap_std == index_loop_std(ensemble, [9, 4], 400, resamples)
+
+
+def test_wide_spread_points_keep_one_index_draw_per_resample():
+    # 10**9 events spread n0 - n1 over more integers than the 65 537
+    # repetitions, so the point keeps the index path, one resample per block
+    m = MeasurementModel("ad_two_probe_assisted", 0.5, visibility=0.98)
+    ensemble, report = run_experiment(m, 0.2, 10 ** 9, repetitions=65537, seed=[9, 4],
+                                      bootstrap=3)
+    assert estimation._distinct(ensemble.estimates, ensemble.counts) is None
+    assert report.bootstrap_std == index_loop_std(ensemble, [9, 4], 10 ** 9, 3)
+
+
+@pytest.mark.parametrize("scheme", sorted(SCHEMES))
+def test_weights_path_is_one_multinomial_call_over_distinct_estimates(scheme):
+    # from the threshold on, resample b is row b of one multinomial call over the
+    # distinct estimates in ascending order, its std taken from the weights
+    r, events = BOOTSTRAP_WEIGHTS_FROM, SCHEMES[scheme].default_events
+    m = MeasurementModel(scheme, 0.5)
+    ensemble, report = run_experiment(m, 0.1, repetitions=r, seed=[3, 5])
+    values, c = np.unique(ensemble.estimates, return_counts=True)
+    w = np.random.default_rng([3, 5, 1]).multinomial(r, c / r, size=200)
+    stats = [np.sqrt((wb * (values - wb @ values / r) ** 2).sum() / (r - 1))
+             * np.sqrt(float(events)) for wb in w]
+    assert report.bootstrap_std == pytest.approx(np.std(stats, ddof=1), rel=1e-12)
+    # one repetition fewer takes the index path, bit for bit
+    ensemble, report = run_experiment(m, 0.1, repetitions=r - 1, seed=[3, 5], bootstrap=3)
+    assert report.bootstrap_std == index_loop_std(ensemble, [3, 5], events, 3)
+
+
+@pytest.mark.parametrize("scheme,noise,phi,visibility", [
+    *[(s, 0.5, 0.1, None) for s in sorted(SCHEMES)],
+    # near the arcsine's edge the clamp merges several differences into one
+    # estimate, +/-pi/(2 probes)
+    ("ad_single_assisted", 0.1, 1.5, None),
+    ("ad_two_probe_bare", 0.0, 0.75, 0.98),
+])
+def test_distinct_values_are_the_unique_estimates(scheme, noise, phi, visibility):
+    m = MeasurementModel(scheme, noise, visibility)
+    ensemble, report = run_experiment(m, phi, events=500, repetitions=3000, seed=[2, 7])
+    values, c = estimation._distinct(ensemble.estimates, ensemble.counts)
+    unique, counts = np.unique(ensemble.estimates, return_counts=True)
+    assert np.array_equal(values, unique) and np.array_equal(c, counts)
+    if report.clamped:
+        diff = ensemble.counts[:, 0] - ensemble.counts[:, 1]
+        at_edge = np.abs(ensemble.estimates) == np.pi / (2 * m.spec.probes)
+        assert report.clamped == at_edge.sum()
+        assert len(np.unique(diff[at_edge])) > 1
+
+
+@settings(max_examples=50)
+@given(st.lists(st.floats(-2, 2), min_size=2, max_size=40), st.integers(0, 2 ** 32 - 1))
+def test_weighted_std_is_the_indexed_sample_std(sample, seed):
+    # the std from per-value counts of one index draw is that draw's std(ddof=1)
+    sample = np.array(sample)
+    idx = np.random.default_rng(seed).integers(0, len(sample), len(sample))
+    values, inverse = np.unique(sample, return_inverse=True)
+    w = np.bincount(inverse[idx], minlength=len(values))
+    expected = sample[idx].std(ddof=1)
+    assert estimation._weighted_std(w, values) == pytest.approx(expected, rel=1e-9,
+                                                                abs=1e-12)
+
+
+@pytest.mark.parametrize("bootstrap", [1, 0, -1])
+def test_run_experiment_needs_two_resamples(bootstrap):
+    m = MeasurementModel("ad_single_assisted", 0.3)
+    with pytest.raises(EstimationError, match="need at least 2 bootstrap resamples"):
+        run_experiment(m, repetitions=10, bootstrap=bootstrap)
 
 
 # ---------------------------------------------------------------- estimator
