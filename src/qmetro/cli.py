@@ -150,13 +150,14 @@ def cmd_error_curve(args):
                        events=args.events, repetitions=args.reps,
                        seed=args.seed, phi_true=args.phi)
     # theory curves for the assisted and bare schemes with this one's noise
-    # and probe count, at the same visibility
+    # and probe count, at the same visibility and phase
     spec = SCHEMES[args.scheme]
     theory = {f"theory_{'assisted' if s.assisted else 'bare'}": name
               for name, s in SCHEMES.items() if (s.noise, s.probes) == (spec.noise, spec.probes)}
     for row in rows:
         for column, name in theory.items():
-            row[column] = cramer_rao(MeasurementModel(name, row["noise"], args.visibility), 0.0)
+            row[column] = cramer_rao(MeasurementModel(name, row["noise"], args.visibility),
+                                     args.phi)
     header = ["noise", "sqrt_nu_dphi", "bootstrap_std", "cr_bound",
               "theory_assisted", "theory_bare", "shot_noise"]
     _emit_rows(header, rows, args)

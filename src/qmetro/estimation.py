@@ -9,26 +9,25 @@ A run seeded `base` draws in two stages, each from a generator of its own: the
 data are one `default_rng(base + [0]).multinomial(events, pn, size=repetitions)`
 call, and the bootstrap resamples come from `default_rng(base + [1])`. numpy
 draws the rows in order, so repetition r's counts do not depend on the
-repetition count. With R repetitions and B resamples, resample b is
-- below `BOOTSTRAP_WEIGHTS_FROM` = 15 000 repetitions, the estimates at row b
-  of `integers(0, R, (B, R))`;
-- from 15 000 on, row b of `multinomial(R, c / R, size=B)`: weights over the
+repetition count. With R repetitions over K distinct estimates and B
+resamples, resample b is
+- where R < `RATIO` * K, the estimates at row b of `integers(0, R, (B, R))`;
+- otherwise row b of `multinomial(R, c / R, size=B)`: weights over the
   distinct estimates in ascending order, c counting each (Efron's identity
-  gives them the law of R uniform indices). Each estimate is fixed by the
-  count difference n0 - n1; a point whose differences span R integers or
-  more, which no point at the default events does, keeps the index rows.
-Both are drawn a block of rows at a time, the same draws as one call.
+  gives them the law of R uniform indices).
+Indices cost about B * R draws and weights about B * K, so R / K picks the
+cheaper. Both are drawn a block of rows at a time, the same draws as one call.
 """
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _seed_list
+from .linalg import _in_blocks, _seed_list
 
 
-# the smallest round repetition count at which, for all six schemes, weights
-# over the distinct estimates bootstrap faster than R indices per resample
-BOOTSTRAP_WEIGHTS_FROM = 15000
+# repetitions per distinct estimate from which weights over the distinct
+# estimates bootstrap at least as fast as R indices per resample
+RATIO = 22
 
 
 class EstimationError(ValueError):
@@ -190,27 +189,6 @@ class ErrorReport:
     clamped: int           # repetitions whose arcsine argument hit +/-1
 
 
-def _distinct(estimates, counts):
-    """The distinct estimates in ascending order and the count of each, read
-    from one bincount of n0 - n1, which fixes an estimate; None when those
-    differences span as many integers as there are repetitions, where weights
-    would save nothing over indices."""
-    diff = counts[:, 0] - counts[:, 1]
-    key = diff - diff.min()
-    if key.max() >= len(key):
-        return None
-    c = np.bincount(key)
-    at = np.empty(len(c), np.intp)
-    at[key] = np.arange(len(key))  # a repetition with each difference
-    seen = np.flatnonzero(c)
-    values, c = estimates[at[seen]], c[seen]
-    # the arcsine clamp gives neighbouring differences one estimate
-    first = np.flatnonzero(np.r_[True, values[1:] != values[:-1]])
-    values, c = values[first], np.add.reduceat(c, first)
-    # the estimates fall as n0 - n1 grows where the contrast is negative
-    return (values[::-1], c[::-1]) if values[0] > values[-1] else (values, c)
-
-
 def _weighted_std(w, values):
     """std(ddof=1) of each sample that holds values[k] w[..., k] times, centred
     at its weighted mean."""
@@ -219,28 +197,20 @@ def _weighted_std(w, values):
     return np.sqrt((w * (values - mu[..., None]) ** 2).sum(axis=-1) / (r - 1))
 
 
-def _in_blocks(bootstrap, width, stds):
-    """Concatenate `stds(rows)` over blocks of at most 2**16 // width rows: the
-    same draws in the same order as one draw of `bootstrap` rows."""
-    block = max(1, 2 ** 16 // width)
-    stats = np.empty(bootstrap)
-    for b in range(0, bootstrap, block):
-        stats[b:b + block] = stds(min(block, bootstrap - b))
-    return stats
+def _whole(value, least, what):
+    """value as an int, if it is a finite whole number of at least `least`."""
+    if not (value >= least and float(value).is_integer()):
+        raise EstimationError(f"need at least {least} {what}, as a whole number; got {value!r}")
+    return int(value)
 
 
 def run_experiment(model, phi_true=0.0, events=None, repetitions=100, seed=0,
                    bootstrap=200):
     """Repeat acquisitions, estimate the phase each time, and report
     sqrt(nu) * std(estimates) with a bootstrap error bar."""
-    if repetitions < 2:
-        raise EstimationError("need at least 2 repetitions")
-    if bootstrap < 2:
-        raise EstimationError("need at least 2 bootstrap resamples")
-    if events is None:
-        events = model.spec.default_events
-    if events < 1:
-        raise EstimationError("events must be at least 1")
+    repetitions = _whole(repetitions, 2, "repetitions")
+    bootstrap = _whole(bootstrap, 2, "bootstrap resamples")
+    events = _whole(model.spec.default_events if events is None else events, 1, "event")
     base = _seed_list(seed)
     p = probabilities(model, phi_true)
     pn = p / p.sum()
@@ -252,14 +222,12 @@ def run_experiment(model, phi_true=0.0, events=None, repetitions=100, seed=0,
     estimates, clamped = _arcsine(model, counts)
     sqrt_nu = np.sqrt(float(events))
     stat = estimates.std(ddof=1) * sqrt_nu
+    values, c = np.unique(estimates, return_counts=True)
     boot_rng = np.random.default_rng(base + [1])
-    distinct = (_distinct(estimates, counts)
-                if repetitions >= BOOTSTRAP_WEIGHTS_FROM else None)
-    if distinct is None:
+    if repetitions < RATIO * len(values):
         stats = _in_blocks(bootstrap, repetitions, lambda rows: estimates.take(
             boot_rng.integers(0, repetitions, (rows, repetitions))).std(axis=1, ddof=1))
     else:
-        values, c = distinct
         stats = _in_blocks(bootstrap, len(values), lambda rows: _weighted_std(
             boot_rng.multinomial(repetitions, c / repetitions, size=rows), values))
     report = ErrorReport(

@@ -1,6 +1,6 @@
 """Small shared helpers: Pauli bases, the stacked tensor product, the Hermitian
 parameterization and check, positive-semidefinite projection, and the seed
-lists of the sampled stages."""
+lists and draw blocks of the sampled stages."""
 import numpy as np
 
 PAULI_I = np.eye(2, dtype=complex)
@@ -77,3 +77,14 @@ def _seed_list(seed):
     if np.isscalar(seed):
         return [int(seed)]
     return [int(s) for s in seed]
+
+
+def _in_blocks(rows, width, stats):
+    """Concatenate `stats(n)` over blocks of n <= max(1, 2**16 // width) rows of
+    `width` draws each: the same draws in the same order as one draw of `rows`
+    rows, since numpy draws rows in order."""
+    block = max(1, 2 ** 16 // width)
+    out = np.empty(rows)
+    for b in range(0, rows, block):
+        out[b:b + block] = stats(min(block, rows - b))
+    return out

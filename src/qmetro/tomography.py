@@ -8,9 +8,9 @@ estimation does. `simulate_qpt(ch, shots, seed)` draws all outcome-0 counts as
 one `default_rng(seed + [0]).binomial(shots, p)` call over the (inputs,
 settings) table in C order. `poisson_uncertainty(data, chi_ref, resamples,
 seed)` makes one `default_rng(seed + [1]).poisson(counts, size=(rows,
-*counts.shape))` call per block of at most `_CHUNK_ROWS` resamples; numpy
-draws the rows in order, so resample r does not depend on the number of
-resamples.
+*counts.shape))` call per block of 2**16 // counts.size resamples
+(`linalg._in_blocks`); numpy draws the rows in order, so resample r does not
+depend on the number of resamples.
 """
 import math
 from dataclasses import dataclass
@@ -19,8 +19,8 @@ from functools import lru_cache
 import numpy as np
 
 from .channels import evolve
-from .linalg import (_seed_list, _tensor, nearest_psd, pauli_basis, projector,
-                     require_hermitian)
+from .linalg import (_in_blocks, _seed_list, _tensor, nearest_psd, pauli_basis,
+                     projector, require_hermitian)
 
 # preparation kets; the measurement settings project onto the same set
 INPUT_KETS = (
@@ -29,9 +29,6 @@ INPUT_KETS = (
     np.array([1, -1j]) / np.sqrt(2),
     np.array([1, 1], dtype=complex) / np.sqrt(2),
 )
-
-# Poisson tables that one bootstrap block draws and reconstructs as a stack
-_CHUNK_ROWS = 4096
 
 
 class TomographyError(ValueError):
@@ -218,10 +215,11 @@ def poisson_uncertainty(data, chi_ref, resamples=50, seed=0):
     counts."""
     if resamples < 2:
         raise TomographyError("need at least 2 resamples")
-    rng, fids = np.random.default_rng(_seed_list(seed) + [1]), []
-    # the contract of the module docstring: stacks of a few thousand tables
-    for start in range(0, resamples, _CHUNK_ROWS):
-        rows = min(_CHUNK_ROWS, resamples - start)
+    rng = np.random.default_rng(_seed_list(seed) + [1])
+
+    def fidelities(rows):
+        # the contract of the module docstring: each block is one stack of tables
         counts = rng.poisson(data.counts, size=(rows, *data.counts.shape))
-        fids.append(_overlap(_reconstruct(_frequencies(counts)), chi_ref.mat)[0])
-    return float(np.std(np.concatenate(fids)))
+        return _overlap(_reconstruct(_frequencies(counts)), chi_ref.mat)[0]
+
+    return float(np.std(_in_blocks(resamples, data.counts.size, fidelities)))

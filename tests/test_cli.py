@@ -578,14 +578,14 @@ def test_chi_files_match_recorded_digest(argv, tmp_path):
 
 # error-curve stdout under the stage contract above: a seed of 2**40 is two
 # 32-bit words of entropy, and phi near the edge of the arcsine range makes
-# many estimates clamp
+# many estimates clamp; the theory columns are the bounds at that phi
 GOLDEN_STDOUT = {
-    "ad_single_assisted": ("1.5", "5be1ddce58b15362a6e36645426c0b8f6f0a8443ec657e920a03be3be50d8385"),
-    "depol_single_assisted": ("1.5", "996f581d8aed3c89c7d5111d0d336237a474ef37be591ee900b435a2238a5d0e"),
-    "ad_two_probe_assisted": ("0.77", "a80a518930709f4cccc34bfae9e3ddbcaea08f77a60f0d765a2718a43827155f"),
-    "ad_single_bare": ("1.5", "354140f9ceb753573497c5411a2920ad712ee4c1385fbab843a51bd524ba8e5b"),
-    "depol_single_bare": ("1.5", "f5f8b727554b97dea7f2fa10ca540e6359f641dbf7e0f7d5c75efca28ce2e5ea"),
-    "ad_two_probe_bare": ("0.77", "c6578bae709734b9324efea56dc3d262ad06f000376ec51658876bd91856c876"),
+    "ad_single_assisted": ("1.5", "2493ad42834e121e50c4bf7dde829f71b0e6f8fa57010e39a54990471aefe577"),
+    "depol_single_assisted": ("1.5", "24839c45c5062f267984ed677d51ec0810d7efded70821ce39da52067c689dc5"),
+    "ad_two_probe_assisted": ("0.77", "6e1b64b265d553e8cb204cb52a49158efd8234069c9601915e1c71fe8b401a2e"),
+    "ad_single_bare": ("1.5", "3127c9072c63c630fd56748a8c8c6426023db2e72f5db59591fd6e4d859c0858"),
+    "depol_single_bare": ("1.5", "67b4a8ca3ae663126818ce6829a2f232b14eb23019df3602e11c338743a82e13"),
+    "ad_two_probe_bare": ("0.77", "c0c657c96ead60db73acdbfd1e02565b4fc1131b2fdb2e5eeb6fa2d65a8a7553"),
 }
 
 

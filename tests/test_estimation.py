@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 
 from qmetro import estimation
 from qmetro.channels import NOISE, PhaseChannelFamily, evolve
-from qmetro.estimation import (BOOTSTRAP_WEIGHTS_FROM, SCHEMES, EstimationError,
+from qmetro.estimation import (RATIO, SCHEMES, EstimationError,
                                EstimationNumericError, MeasurementModel, _arcsine,
                                classical_fisher, cramer_rao, error_curve, estimate_phase,
                                probabilities, probability_derivatives, run_experiment)
@@ -197,6 +199,16 @@ def test_error_curve_theory_columns_come_from_the_scheme_pair(scheme, tmp_path):
     for variant in ("assisted", "bare"):
         assert row[f"theory_{variant}"] == pytest.approx(
             1 / np.sqrt(QUOTED_CFI[f"{stem}_{variant}"](0.3)), rel=1e-5)
+    # both columns are the bounds at the run's phase, so the scheme's own is cr_bound
+    own = f"theory_{'assisted' if SCHEMES[scheme].assisted else 'bare'}"
+    for phi in ("-0.7", "0.3", "0.77", "1.5"):
+        assert main(["error-curve", "--scheme", scheme, "--grid", "0.15,0.55", "--reps", "2",
+                     "--events", "10", "--phi", phi, "--out", str(out)]) == EXIT_OK
+        header, *rows = out.read_text().splitlines()
+        assert len(rows) == 2
+        for row in rows:
+            row = dict(zip(header.split(","), row.split(",")))
+            assert row[own] == row["cr_bound"]
 
 
 # ------------------------------------------------------------ Fisher values
@@ -264,62 +276,82 @@ def index_loop_std(ensemble, seed, events, resamples):
     return float(np.std(stats, ddof=1))
 
 
+def weights_std(ensemble, seed, events, resamples):
+    """The weights-path reference: one multinomial call over the distinct
+    estimates in ascending order, each resample's std taken from its weights."""
+    r = len(ensemble.estimates)
+    values, c = np.unique(ensemble.estimates, return_counts=True)
+    w = np.random.default_rng(seed + [1]).multinomial(r, c / r, size=resamples)
+    stats = [np.sqrt((wb * (values - wb @ values / r) ** 2).sum() / (r - 1))
+             * np.sqrt(float(events)) for wb in w]
+    return float(np.std(stats, ddof=1))
+
+
+def on_index_path(ensemble):
+    """Whether a run bootstraps with indices: R < RATIO * K distinct estimates."""
+    return len(ensemble.estimates) < RATIO * len(np.unique(ensemble.estimates))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(SCHEMES)), st.floats(0, 0.9),
+       st.sampled_from([1, 40, 400, 2000, 20000, 10 ** 5]), st.integers(2, 3000),
+       st.floats(-1.5, 1.5), st.integers(2, 30))
+@example("ad_single_assisted", 0.1, 500, 3000, 1.5, 7)  # many clamped estimates
+@example("ad_two_probe_bare", 0.5, 10 ** 5, 2, 0.2, 3)  # two distinct estimates
+def test_bootstrap_follows_the_ratio_rule(scheme, noise, events, r, phi, resamples):
+    # below RATIO repetitions per distinct estimate, one index draw per
+    # resample, bit for bit; from there, one multinomial call over the values
+    m = MeasurementModel(scheme, noise)
+    ensemble, report = run_experiment(m, phi, events, repetitions=r, seed=[4, 2],
+                                      bootstrap=resamples)
+    if on_index_path(ensemble):
+        assert report.bootstrap_std == index_loop_std(ensemble, [4, 2], events, resamples)
+    else:
+        assert report.bootstrap_std == pytest.approx(
+            weights_std(ensemble, [4, 2], events, resamples), rel=1e-12, abs=1e-15)
+
+
 # (repetitions, resamples): one block of 32 768 rows; 10 blocks of 21 with a
-# partial last one; blocks of 4 rows, the largest point below the weights path
-@pytest.mark.parametrize("repetitions, resamples",
-                         [(2, 200), (3001, 200), (BOOTSTRAP_WEIGHTS_FROM - 1, 7)])
+# partial last one; blocks of 4 and 3 rows. 10**6 events spread the estimates
+# wide enough that each point takes the index path
+@pytest.mark.parametrize("repetitions, resamples", [(2, 200), (3001, 200), (14999, 7)])
 def test_blocked_bootstrap_equals_one_draw_per_resample(repetitions, resamples):
     m = MeasurementModel("ad_two_probe_assisted", 0.5, visibility=0.98)
-    ensemble, report = run_experiment(m, 0.2, 400, repetitions=repetitions, seed=[9, 4],
-                                      bootstrap=resamples)
-    assert report.bootstrap_std == index_loop_std(ensemble, [9, 4], 400, resamples)
+    ensemble, report = run_experiment(m, 0.2, 10 ** 6, repetitions=repetitions,
+                                      seed=[9, 4], bootstrap=resamples)
+    assert on_index_path(ensemble)
+    assert report.bootstrap_std == index_loop_std(ensemble, [9, 4], 10 ** 6, resamples)
 
 
 def test_wide_spread_points_keep_one_index_draw_per_resample():
-    # 10**9 events spread n0 - n1 over more integers than the 65 537
-    # repetitions, so the point keeps the index path, one resample per block
+    # 10**9 events leave fewer than RATIO of the 65 537 repetitions per
+    # distinct estimate, so the point keeps the index path, one resample per block
     m = MeasurementModel("ad_two_probe_assisted", 0.5, visibility=0.98)
     ensemble, report = run_experiment(m, 0.2, 10 ** 9, repetitions=65537, seed=[9, 4],
                                       bootstrap=3)
-    assert estimation._distinct(ensemble.estimates, ensemble.counts) is None
+    assert on_index_path(ensemble)
     assert report.bootstrap_std == index_loop_std(ensemble, [9, 4], 10 ** 9, 3)
 
 
 @pytest.mark.parametrize("scheme", sorted(SCHEMES))
-def test_weights_path_is_one_multinomial_call_over_distinct_estimates(scheme):
-    # from the threshold on, resample b is row b of one multinomial call over the
-    # distinct estimates in ascending order, its std taken from the weights
-    r, events = BOOTSTRAP_WEIGHTS_FROM, SCHEMES[scheme].default_events
+def test_weights_path_is_one_multinomial_call_over_distinct_estimates(scheme, monkeypatch):
+    # at 400 events 15 000 repetitions hold far more than RATIO per distinct
+    # estimate, so resample b is row b of one multinomial call over them
     m = MeasurementModel(scheme, 0.5)
-    ensemble, report = run_experiment(m, 0.1, repetitions=r, seed=[3, 5])
-    values, c = np.unique(ensemble.estimates, return_counts=True)
-    w = np.random.default_rng([3, 5, 1]).multinomial(r, c / r, size=200)
-    stats = [np.sqrt((wb * (values - wb @ values / r) ** 2).sum() / (r - 1))
-             * np.sqrt(float(events)) for wb in w]
-    assert report.bootstrap_std == pytest.approx(np.std(stats, ddof=1), rel=1e-12)
-    # one repetition fewer takes the index path, bit for bit
-    ensemble, report = run_experiment(m, 0.1, repetitions=r - 1, seed=[3, 5], bootstrap=3)
-    assert report.bootstrap_std == index_loop_std(ensemble, [3, 5], events, 3)
-
-
-@pytest.mark.parametrize("scheme,noise,phi,visibility", [
-    *[(s, 0.5, 0.1, None) for s in sorted(SCHEMES)],
-    # near the arcsine's edge the clamp merges several differences into one
-    # estimate, +/-pi/(2 probes)
-    ("ad_single_assisted", 0.1, 1.5, None),
-    ("ad_two_probe_bare", 0.0, 0.75, 0.98),
-])
-def test_distinct_values_are_the_unique_estimates(scheme, noise, phi, visibility):
-    m = MeasurementModel(scheme, noise, visibility)
-    ensemble, report = run_experiment(m, phi, events=500, repetitions=3000, seed=[2, 7])
-    values, c = estimation._distinct(ensemble.estimates, ensemble.counts)
-    unique, counts = np.unique(ensemble.estimates, return_counts=True)
-    assert np.array_equal(values, unique) and np.array_equal(c, counts)
-    if report.clamped:
-        diff = ensemble.counts[:, 0] - ensemble.counts[:, 1]
-        at_edge = np.abs(ensemble.estimates) == np.pi / (2 * m.spec.probes)
-        assert report.clamped == at_edge.sum()
-        assert len(np.unique(diff[at_edge])) > 1
+    ensemble, report = run_experiment(m, 0.1, 400, repetitions=15000, seed=[3, 5])
+    assert not on_index_path(ensemble)
+    assert report.bootstrap_std == pytest.approx(weights_std(ensemble, [3, 5], 400, 200),
+                                                 rel=1e-12)
+    # the path switches at R = RATIO * K exactly: a ratio just above R / K
+    # takes indices, and R / K itself takes weights
+    k = len(np.unique(ensemble.estimates))
+    monkeypatch.setattr(estimation, "RATIO", Fraction(15001, k))
+    _, report = run_experiment(m, 0.1, 400, repetitions=15000, seed=[3, 5], bootstrap=3)
+    assert report.bootstrap_std == index_loop_std(ensemble, [3, 5], 400, 3)
+    monkeypatch.setattr(estimation, "RATIO", Fraction(15000, k))
+    _, report = run_experiment(m, 0.1, 400, repetitions=15000, seed=[3, 5], bootstrap=3)
+    assert report.bootstrap_std == pytest.approx(weights_std(ensemble, [3, 5], 400, 3),
+                                                 rel=1e-12)
 
 
 @settings(max_examples=50)
@@ -340,6 +372,22 @@ def test_run_experiment_needs_two_resamples(bootstrap):
     m = MeasurementModel("ad_single_assisted", 0.3)
     with pytest.raises(EstimationError, match="need at least 2 bootstrap resamples"):
         run_experiment(m, repetitions=10, bootstrap=bootstrap)
+
+
+@pytest.mark.parametrize("count", ["events", "repetitions", "bootstrap"])
+@pytest.mark.parametrize("value", [2000.5, np.nan, np.inf])
+def test_run_experiment_rejects_counts_that_are_not_whole(count, value):
+    m = MeasurementModel("ad_single_assisted", 0.3)
+    with pytest.raises(EstimationError, match="as a whole number"):
+        run_experiment(m, **{"events": 2000, "repetitions": 10, "bootstrap": 5, count: value})
+
+
+def test_run_experiment_takes_integral_float_counts():
+    m = MeasurementModel("ad_single_assisted", 0.3)
+    ints = run_experiment(m, events=2000, repetitions=10, seed=3, bootstrap=5)
+    floats = run_experiment(m, events=2000.0, repetitions=10.0, seed=3, bootstrap=5.0)
+    assert np.array_equal(ints[0].counts, floats[0].counts)
+    assert ints[1] == floats[1]
 
 
 # ---------------------------------------------------------------- estimator
@@ -524,6 +572,26 @@ def test_run_experiment_counts_clamped_estimates():
     _, rep = run_experiment(m, phi_true=0.0, events=500, repetitions=50, seed=1,
                             bootstrap=5)
     assert rep.clamped == 0
+
+
+# near the arcsine's edge the clamp merges several count differences into one
+# estimate, +/-pi/(2 probes); the bootstrap runs over the unique estimates
+@pytest.mark.parametrize("scheme,noise,phi,visibility", [
+    ("ad_single_assisted", 0.1, 1.5, None),
+    ("ad_two_probe_bare", 0.0, 0.75, 0.98),
+])
+def test_distinct_values_are_the_unique_estimates(scheme, noise, phi, visibility):
+    m = MeasurementModel(scheme, noise, visibility)
+    ensemble, report = run_experiment(m, phi, events=500, repetitions=3000, seed=[2, 7])
+    diff = ensemble.counts[:, 0] - ensemble.counts[:, 1]
+    at_edge = np.abs(ensemble.estimates) == np.pi / (2 * m.spec.probes)
+    assert report.clamped == at_edge.sum() > 0
+    assert len(np.unique(diff[at_edge])) > 1
+    if on_index_path(ensemble):
+        assert report.bootstrap_std == index_loop_std(ensemble, [2, 7], 500, 200)
+    else:
+        assert report.bootstrap_std == pytest.approx(
+            weights_std(ensemble, [2, 7], 500, 200), rel=1e-12, abs=1e-15)
 
 
 def test_cr_bound_values():

@@ -11,7 +11,7 @@ from qmetro.channels import (KrausChannel, amplitude_damping, depolarizing,
                              extend_with_ancilla, general_pauli)
 from qmetro.linalg import require_hermitian
 from qmetro.optics import build_ad_network, build_pauli_network, extract_channel
-from qmetro.tomography import (_CHUNK_ROWS, ChiMatrix, QptDataset, TomographyError,
+from qmetro.tomography import (ChiMatrix, QptDataset, TomographyError,
                                _design, _frequencies, _overlap, _reconstruct,
                                born_probabilities,
                                chi_theory, poisson_uncertainty,
@@ -434,18 +434,20 @@ def test_poisson_uncertainty_matches_per_resample_streams():
 
 SINGLE = simulate_qpt(amplitude_damping(0.3), shots=500, seed=5)
 SINGLE_TH = chi_theory(amplitude_damping(0.3))
-PREFIX_ROWS = 2 * _CHUNK_ROWS + 2
+# resamples per block: 2**16 draws over the 4 x 4 x 2 table
+BLOCK = 2 ** 16 // SINGLE.counts.size
+PREFIX_ROWS = 2 * BLOCK + 2
 PREFIX_FIDS = _overlap(_reconstruct(_frequencies(np.random.default_rng([8, 1]).poisson(
     SINGLE.counts, size=(PREFIX_ROWS, *SINGLE.counts.shape)))), SINGLE_TH.mat)[0]
 
 
 @settings(max_examples=6, deadline=None)
 @given(st.integers(2, PREFIX_ROWS))
-@example(_CHUNK_ROWS)
-@example(_CHUNK_ROWS + 1)
+@example(BLOCK)
+@example(BLOCK + 1)
 @example(PREFIX_ROWS)
 def test_poisson_resamples_are_a_prefix_of_one_draw(resamples):
-    # R resamples, in blocks of at most _CHUNK_ROWS, are the first R rows of
+    # R resamples, in blocks of at most BLOCK, are the first R rows of
     # one draw from default_rng([seed, 1]), whatever R is
     assert (poisson_uncertainty(SINGLE, SINGLE_TH, resamples=resamples, seed=8)
             == np.std(PREFIX_FIDS[:resamples]))
@@ -462,7 +464,7 @@ def test_each_stage_draws_from_one_generator_of_its_own(monkeypatch):
     simulate_qpt(AD_HALF, shots=2000, seed=6)
     assert seeds == [[6, 0]]
     # two blocks of resamples, still one generator, and not the data's
-    poisson_uncertainty(SINGLE, SINGLE_TH, resamples=_CHUNK_ROWS + 3, seed=6)
+    poisson_uncertainty(SINGLE, SINGLE_TH, resamples=BLOCK + 3, seed=6)
     assert seeds == [[6, 0], [6, 1]]
 
 

@@ -1,11 +1,12 @@
 """The benchmark harness under qbench/ patches qmetro functions by name; every
 name it lists must still exist on the package, and its workloads must still
 import against it. The package itself imports only numpy, and only what it
-uses."""
+uses. README names nothing that the code has lost."""
 import ast
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -92,3 +93,17 @@ def test_every_private_name_is_used():
                        if name.startswith("_") and not name.startswith("__")
                        and name not in reads | attrs and (module, name) not in imported]
     assert unused == []
+
+
+def test_readme_names_occur_in_the_code():
+    # a backticked identifier with an underscore, or in capitals of 4 or more
+    # letters, is a name of the code; each must occur in src/ or tests/, in a
+    # file's text or as its path, so a renamed or deleted one cannot linger
+    word = r"[A-Za-z_][A-Za-z0-9_]*"
+    spans = re.findall(r"`([^`\n]+)`", (ROOT / "README.md").read_text())
+    names = {t for span in spans for t in re.findall(word, span)
+             if "_" in t or (t.isupper() and sum(ch.isalpha() for ch in t) >= 4)}
+    files = sorted(p for d in ("src", "tests") for p in (ROOT / d).rglob("*.py"))
+    code = set(re.findall(word, "\n".join(f"{p.relative_to(ROOT)}\n{p.read_text()}"
+                                          for p in files)))
+    assert names and sorted(names - code) == []
